@@ -20,8 +20,9 @@
 //! [`CommitteeMode::Universal`] drops the certificates entirely (every
 //! process is implicitly certified). Running `n` universal instances in
 //! parallel truncated at `k + 1` rounds and taking the plurality is this
-//! repository's authenticated early-stopping agreement (substitution S5
-//! in `DESIGN.md`): it is a full Dolev–Strong per sender whenever
+//! repository's authenticated early-stopping agreement, standing in for
+//! the authenticated variant of Lenzen–Sheikholeslami that the paper
+//! cites (Theorem 10): it is a full Dolev–Strong per sender whenever
 //! `f ≤ k`, and the guess-and-double wrapper supplies ever larger `k`.
 
 use crate::chains::{CommitteeCert, MessageChain};

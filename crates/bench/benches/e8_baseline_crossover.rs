@@ -2,8 +2,8 @@
 //! wrapper beats the prediction-free baselines; with garbage predictions
 //! it degrades to the same order, never worse than a constant factor.
 //!
-//! Baselines and wrappers all run through the same `ProtocolDriver`
-//! path: the baseline rows are `Pipeline::PhaseKing` (unauth) and
+//! Baselines and wrappers all run through the same family-table path:
+//! the baseline rows are `Pipeline::PhaseKing` (unauth) and
 //! `Pipeline::TruncatedDolevStrong` (auth) under silent faults; the
 //! wrapper rows face the worst-case disruptor.
 

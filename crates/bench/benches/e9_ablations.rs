@@ -1,4 +1,4 @@
-//! E9 — ablations over the design choices documented in `DESIGN.md`:
+//! E9 — ablations over the harness's own workload choices:
 //!
 //! * error placement: who gets hurt more by the same budget `B`
 //!   (concentrated vs uniform vs missed-faults-only);

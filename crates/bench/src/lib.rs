@@ -1,9 +1,11 @@
 //! # ba-bench — experiment harnesses for every claim in the paper
 //!
 //! Each bench target (`cargo bench -p ba-bench`) regenerates one
-//! theorem's complexity table; the printed markdown is what
-//! `EXPERIMENTS.md` records. See `DESIGN.md` §4 for the experiment index
-//! (E1–E9).
+//! claim's table as printed markdown: E1/E2 the round bounds of
+//! Theorems 11/12, E3 the round lower bound (Theorem 13), E4 the message
+//! lower bound (Theorem 14), E5/E6 Algorithms 5 and 7 standalone
+//! (Theorems 5/6), E7 classification quality (Lemma 1), E8 the wrappers
+//! against the prediction-free baselines, E9 ablations, E10 scaling.
 //!
 //! The measured quantities are deterministic (rounds, messages), so the
 //! harnesses run each configuration once per seed and print tables

@@ -5,8 +5,8 @@
 //! (Definition 1) and message chains (Definition 2) are built from them.
 //!
 //! Real asymmetric signatures are outside the sanctioned offline dependency
-//! set, so this crate implements the closest synthetic equivalent
-//! (substitution **S1** in `DESIGN.md`):
+//! set, so this crate implements the closest synthetic equivalent — MAC
+//! tags under per-process keys that only a PKI oracle holds:
 //!
 //! * [`mod@sha256`] — SHA-256 implemented from scratch and validated
 //!   against the NIST FIPS 180-4 test vectors;

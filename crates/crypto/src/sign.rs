@@ -1,6 +1,6 @@
 //! Simulated PKI: per-process signing keys and a verification oracle.
 //!
-//! See substitution **S1** in `DESIGN.md`: signatures are HMAC-SHA256 tags
+//! Real asymmetric signatures are simulated: signatures are HMAC-SHA256 tags
 //! under per-process secret keys held privately by the [`Pki`] oracle.
 //! Honest code paths sign with their own [`SigningKey`]; anyone verifies
 //! via [`Pki::verify`]. The Byzantine adversary is handed the signing keys

@@ -29,8 +29,9 @@
 //! within `f + 1` phases, so all honest processes decide within `f + 2`
 //! phases = `5(f + 2)` rounds — the early-stopping bound.
 //!
-//! Messages are `O(n²)` per phase, i.e. `O(fn²)` per run — the documented
-//! deviation from \[32\]'s `O(n²)` total (DESIGN.md, substitution S4).
+//! Messages are `O(n²)` per phase, i.e. `O(fn²)` per run — a deviation
+//! from \[32\]'s `O(n²)` total, accepted because this much simpler
+//! protocol stands in for \[32\] and keeps its `O(f)` round bound.
 
 use ba_graded::{UnauthGcMsg, UnauthGraded};
 use ba_sim::{

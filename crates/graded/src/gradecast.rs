@@ -1,5 +1,6 @@
 //! Certified gradecast: the single-sender authenticated primitive behind
-//! [`crate::auth::AuthGraded`] (substitution S3 in `DESIGN.md`).
+//! [`crate::auth::AuthGraded`], which stands in for the authenticated
+//! graded consensus the paper cites (\[37\]).
 //!
 //! A *gradecast* lets a designated sender `s` distribute a value such that
 //! (for `t < n/2`, with signatures):

@@ -3,8 +3,8 @@
 //! The wrapper algorithm of *Byzantine Agreement with Predictions*
 //! (Algorithm 1, §5) relies on graded consensus as a black box, citing
 //! \[14\] for an unauthenticated and \[37\] for an authenticated
-//! implementation. This crate provides both, built from scratch
-//! (substitutions **S2** and **S3** in `DESIGN.md`):
+//! implementation. This crate provides both, built from scratch in
+//! place of the cited constructions:
 //!
 //! * [`unauth::UnauthGraded`] — a 2-round quorum protocol for `t < n/3`
 //!   with `O(n²)` messages;

@@ -1,7 +1,8 @@
 //! Property-based attacks on both graded-consensus substrates.
 //!
 //! For randomly sampled systems, inputs and Byzantine message patterns,
-//! the invariants of `DESIGN.md` S2/S3 must hold in every execution:
+//! the invariants both substrates promise the wrapper must hold in every
+//! execution:
 //!
 //! * **Strong Unanimity** — unanimous honest input `v` ⇒ all `(v, 2)`;
 //! * **Grade-2 coherence** — any honest grade 2 on `v` ⇒ every honest

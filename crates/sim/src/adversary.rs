@@ -76,12 +76,6 @@ impl<'a, M> AdversaryCtx<'a, M> {
         );
         self.outgoing.push(Envelope { from, to, payload });
     }
-
-    /// Convenience view of the honest messages addressed to `to` this
-    /// round (what a rushing adversary reads before acting).
-    pub fn honest_to(&self, to: ProcessId) -> impl Iterator<Item = &Envelope<M>> {
-        self.honest_traffic.iter().filter(move |e| e.to == to)
-    }
 }
 
 /// A coordinated Byzantine strategy for all corrupted processes.
@@ -218,28 +212,6 @@ impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
     }
 }
 
-/// Runs two adversarial behaviours in sequence each round (e.g. replay
-/// plus targeted equivocation).
-#[derive(Clone, Debug, Default)]
-pub struct ComposeAdversary<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A, B> ComposeAdversary<A, B> {
-    /// Composes `first` then `second`.
-    pub fn new(first: A, second: B) -> Self {
-        ComposeAdversary { first, second }
-    }
-}
-
-impl<M, A: Adversary<M>, B: Adversary<M>> Adversary<M> for ComposeAdversary<A, B> {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        self.first.act(ctx);
-        self.second.act(ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,19 +247,6 @@ mod tests {
         let inboxes = BTreeMap::new();
         let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
         ctx.send(ProcessId(0), ProcessId(1), 1);
-    }
-
-    #[test]
-    fn rushing_visibility_filters_by_recipient() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let honest = vec![
-            Envelope::new(ProcessId(0), ProcessId(1), 10u32),
-            Envelope::new(ProcessId(0), ProcessId(2), 20u32),
-        ];
-        let inboxes = BTreeMap::new();
-        let ctx = ctx_fixture(&corrupted, &honest, &inboxes);
-        let seen: Vec<u32> = ctx.honest_to(ProcessId(2)).map(|e| *e.payload).collect();
-        assert_eq!(seen, vec![20]);
     }
 
     #[test]

@@ -6,23 +6,8 @@
 
 use crate::envelope::Envelope;
 use crate::id::ProcessId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::Hash;
-
-/// Counts the distinct senders among `envelopes` whose payload satisfies
-/// `pred`.
-pub fn count_distinct_senders<M, F>(envelopes: &[Envelope<M>], mut pred: F) -> usize
-where
-    F: FnMut(&M) -> bool,
-{
-    let mut seen: BTreeSet<ProcessId> = BTreeSet::new();
-    for env in envelopes {
-        if pred(&env.payload) {
-            seen.insert(env.from);
-        }
-    }
-    seen.len()
-}
 
 /// Extracts, per sender, the first value produced by `extract` over that
 /// sender's messages (in inbox order).
@@ -155,12 +140,6 @@ mod tests {
 
     fn env(from: u32, payload: u32) -> Envelope<u32> {
         Envelope::new(ProcessId(from), ProcessId(0), payload)
-    }
-
-    #[test]
-    fn distinct_senders_ignores_duplicates_from_one_sender() {
-        let envs = vec![env(1, 7), env(1, 7), env(2, 7), env(3, 9)];
-        assert_eq!(count_distinct_senders(&envs, |m| *m == 7), 2);
     }
 
     #[test]

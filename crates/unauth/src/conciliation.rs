@@ -7,8 +7,8 @@
 //! that reach `z` in the graph. The returned value is the one occurring
 //! most often among `{mᵢ[z]}` (ties toward the smallest value; an empty
 //! reachable set contributes nothing, and an empty multiset falls back to
-//! the process's own input — both edge cases are documented deviations in
-//! `DESIGN.md` §3).
+//! the process's own input — both edge cases are deviations: the paper
+//! leaves them undefined).
 //!
 //! Guarantees (Lemmas 10–14), *under the conditions* that every honest
 //! `Lᵢ` has size `3k+1`, contains only honest processes, and shares a

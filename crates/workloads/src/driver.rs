@@ -1,74 +1,60 @@
-//! The `ProtocolDriver` trait: every protocol family behind one API.
+//! The family table: every protocol family as one row of data.
 //!
 //! The paper's headline claim — `O(min{B/n + 1, f})` rounds, never
 //! worse than a prediction-free early-stopping baseline — is a
 //! comparison *across protocol families*, so the harness must be able
-//! to run all of them through one code path. A [`ProtocolDriver`] knows
-//! how to turn a [`SessionSpec`] (system size, fault set, prediction
-//! matrix, inputs, adversary, seed) into a type-erased
-//! [`ErasedSession`]; the generic engine in
+//! to run all of them through one code path. Each [`Family`] row of
+//! [`FAMILIES`] holds a family's display data (name, resilience,
+//! prediction use, round and communication shapes), its round budget,
+//! and a `build` function that turns a [`SessionSpec`] (system size,
+//! fault set, prediction matrix, inputs, adversary, seed) into a
+//! type-erased [`ErasedSession`]; the generic engine in
 //! [`crate::experiment`] then runs it and measures, identically for
-//! every family.
+//! every family. [`crate::tables::driver_table`] renders the rows as the
+//! family comparison table.
 //!
-//! Eight drivers ship today, one per [`crate::experiment::Pipeline`]
-//! variant:
+//! A new protocol plugs into every bench, example, and sweep with one
+//! [`Pipeline`] variant (plus its slot in [`Pipeline::ALL`]) and one
+//! `FAMILIES` row. Since the runner charges every session its
+//! [`ba_sim::WireSize`] byte cost, each family's communication profile
+//! is measured uniformly alongside its round count.
 //!
-//! | driver | protocol | resilience | predictions |
-//! |---|---|---|---|
-//! | [`UnauthWrapperDriver`] | Algorithm 1 over §7 (Theorem 11) | `3t < n` | yes |
-//! | [`AuthWrapperDriver`] | Algorithm 1 over §8 (Theorem 12) | `2t < n` | yes |
-//! | [`PhaseKingDriver`] | early-stopping phase-king baseline | `3t < n` | ignored |
-//! | [`TruncatedDolevStrongDriver`] | full Dolev–Strong baseline | `2t < n` | ignored |
-//! | [`CommEffDriver`] | committee-sampled fast lane + phase-king fallback (Dzulfikar–Gilbert) | `3t < n` | yes |
-//! | [`ResilientDriver`] | suspicion-ordered king rotation (Dallot et al.) | `3t < n` | yes |
-//! | [`CommEffSignedDriver`] | signed certify certificates + echo: unconditional lane choice | `3t < n` | yes |
-//! | [`ResilientSignedDriver`] | signed classification exchange: agreeing views, `t + 2` phases, no suffix | `3t < n` | yes |
-//!
-//! This is the extension seam for related-work pipelines (sharded and
-//! batched execution modes are the open ones): a new protocol plugs
-//! into every bench, example, and sweep by implementing this trait and
-//! (optionally) gaining a `Pipeline` variant. Since the runner charges
-//! every session its [`ba_sim::WireSize`] byte cost, each driver's
-//! communication profile is measured uniformly alongside its round
-//! count.
-//!
-//! ## Adversary mapping for drivers without a classification round
+//! ## Adversary mapping
 //!
 //! [`AdversaryKind`] names behaviours of the *wrapper* execution model.
-//! The baselines and the communication-efficient pipelines have no
-//! classification round to lie in, so for them `ClassifyLiar` degrades
-//! to silence (its lies have no audience). `Disruptor` maps to the
-//! strongest behaviour each family admits: the schedule-aware
-//! coalitions for the resilient pair
-//! ([`ba_resilient::ResilientDisruptor`] /
-//! [`ba_resilient::SignedResilientDisruptor`]), the full
-//! signature-equivocation menu for the signed committee pipeline
-//! ([`crate::adversaries::SignedCertEquivocator`]), and a 1-round
-//! replay coalition for the baselines and the unsigned committee
+//! `Silent` and `Replay` (a 1-round [`ReplayAdversary`]) mean the same
+//! for every family. Families without a classification round (the
+//! baselines and both committee pipelines) degrade `ClassifyLiar` to
+//! silence: its lies have no audience. `Disruptor` maps to the strongest
+//! behaviour each family admits: the schedule-driven coalitions of
+//! [`crate::disruptor`] for the wrappers, the schedule-aware coalitions
+//! for the resilient pair ([`ResilientDisruptor`] /
+//! [`SignedResilientDisruptor`]), the full signature-equivocation menu
+//! for the signed committee pipeline ([`SignedCertEquivocator`]), and a
+//! 1-round replay coalition for the baselines and the unsigned committee
 //! pipeline — documented deviations, chosen over panicking so that
 //! sweeps can hold the adversary column fixed across pipelines.
 
-use crate::adversaries::{ClassifyLiar, SignedCertEquivocator};
-use crate::experiment::{AdversaryKind, InputPattern};
+use crate::adversaries::{ClassifyLiar, LiarStyle, SignedCertEquivocator};
+use crate::disruptor::{AuthDisruptor, UnauthDisruptor};
+use crate::experiment::{AdversaryKind, InputPattern, Pipeline};
 use ba_commeff::{CommEff, CommEffSigned};
-use ba_core::{
-    AuthWrapper, AuthWrapperMsg, BitVec, MisclassificationReport, PredictionMatrix, UnauthWrapper,
-    UnauthWrapperMsg,
-};
+use ba_core::{AuthWrapper, BitVec, MisclassificationReport, PredictionMatrix, UnauthWrapper};
 use ba_crypto::{Pki, SigningKey};
 use ba_early::{PhaseKing, PhaseKingOutput, TruncatedDs};
 use ba_resilient::{ResilientBa, ResilientDisruptor, ResilientSigned, SignedResilientDisruptor};
 use ba_sim::{
-    erase, Adversary, ErasedSession, MapOutput, ProcessId, ReplayAdversary, SilentAdversary, Value,
+    erase, Adversary, ErasedSession, MapOutput, Process, ProcessId, ReplayAdversary,
+    SilentAdversary, Value,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Everything a driver needs to build one session. Produced by the
+/// Everything a family needs to build one session. Produced by the
 /// experiment engine from an
 /// [`ExperimentConfig`](crate::experiment::ExperimentConfig); shared by
-/// all drivers so that the same workload is presented to every
-/// protocol family.
+/// all families so that the same workload is presented to every
+/// protocol.
 #[derive(Clone, Debug)]
 pub struct SessionSpec<'a> {
     /// System size.
@@ -78,7 +64,7 @@ pub struct SessionSpec<'a> {
     /// The corrupted identifiers (`|faulty| = f ≤ t`).
     pub faulty: &'a BTreeSet<ProcessId>,
     /// Prediction matrix (budgeted wrong bits already injected).
-    /// Prediction-free drivers ignore it.
+    /// Prediction-free families ignore it.
     pub matrix: &'a PredictionMatrix,
     /// Honest input pattern.
     pub inputs: InputPattern,
@@ -114,31 +100,303 @@ impl SessionSpec<'_> {
     }
 }
 
-/// A protocol family runnable by the generic experiment engine.
-///
-/// Implementations build their honest-process map and adversary from a
-/// shared [`SessionSpec`] and erase the message type behind
-/// [`ErasedSession`], so one engine can run, measure, and compare any
-/// protocol.
-pub trait ProtocolDriver {
+/// One protocol family: what the comparison table prints about it, and
+/// how the generic engine bounds and builds its sessions.
+#[derive(Debug)]
+pub struct Family {
     /// Stable display name (bench tables, JSON output).
-    fn name(&self) -> &'static str;
-
-    /// The largest fault bound `t` this protocol tolerates at size `n`
-    /// (e.g. `⌊(n−1)/3⌋` for unauthenticated quorum protocols).
-    fn max_faults(&self, n: usize) -> usize;
-
-    /// Whether the protocol consumes the prediction matrix. Drivers
-    /// returning `false` are the prediction-free baselines; the engine
-    /// skips their (vacuous) misclassification measurement.
-    fn uses_predictions(&self) -> bool;
-
+    pub name: &'static str,
+    /// Resilience divisor `d`: the family tolerates `d·t < n`.
+    pub divisor: usize,
+    /// Whether the family consumes the prediction matrix. `false` marks
+    /// the prediction-free baselines; the engine skips their (vacuous)
+    /// misclassification measurement.
+    pub uses_predictions: bool,
+    /// Round-complexity shape, as printed by
+    /// [`driver_table`](crate::tables::driver_table).
+    pub round_shape: &'static str,
+    /// Communication shape, as printed by
+    /// [`driver_table`](crate::tables::driver_table).
+    pub comm_shape: &'static str,
     /// Round budget sufficient for termination at `(n, t)`.
-    fn max_rounds(&self, n: usize, t: usize) -> u64;
-
+    pub rounds: fn(usize, usize) -> u64,
     /// Builds the full session — honest processes and adversary — for
     /// one experiment.
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession>;
+    pub build: fn(&SessionSpec<'_>) -> Box<dyn ErasedSession>,
+}
+
+impl Family {
+    /// The largest fault bound `t` this family tolerates at size `n`:
+    /// `⌊(n − 1)/divisor⌋`.
+    pub fn max_faults(&self, n: usize) -> usize {
+        n.saturating_sub(1) / self.divisor
+    }
+
+    /// Whether the family consumes the prediction matrix.
+    pub fn uses_predictions(&self) -> bool {
+        self.uses_predictions
+    }
+
+    /// Round budget sufficient for termination at `(n, t)`.
+    pub fn max_rounds(&self, n: usize, t: usize) -> u64 {
+        (self.rounds)(n, t)
+    }
+
+    /// Builds the full session for one experiment.
+    pub fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
+        (self.build)(spec)
+    }
+}
+
+/// Every protocol family, in [`Pipeline::ALL`] order: variant `p` runs
+/// `FAMILIES[p as usize]`. The length is tied to `Pipeline::ALL`, so a
+/// row without a slot (or a slot without a row) does not compile.
+///
+/// A `static`, not a `const`: every `build` closure then has one copy,
+/// in this crate, rather than one per crate that reads the table.
+pub static FAMILIES: [Family; Pipeline::ALL.len()] = [
+    // Theorem 11: Algorithm 1 over the unauthenticated subprotocols.
+    Family {
+        name: "unauth-wrapper",
+        divisor: 3,
+        uses_predictions: true,
+        round_shape: "O(min{B/n + 1, f})",
+        comm_shape: "O(f·n²)",
+        rounds: |n, t| UnauthWrapper::schedule(n, t).total_steps + 4,
+        build: |spec| {
+            let adversary = adversary(
+                spec.adversary,
+                |style| Some(Box::new(liar(spec, style).unauth())),
+                || Box::new(UnauthDisruptor::new(spec.n, spec.t, spec.faulty_vec())),
+            );
+            let make = |id, input| {
+                UnauthWrapper::new(id, spec.n, spec.t, input, spec.matrix.row(id).clone())
+            };
+            session(spec, make, adversary, |w| w.classification().map(bits_of))
+        },
+    },
+    // Theorem 12: Algorithm 1 over the authenticated subprotocols.
+    Family {
+        name: "auth-wrapper",
+        divisor: 2,
+        uses_predictions: true,
+        round_shape: "O(min{B/n + 1, f})",
+        comm_shape: "O(n²) chain batches",
+        rounds: |n, t| AuthWrapper::schedule(n, t).total_steps + 4,
+        build: |spec| {
+            let pki = pki(spec);
+            let adversary = adversary(
+                spec.adversary,
+                |style| Some(Box::new(liar(spec, style).auth())),
+                || Box::new(AuthDisruptor::new(spec.n, spec.t, spec.faulty_vec(), &pki)),
+            );
+            let make = |id: ProcessId, input| {
+                let row = spec.matrix.row(id).clone();
+                let key = pki.signing_key(id.0);
+                AuthWrapper::new(id, spec.n, spec.t, input, row, Arc::clone(&pki), key)
+            };
+            session(spec, make, adversary, |w| w.classification().map(bits_of))
+        },
+    },
+    // Prediction-free unauthenticated baseline: early-stopping phase
+    // king with the full `t + 2` phase budget.
+    Family {
+        name: "phase-king",
+        divisor: 3,
+        uses_predictions: false,
+        round_shape: "O(f)",
+        comm_shape: "O(f·n²)",
+        rounds: |_, t| PhaseKing::rounds(PhaseKing::phases_for(t)) + 2,
+        build: |spec| {
+            let decided: fn(&PhaseKingOutput) -> Value = |o| o.decision.unwrap_or(o.value);
+            let make =
+                |id, input| MapOutput::new(PhaseKing::full(id, spec.n, spec.t, input), decided);
+            session(spec, make, baseline_adversary(spec.adversary), |_| None)
+        },
+    },
+    // Prediction-free authenticated baseline: full Dolev–Strong (`k = t`).
+    Family {
+        name: "truncated-dolev-strong",
+        divisor: 2,
+        uses_predictions: false,
+        round_shape: "t + 1",
+        comm_shape: "Ω(n²) chain batches",
+        rounds: |_, t| TruncatedDs::rounds(t) + 2,
+        build: |spec| {
+            let pki = pki(spec);
+            let tag = spec.seed ^ 0x7d5;
+            let make = |id: ProcessId, input| {
+                let key = pki.signing_key(id.0);
+                TruncatedDs::full(id, spec.n, spec.t, tag, input, Arc::clone(&pki), key)
+            };
+            session(spec, make, baseline_adversary(spec.adversary), |_| None)
+        },
+    },
+    // Dzulfikar–Gilbert: committee-sampled dissemination in a 5-round
+    // fast lane, phase-king fallback when the predictions prove
+    // unreliable. Consumes the prediction matrix raw (no Algorithm 2
+    // refinement), so its probe — and its measured `k_A` — is the
+    // prediction string itself.
+    Family {
+        name: "comm-eff",
+        divisor: 3,
+        uses_predictions: true,
+        round_shape: "5 fast / O(t) fallback",
+        comm_shape: "Θ(n·f̂) fast lane",
+        rounds: |_, t| CommEff::rounds(t) + 2,
+        build: |spec| {
+            let make =
+                |id, input| CommEff::new(id, spec.n, spec.t, input, spec.matrix.row(id).clone());
+            let adversary = baseline_adversary(spec.adversary);
+            session(spec, make, adversary, |p| Some(bits_of(p.prediction())))
+        },
+    },
+    // Dallot et al.: a classification exchange, then phase king in
+    // aggregated-suspicion throne order, so rounds degrade by one phase
+    // per faulty identifier the error budget promotes instead of
+    // cliff-switching lanes. Its real classification round is attacked
+    // natively by `ClassifyLiar`.
+    Family {
+        name: "resilient",
+        divisor: 3,
+        uses_predictions: true,
+        round_shape: "O(promoted(B) + 1), ≤ 2t + 3 phases",
+        comm_shape: "O((promoted(B) + 1)·n²)",
+        rounds: |_, t| ResilientBa::rounds(t) + 2,
+        build: |spec| {
+            let adversary = adversary(
+                spec.adversary,
+                |style| Some(Box::new(liar(spec, style).resilient())),
+                || Box::new(ResilientDisruptor::new(spec.n, spec.t, spec.faulty_vec())),
+            );
+            let make = |id, input| {
+                ResilientBa::new(id, spec.n, spec.t, input, spec.matrix.row(id).clone())
+            };
+            session(spec, make, adversary, |p| p.classification().map(bits_of))
+        },
+    },
+    // The comm-eff fast lane with signed submit/report/ack traffic and a
+    // transferable, echoed certify certificate, so an equivocating
+    // aggregator can no longer split the fast/fallback decision.
+    Family {
+        name: "comm-eff-signed",
+        divisor: 3,
+        uses_predictions: true,
+        round_shape: "6 fast / O(t) fallback, uniform lane",
+        comm_shape: "O(n³) certificate echo",
+        rounds: |_, t| CommEffSigned::rounds(t) + 2,
+        build: |spec| {
+            let pki = pki(spec);
+            let adversary = adversary(
+                spec.adversary,
+                |_| None,
+                || {
+                    let pki = Arc::clone(&pki);
+                    let keys = corrupted_keys(&pki, spec.faulty);
+                    Box::new(SignedCertEquivocator::new(spec.n, spec.t, keys, pki))
+                },
+            );
+            let make = |id: ProcessId, input| {
+                let row = spec.matrix.row(id).clone();
+                let key = pki.signing_key(id.0);
+                CommEffSigned::new(id, spec.n, spec.t, input, row, Arc::clone(&pki), key)
+            };
+            session(spec, make, adversary, |p| Some(bits_of(p.prediction())))
+        },
+    },
+    // The resilient throne schedule over a signed, echoed classification
+    // exchange: equivocators are convicted by their own signatures, the
+    // honest suspicion views agree, and the phase budget shrinks from
+    // `2t + 3` to `t + 2` with no rotation suffix.
+    Family {
+        name: "resilient-signed",
+        divisor: 3,
+        uses_predictions: true,
+        round_shape: "O(promoted(B) + 1), ≤ t + 2 phases",
+        comm_shape: "O(n³) signed exchange",
+        rounds: |_, t| ResilientSigned::rounds(t) + 2,
+        build: |spec| {
+            let pki = pki(spec);
+            let keys = || corrupted_keys(&pki, spec.faulty);
+            let adversary = adversary(
+                spec.adversary,
+                |style| Some(Box::new(liar(spec, style).resilient_signed(keys()))),
+                || {
+                    let pki = Arc::clone(&pki);
+                    Box::new(SignedResilientDisruptor::new(spec.n, spec.t, keys(), pki))
+                },
+            );
+            let make = |id: ProcessId, input| {
+                let row = spec.matrix.row(id).clone();
+                let key = pki.signing_key(id.0);
+                ResilientSigned::new(id, spec.n, spec.t, input, row, Arc::clone(&pki), key)
+            };
+            session(spec, make, adversary, |p| p.classification().map(bits_of))
+        },
+    },
+];
+
+/// Builds one session: every honest slot runs `make(id, input)`, the
+/// corrupted identifiers run `adversary`, and `probe` reads each honest
+/// process's classification bits after the run.
+fn session<P, F>(
+    spec: &SessionSpec<'_>,
+    make: impl Fn(ProcessId, Value) -> P,
+    adversary: Box<dyn Adversary<P::Msg>>,
+    probe: F,
+) -> Box<dyn ErasedSession>
+where
+    P: Process<Output = Value> + 'static,
+    F: Fn(&P) -> Option<Vec<bool>> + 'static,
+{
+    // An insert loop rather than `collect`: `BTreeMap::from_iter` sorts,
+    // and would monomorphise a stable sort for every process type.
+    let mut honest = BTreeMap::new();
+    for (slot, id) in spec.honest_slots() {
+        honest.insert(id, make(id, spec.input_for(slot)));
+    }
+    erase(spec.n, honest, adversary, probe)
+}
+
+/// Maps an [`AdversaryKind`] onto one family's message type (see the
+/// module docs). `liar` returning `None` degrades the lies to silence.
+fn adversary<M: Clone + 'static>(
+    kind: AdversaryKind,
+    liar: impl FnOnce(LiarStyle) -> Option<Box<dyn Adversary<M>>>,
+    disruptor: impl FnOnce() -> Box<dyn Adversary<M>>,
+) -> Box<dyn Adversary<M>> {
+    match kind {
+        AdversaryKind::Silent => Box::new(SilentAdversary),
+        AdversaryKind::ClassifyLiar(style) => {
+            liar(style).unwrap_or_else(|| Box::new(SilentAdversary))
+        }
+        AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
+        AdversaryKind::Disruptor => disruptor(),
+    }
+}
+
+/// The mapping for families with no classification round and no
+/// schedule-aware attack: lies are silence, the disruptor replays.
+fn baseline_adversary<M: Clone + 'static>(kind: AdversaryKind) -> Box<dyn Adversary<M>> {
+    adversary(kind, |_| None, || Box::new(ReplayAdversary::new(1)))
+}
+
+/// The classification liar for this session's coalition.
+fn liar(spec: &SessionSpec<'_>, style: LiarStyle) -> ClassifyLiar {
+    ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed)
+}
+
+/// The session's simulated PKI, shared by its honest processes and its
+/// adversary.
+fn pki(spec: &SessionSpec<'_>) -> Arc<Pki> {
+    Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1))
+}
+
+/// The signing keys of the corrupted identifiers — the only keys the
+/// harness ever hands an adversary (simulated-PKI unforgeability is
+/// exactly this discipline; see [`ba_crypto::Pki::signing_key`]).
+fn corrupted_keys(pki: &Pki, faulty: &BTreeSet<ProcessId>) -> Vec<SigningKey> {
+    faulty.iter().map(|p| pki.signing_key(p.0)).collect()
 }
 
 /// Converts a classification bit vector into the erased probe format.
@@ -148,7 +406,7 @@ fn bits_of(c: &BitVec) -> Vec<bool> {
 
 /// Computes the realized misclassification count `k_A` from erased
 /// probes — the one measurement path shared by every
-/// prediction-consuming driver (previously copy-pasted per pipeline).
+/// prediction-consuming family.
 pub fn k_a_from_probes(
     n: usize,
     faulty: &BTreeSet<ProcessId>,
@@ -160,463 +418,6 @@ pub fn k_a_from_probes(
         .collect();
     let refs: Vec<(ProcessId, &BitVec)> = owned.iter().map(|(id, c)| (*id, c)).collect();
     MisclassificationReport::compute(n, faulty, &refs).k_a()
-}
-
-/// Theorem 11 pipeline: Algorithm 1 over the unauthenticated
-/// subprotocols (`3t < n`, no signatures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnauthWrapperDriver;
-
-impl ProtocolDriver for UnauthWrapperDriver {
-    fn name(&self) -> &'static str {
-        "unauth-wrapper"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, n: usize, t: usize) -> u64 {
-        UnauthWrapper::schedule(n, t).total_steps + 4
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, UnauthWrapper> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                UnauthWrapper::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<UnauthWrapperMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).unauth())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(crate::disruptor::UnauthDisruptor::new(
-                spec.n,
-                spec.t,
-                spec.faulty_vec(),
-            )),
-        };
-        erase(spec.n, honest, adversary, |w: &UnauthWrapper| {
-            w.classification().map(bits_of)
-        })
-    }
-}
-
-/// Theorem 12 pipeline: Algorithm 1 over the authenticated
-/// subprotocols (`2t < n`, signatures).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AuthWrapperDriver;
-
-impl ProtocolDriver for AuthWrapperDriver {
-    fn name(&self) -> &'static str {
-        "auth-wrapper"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, n: usize, t: usize) -> u64 {
-        AuthWrapper::schedule(n, t).total_steps + 4
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, AuthWrapper> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                AuthWrapper::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<AuthWrapperMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).auth())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(crate::disruptor::AuthDisruptor::new(
-                spec.n,
-                spec.t,
-                spec.faulty_vec(),
-                &pki,
-            )),
-        };
-        erase(spec.n, honest, adversary, |w: &AuthWrapper| {
-            w.classification().map(bits_of)
-        })
-    }
-}
-
-/// Maps an [`AdversaryKind`] onto a message type the prediction-free
-/// baselines understand (see the module docs for the degradation
-/// rules).
-fn baseline_adversary<M: Clone + 'static>(kind: AdversaryKind) -> Box<dyn Adversary<M>> {
-    match kind {
-        AdversaryKind::Silent | AdversaryKind::ClassifyLiar(_) => Box::new(SilentAdversary),
-        AdversaryKind::Replay | AdversaryKind::Disruptor => Box::new(ReplayAdversary::new(1)),
-    }
-}
-
-/// Prediction-free unauthenticated baseline: early-stopping phase-king
-/// with the full `t + 2` phase budget (`3t < n`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseKingDriver;
-
-impl ProtocolDriver for PhaseKingDriver {
-    fn name(&self) -> &'static str {
-        "phase-king"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        false
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        PhaseKing::rounds(PhaseKing::phases_for(t)) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        type P = MapOutput<PhaseKing, fn(&PhaseKingOutput) -> Value>;
-        fn decided(o: &PhaseKingOutput) -> Value {
-            o.decision.unwrap_or(o.value)
-        }
-        let mut honest: BTreeMap<ProcessId, P> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                MapOutput::new(
-                    PhaseKing::full(id, spec.n, spec.t, spec.input_for(slot)),
-                    decided as fn(&PhaseKingOutput) -> Value,
-                ),
-            );
-        }
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |_: &P| None)
-    }
-}
-
-/// Prediction-free authenticated baseline: full Dolev–Strong
-/// (`k = t`, `2t < n`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TruncatedDolevStrongDriver;
-
-impl ProtocolDriver for TruncatedDolevStrongDriver {
-    fn name(&self) -> &'static str {
-        "truncated-dolev-strong"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 2
-    }
-
-    fn uses_predictions(&self) -> bool {
-        false
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        TruncatedDs::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let session = spec.seed ^ 0x7d5;
-        let mut honest: BTreeMap<ProcessId, TruncatedDs> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                TruncatedDs::full(
-                    id,
-                    spec.n,
-                    spec.t,
-                    session,
-                    spec.input_for(slot),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |_: &TruncatedDs| None)
-    }
-}
-
-/// Communication-efficient BA with predictions (Dzulfikar–Gilbert):
-/// committee-sampled dissemination in a 5-round fast lane, phase-king
-/// fallback when the predictions prove unreliable (`3t < n`).
-///
-/// Consumes the prediction matrix raw (no Algorithm 2 refinement), so
-/// its probe surface — and therefore its measured `k_A` — is the
-/// prediction string itself.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommEffDriver;
-
-impl ProtocolDriver for CommEffDriver {
-    fn name(&self) -> &'static str {
-        "comm-eff"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        CommEff::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, CommEff> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                CommEff::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        // No classification round, no schedule: the adversary kinds
-        // degrade exactly like the prediction-free baselines'.
-        let adversary = baseline_adversary(spec.adversary);
-        erase(spec.n, honest, adversary, |p: &CommEff| {
-            Some(bits_of(p.prediction()))
-        })
-    }
-}
-
-/// Resilient BA with predictions (Dallot et al.): a classification
-/// exchange followed by a phase king whose throne order is the
-/// aggregated suspicion order, so rounds degrade *gracefully* — one
-/// phase per faulty identifier the error budget promotes — instead of
-/// cliff-switching between a fast lane and a fallback (`3t < n`).
-///
-/// This family has a real classification round, so — unlike the
-/// baselines and the committee pipeline — `ClassifyLiar` attacks it
-/// natively, and `Disruptor` maps to the schedule-aware
-/// [`ba_resilient::ResilientDisruptor`] coalition.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResilientDriver;
-
-impl ProtocolDriver for ResilientDriver {
-    fn name(&self) -> &'static str {
-        "resilient"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        ResilientBa::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let mut honest: BTreeMap<ProcessId, ResilientBa> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                ResilientBa::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_resilient::ResilientMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => {
-                Box::new(ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed).resilient())
-            }
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => {
-                Box::new(ResilientDisruptor::new(spec.n, spec.t, spec.faulty_vec()))
-            }
-        };
-        erase(spec.n, honest, adversary, |p: &ResilientBa| {
-            p.classification().map(bits_of)
-        })
-    }
-}
-
-/// The signing keys of the corrupted identifiers — the only keys the
-/// harness ever hands an adversary (simulated-PKI unforgeability is
-/// exactly this discipline; see [`ba_crypto::Pki::signing_key`]).
-fn corrupted_keys(pki: &Pki, faulty: &BTreeSet<ProcessId>) -> Vec<SigningKey> {
-    faulty.iter().map(|p| pki.signing_key(p.0)).collect()
-}
-
-/// Signed communication-efficient BA with predictions: the same
-/// committee-sampled fast lane as [`CommEffDriver`], with signed
-/// submit/report/ack traffic and a transferable, echoed certify
-/// certificate — so an equivocating aggregator can no longer split the
-/// fast/fallback decision (`3t < n`).
-///
-/// `Disruptor` maps to the full signature-equivocation menu
-/// ([`SignedCertEquivocator`]: forged tags, replayed honest signatures,
-/// conflicting own-key reports, withheld genuine certificates);
-/// `ClassifyLiar` degrades to silence exactly as for the unsigned
-/// committee pipeline (no classification round to lie in).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CommEffSignedDriver;
-
-impl ProtocolDriver for CommEffSignedDriver {
-    fn name(&self) -> &'static str {
-        "comm-eff-signed"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        CommEffSigned::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, CommEffSigned> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                CommEffSigned::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_commeff::CommEffSignedMsg>> = match spec.adversary {
-            AdversaryKind::Silent | AdversaryKind::ClassifyLiar(_) => Box::new(SilentAdversary),
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(SignedCertEquivocator::new(
-                spec.n,
-                spec.t,
-                corrupted_keys(&pki, spec.faulty),
-                Arc::clone(&pki),
-            )),
-        };
-        erase(spec.n, honest, adversary, |p: &CommEffSigned| {
-            Some(bits_of(p.prediction()))
-        })
-    }
-}
-
-/// Signed resilient BA with predictions: the same suspicion-ordered
-/// throne schedule as [`ResilientDriver`], but the classification
-/// exchange is signed and echoed, equivocators are convicted by their
-/// own signatures, and the honest suspicion views therefore agree —
-/// shrinking the phase budget from `2t + 3` to `t + 2` and dropping
-/// the identifier-rotation suffix (`3t < n`).
-///
-/// `ClassifyLiar` attacks the signed exchange natively (its vectors are
-/// signed with the corrupted keys); `Disruptor` maps to the signed
-/// schedule-aware coalition ([`SignedResilientDisruptor`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ResilientSignedDriver;
-
-impl ProtocolDriver for ResilientSignedDriver {
-    fn name(&self) -> &'static str {
-        "resilient-signed"
-    }
-
-    fn max_faults(&self, n: usize) -> usize {
-        n.saturating_sub(1) / 3
-    }
-
-    fn uses_predictions(&self) -> bool {
-        true
-    }
-
-    fn max_rounds(&self, _n: usize, t: usize) -> u64 {
-        ResilientSigned::rounds(t) + 2
-    }
-
-    fn build(&self, spec: &SessionSpec<'_>) -> Box<dyn ErasedSession> {
-        let pki = Arc::new(Pki::new(spec.n, spec.seed ^ 0x91c1));
-        let mut honest: BTreeMap<ProcessId, ResilientSigned> = BTreeMap::new();
-        for (slot, id) in spec.honest_slots() {
-            honest.insert(
-                id,
-                ResilientSigned::new(
-                    id,
-                    spec.n,
-                    spec.t,
-                    spec.input_for(slot),
-                    spec.matrix.row(id).clone(),
-                    Arc::clone(&pki),
-                    pki.signing_key(id.0),
-                ),
-            );
-        }
-        let adversary: Box<dyn Adversary<ba_resilient::ResilientSignedMsg>> = match spec.adversary {
-            AdversaryKind::Silent => Box::new(SilentAdversary),
-            AdversaryKind::ClassifyLiar(style) => Box::new(
-                ClassifyLiar::new(spec.n, spec.faulty_vec(), style, spec.seed)
-                    .resilient_signed(corrupted_keys(&pki, spec.faulty)),
-            ),
-            AdversaryKind::Replay => Box::new(ReplayAdversary::new(1)),
-            AdversaryKind::Disruptor => Box::new(SignedResilientDisruptor::new(
-                spec.n,
-                spec.t,
-                corrupted_keys(&pki, spec.faulty),
-                Arc::clone(&pki),
-            )),
-        };
-        erase(spec.n, honest, adversary, |p: &ResilientSigned| {
-            p.classification().map(bits_of)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -648,45 +449,41 @@ mod tests {
     }
 
     #[test]
+    fn families_follow_pipeline_all() {
+        assert_eq!(Pipeline::ALL.len(), FAMILIES.len());
+        for (i, (pipeline, family)) in Pipeline::ALL.into_iter().zip(&FAMILIES).enumerate() {
+            assert_eq!(pipeline as usize, i, "{pipeline:?} out of display order");
+            assert!(std::ptr::eq(pipeline.driver(), family), "{pipeline:?}");
+        }
+    }
+
+    #[test]
     fn every_driver_reaches_unanimous_agreement() {
-        let drivers: [&dyn ProtocolDriver; 8] = [
-            &UnauthWrapperDriver,
-            &AuthWrapperDriver,
-            &PhaseKingDriver,
-            &TruncatedDolevStrongDriver,
-            &CommEffDriver,
-            &ResilientDriver,
-            &CommEffSignedDriver,
-            &ResilientSignedDriver,
-        ];
         let n = 10;
         let (faulty, matrix) = spec_parts(n, 2);
-        for d in drivers {
-            let t = d.max_faults(n).min(3);
+        for pipeline in Pipeline::ALL {
+            let family = pipeline.driver();
+            let t = family.max_faults(n).min(3);
             let s = spec(n, t, &faulty, &matrix);
-            let mut session = d.build(&s);
-            let report = session.run(d.max_rounds(n, t));
-            assert!(report.agreement(), "{} broke agreement", d.name());
+            let report = family.build(&s).run(family.max_rounds(n, t));
+            assert!(report.agreement(), "{} broke agreement", family.name);
             assert_eq!(
                 report.decision(),
                 Some(&Value(6)),
                 "{} broke unanimity",
-                d.name()
+                family.name
             );
         }
     }
 
     #[test]
     fn resilience_bounds_match_protocol_families() {
-        assert_eq!(UnauthWrapperDriver.max_faults(10), 3);
-        assert_eq!(PhaseKingDriver.max_faults(10), 3);
-        assert_eq!(CommEffDriver.max_faults(10), 3);
-        assert_eq!(ResilientDriver.max_faults(10), 3);
-        assert_eq!(CommEffSignedDriver.max_faults(10), 3);
-        assert_eq!(ResilientSignedDriver.max_faults(10), 3);
-        assert_eq!(AuthWrapperDriver.max_faults(10), 4);
-        assert_eq!(TruncatedDolevStrongDriver.max_faults(10), 4);
-        assert_eq!(UnauthWrapperDriver.max_faults(0), 0);
+        for pipeline in Pipeline::ALL {
+            let signed_quorum = matches!(pipeline, Pipeline::Auth | Pipeline::TruncatedDolevStrong);
+            let expected = if signed_quorum { 4 } else { 3 };
+            assert_eq!(pipeline.driver().max_faults(10), expected, "{pipeline:?}");
+            assert_eq!(pipeline.driver().max_faults(0), 0, "{pipeline:?}");
+        }
     }
 
     #[test]
@@ -695,14 +492,16 @@ mod tests {
         let (faulty, matrix) = spec_parts(n, 2);
         let s = spec(n, 3, &faulty, &matrix);
 
-        let mut wrapper = UnauthWrapperDriver.build(&s);
-        let _ = wrapper.run(UnauthWrapperDriver.max_rounds(n, 3));
+        let unauth = Pipeline::Unauth.driver();
+        let mut wrapper = unauth.build(&s);
+        let _ = wrapper.run(unauth.max_rounds(n, 3));
         let probes = wrapper.probes();
         assert_eq!(probes.len(), n - 2, "every honest wrapper classifies");
         assert_eq!(k_a_from_probes(n, &faulty, &probes), 0, "perfect matrix");
 
-        let mut baseline = PhaseKingDriver.build(&s);
-        let _ = baseline.run(PhaseKingDriver.max_rounds(n, 3));
+        let king = Pipeline::PhaseKing.driver();
+        let mut baseline = king.build(&s);
+        let _ = baseline.run(king.max_rounds(n, 3));
         assert!(
             baseline.probes().is_empty(),
             "baselines have no classification"

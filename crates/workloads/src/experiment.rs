@@ -9,16 +9,12 @@
 //! deterministic given the config.
 //!
 //! Execution is pipeline-agnostic: the config picks a [`Pipeline`], the
-//! pipeline names a [`ProtocolDriver`], and one generic
-//! [`ExperimentConfig::run_with`] path builds, runs, and measures the
+//! pipeline indexes its [`Family`] row in [`FAMILIES`], and one generic
+//! [`ExperimentConfig::run`] path builds, runs, and measures the
 //! type-erased session — the same engine for the paper's wrappers, the
-//! prediction-free baselines, and any future driver.
+//! prediction-free baselines, and any future family.
 
-use crate::driver::{
-    k_a_from_probes, AuthWrapperDriver, CommEffDriver, CommEffSignedDriver, PhaseKingDriver,
-    ProtocolDriver, ResilientDriver, ResilientSignedDriver, SessionSpec,
-    TruncatedDolevStrongDriver, UnauthWrapperDriver,
-};
+use crate::driver::{k_a_from_probes, Family, SessionSpec, FAMILIES};
 use crate::generators::{self, ErrorPlacement, FaultIds};
 use crate::json::{JsonObject, ToJson};
 use ba_sim::{RunReport, Value};
@@ -40,9 +36,10 @@ pub use crate::adversaries::LiarStyle;
 /// Marked `#[non_exhaustive]`: this is the extension seam (sharded and
 /// batched execution modes are the open directions), so downstream
 /// matches must carry a wildcard arm and new variants are not breaking
-/// changes. Prefer branching on driver capabilities
-/// ([`ProtocolDriver::uses_predictions`], [`ProtocolDriver::max_faults`])
-/// over matching variants.
+/// changes. A new family is one variant here (plus its slot in
+/// [`Pipeline::ALL`]) and one [`FAMILIES`] row. Prefer branching on the
+/// family's capabilities ([`Family::uses_predictions`],
+/// [`Family::max_faults`]) over matching variants.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pipeline {
@@ -76,12 +73,8 @@ pub enum Pipeline {
 }
 
 impl Pipeline {
-    /// Every selectable pipeline, in display order.
-    ///
-    /// Backed by [`Pipeline::ordinal`]'s exhaustive match: adding a
-    /// variant without growing this constant fails to compile (the
-    /// match) and then fails `pipeline_all_is_exhaustive` (the array),
-    /// so sweeps can never silently skip a pipeline.
+    /// Every selectable pipeline, in display order: the declaration
+    /// order, so `ALL[i] as usize == i` and `ALL[i]` runs `FAMILIES[i]`.
     pub const ALL: [Pipeline; 8] = [
         Pipeline::Unauth,
         Pipeline::Auth,
@@ -93,84 +86,14 @@ impl Pipeline {
         Pipeline::ResilientSigned,
     ];
 
-    /// This pipeline's index in [`Pipeline::ALL`].
-    ///
-    /// Deliberately an exhaustive in-crate match (no wildcard): a new
-    /// variant is a compile error here until it is given a slot, which
-    /// the `pipeline_all_is_exhaustive` unit test then forces into
-    /// `ALL`.
-    pub const fn ordinal(self) -> usize {
-        match self {
-            Pipeline::Unauth => 0,
-            Pipeline::Auth => 1,
-            Pipeline::PhaseKing => 2,
-            Pipeline::TruncatedDolevStrong => 3,
-            Pipeline::CommEff => 4,
-            Pipeline::Resilient => 5,
-            Pipeline::CommEffSigned => 6,
-            Pipeline::ResilientSigned => 7,
-        }
+    /// The family table row executing this pipeline.
+    pub fn driver(self) -> &'static Family {
+        &FAMILIES[self as usize]
     }
 
-    /// The driver executing this pipeline.
-    pub fn driver(self) -> &'static dyn ProtocolDriver {
-        match self {
-            Pipeline::Unauth => &UnauthWrapperDriver,
-            Pipeline::Auth => &AuthWrapperDriver,
-            Pipeline::PhaseKing => &PhaseKingDriver,
-            Pipeline::TruncatedDolevStrong => &TruncatedDolevStrongDriver,
-            Pipeline::CommEff => &CommEffDriver,
-            Pipeline::Resilient => &ResilientDriver,
-            Pipeline::CommEffSigned => &CommEffSignedDriver,
-            Pipeline::ResilientSigned => &ResilientSignedDriver,
-        }
-    }
-
-    /// Stable display name (delegates to the driver).
+    /// Stable display name (the family row's).
     pub fn name(self) -> &'static str {
-        self.driver().name()
-    }
-
-    /// The family's resilience bound, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn resilience_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth
-            | Pipeline::PhaseKing
-            | Pipeline::CommEff
-            | Pipeline::Resilient
-            | Pipeline::CommEffSigned
-            | Pipeline::ResilientSigned => "3t < n",
-            Pipeline::Auth | Pipeline::TruncatedDolevStrong => "2t < n",
-        }
-    }
-
-    /// The family's round-complexity shape, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn round_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth | Pipeline::Auth => "O(min{B/n + 1, f})",
-            Pipeline::PhaseKing => "O(f)",
-            Pipeline::TruncatedDolevStrong => "t + 1",
-            Pipeline::CommEff => "5 fast / O(t) fallback",
-            Pipeline::Resilient => "O(promoted(B) + 1), ≤ 2t + 3 phases",
-            Pipeline::CommEffSigned => "6 fast / O(t) fallback, uniform lane",
-            Pipeline::ResilientSigned => "O(promoted(B) + 1), ≤ t + 2 phases",
-        }
-    }
-
-    /// The family's communication shape, as printed in the driver
-    /// comparison table ([`crate::tables::driver_table`]).
-    pub const fn comm_shape(self) -> &'static str {
-        match self {
-            Pipeline::Unauth | Pipeline::PhaseKing => "O(f·n²)",
-            Pipeline::Auth => "O(n²) chain batches",
-            Pipeline::TruncatedDolevStrong => "Ω(n²) chain batches",
-            Pipeline::CommEff => "Θ(n·f̂) fast lane",
-            Pipeline::Resilient => "O((promoted(B) + 1)·n²)",
-            Pipeline::CommEffSigned => "O(n³) certificate echo",
-            Pipeline::ResilientSigned => "O(n³) signed exchange",
-        }
+        self.driver().name
     }
 }
 
@@ -199,9 +122,11 @@ pub enum AdversaryKind {
     /// ([`crate::disruptor`]): shields itself during classification,
     /// equivocates every quorum protocol, withholds chains, splits
     /// plurality reports. This is the adversary the bench sweeps use to
-    /// realize the paper's `min{B/n + 1, f}` round curve. On the
-    /// prediction-free baselines it degrades to a replay coalition (see
-    /// [`crate::driver`] module docs).
+    /// realize the paper's `min{B/n + 1, f}` round curve. The
+    /// resilient and signed families get their own schedule-aware or
+    /// signature-equivocating coalitions; on the prediction-free
+    /// baselines and the unsigned committee pipeline it degrades to a
+    /// replay coalition (see the [`crate::driver`] module docs).
     Disruptor,
 }
 
@@ -316,21 +241,17 @@ impl ExperimentConfig {
         self
     }
 
-    /// Executes the experiment through the configured pipeline's driver.
+    /// Executes the experiment through the configured pipeline's family
+    /// row — the single generic setup/measure path shared by every
+    /// protocol family.
     pub fn run(&self) -> ExperimentOutcome {
-        self.run_with(self.pipeline.driver())
-    }
-
-    /// Executes the experiment through an explicit driver — the single
-    /// generic setup/measure path shared by every protocol family
-    /// (including drivers outside this crate).
-    pub fn run_with<D: ProtocolDriver + ?Sized>(&self, driver: &D) -> ExperimentOutcome {
+        let family = self.pipeline.driver();
         assert!(self.f <= self.t, "f ≤ t");
         assert!(
-            self.t <= driver.max_faults(self.n),
+            self.t <= family.max_faults(self.n),
             "{} tolerates at most t = {} at n = {} (got t = {})",
-            driver.name(),
-            driver.max_faults(self.n),
+            family.name,
+            family.max_faults(self.n),
             self.n,
             self.t
         );
@@ -352,9 +273,9 @@ impl ExperimentConfig {
             adversary: self.adversary,
             seed: self.seed,
         };
-        let mut session = driver.build(&spec);
-        let report = session.run(driver.max_rounds(self.n, self.t));
-        let k_a = if driver.uses_predictions() {
+        let mut session = family.build(&spec);
+        let report = session.run(family.max_rounds(self.n, self.t));
+        let k_a = if family.uses_predictions {
             k_a_from_probes(self.n, &faulty, &session.probes())
         } else {
             0
@@ -478,21 +399,20 @@ impl ExperimentBuilder {
     /// or the pipeline's resilience bound — the same contracts
     /// [`ExperimentConfig::run`] enforces, surfaced at build time.
     pub fn build(self) -> ExperimentConfig {
-        let t = self
-            .t
-            .unwrap_or_else(|| self.pipeline.driver().max_faults(self.n));
+        let family = self.pipeline.driver();
+        let max_t = family.max_faults(self.n);
+        let t = self.t.unwrap_or(max_t);
         assert!(
             self.f <= t,
             "f = {} exceeds t = {} (pipeline {})",
             self.f,
             t,
-            self.pipeline.name()
+            family.name
         );
         assert!(
-            t <= self.pipeline.driver().max_faults(self.n),
-            "{} tolerates at most t = {} at n = {} (got t = {t})",
-            self.pipeline.name(),
-            self.pipeline.driver().max_faults(self.n),
+            t <= max_t,
+            "{} tolerates at most t = {max_t} at n = {} (got t = {t})",
+            family.name,
             self.n,
         );
         ExperimentConfig {
@@ -556,32 +476,6 @@ impl ToJson for ExperimentOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipeline_all_is_exhaustive() {
-        // `ordinal` is an exhaustive match, so a new variant cannot
-        // compile without a slot; this test then forces `ALL` to carry
-        // it (an out-of-range ordinal panics, a duplicate fails the
-        // round-trip).
-        for (i, p) in Pipeline::ALL.into_iter().enumerate() {
-            assert_eq!(p.ordinal(), i, "{p:?} out of display order");
-            assert_eq!(Pipeline::ALL[p.ordinal()], p);
-        }
-    }
-
-    #[test]
-    fn resilience_shape_matches_the_driver_bound() {
-        // The display string and the executable bound must agree, so
-        // the driver table cannot rot against the code.
-        for pipeline in Pipeline::ALL {
-            let expected = match pipeline.driver().max_faults(13) {
-                4 => "3t < n",
-                6 => "2t < n",
-                other => panic!("{pipeline:?}: unclassified bound t = {other} at n = 13"),
-            };
-            assert_eq!(pipeline.resilience_shape(), expected, "{pipeline:?}");
-        }
-    }
 
     #[test]
     fn comm_eff_experiment_end_to_end() {

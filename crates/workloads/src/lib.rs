@@ -9,14 +9,14 @@
 //!   the noise is), plus fault-set placement;
 //! * [`adversaries`] — Byzantine strategies against the wrapper
 //!   (prediction liars, replayers, crashers);
-//! * [`driver`] — the [`ProtocolDriver`] trait: each protocol family
-//!   (the paper's two wrapper pipelines, the prediction-free
-//!   `PhaseKing`/`TruncatedDolevStrong` baselines, the
-//!   communication-efficient `CommEff` pipeline, and the
-//!   gracefully-degrading `Resilient` pipeline) builds a type-erased
-//!   session from a shared [`SessionSpec`], so one generic engine runs
-//!   them all — measuring rounds, messages, *and* bytes uniformly.
-//!   This is the extension point for future pipelines;
+//! * [`driver`] — the [`FAMILIES`] table: one [`Family`] row per
+//!   protocol family (the paper's two wrapper pipelines, the
+//!   prediction-free `PhaseKing`/`TruncatedDolevStrong` baselines, and
+//!   the communication-efficient and gracefully-degrading pipelines
+//!   with their signed variants) builds a type-erased session from a
+//!   shared [`SessionSpec`], so one generic engine runs them all —
+//!   measuring rounds, messages, *and* bytes uniformly. A future
+//!   family is one `Pipeline` variant plus one row;
 //! * [`experiment`] — the declarative experiment runner on top of the
 //!   drivers: an [`ExperimentConfig`] (built fluently via
 //!   [`ExperimentConfig::builder`] or tweaked with `with_*`
@@ -45,11 +45,7 @@ pub mod tables;
 
 pub use adversaries::{ClassifyLiar, LiarStyle, SignedCertEquivocator};
 pub use disruptor::{AuthDisruptor, UnauthDisruptor};
-pub use driver::{
-    k_a_from_probes, AuthWrapperDriver, CommEffDriver, CommEffSignedDriver, PhaseKingDriver,
-    ProtocolDriver, ResilientDriver, ResilientSignedDriver, SessionSpec,
-    TruncatedDolevStrongDriver, UnauthWrapperDriver,
-};
+pub use driver::{k_a_from_probes, Family, SessionSpec, FAMILIES};
 pub use experiment::{
     AdversaryKind, ExperimentBuilder, ExperimentConfig, ExperimentOutcome, FaultPlacement,
     InputPattern, Pipeline,

@@ -1,15 +1,14 @@
 //! Markdown table rendering for the bench harnesses, plus the canonical
-//! driver comparison table.
+//! family comparison table.
 //!
 //! Every experiment harness (E1–E9) prints its results as a GitHub-style
-//! markdown table so the output can be pasted directly into
-//! `EXPERIMENTS.md`. [`driver_table`] renders the one-row-per-pipeline
-//! family overview (resilience, prediction use, round/communication
-//! shapes); because it iterates [`Pipeline::ALL`], a new protocol
-//! family appears in it the moment its variant lands — the table cannot
-//! rot behind the code.
+//! markdown table, ready to paste into a report or an issue.
+//! [`driver_table`] renders the one-row-per-family overview (resilience,
+//! prediction use, round/communication shapes) straight from
+//! [`FAMILIES`], so a new protocol family appears in it the moment its
+//! row lands.
 
-use crate::experiment::Pipeline;
+use crate::driver::FAMILIES;
 
 /// A simple column-aligned markdown table builder.
 #[derive(Clone, Debug)]
@@ -75,8 +74,9 @@ impl Table {
 }
 
 /// The canonical protocol-family comparison: one row per
-/// [`Pipeline::ALL`] entry with its resilience bound, prediction use,
-/// and round/communication shapes.
+/// [`FAMILIES`] entry with its resilience bound, prediction use, and
+/// round/communication shapes — rendered from the rows the engine runs,
+/// so it cannot rot behind the code.
 pub fn driver_table() -> Table {
     let mut t = Table::new(
         "protocol families",
@@ -88,18 +88,19 @@ pub fn driver_table() -> Table {
             "communication",
         ],
     );
-    for pipeline in Pipeline::ALL {
-        let driver = pipeline.driver();
+    for family in &FAMILIES {
+        let resilience = format!("{}t < n", family.divisor);
+        let predictions = if family.uses_predictions {
+            "yes"
+        } else {
+            "ignored"
+        };
         t.row([
-            driver.name(),
-            pipeline.resilience_shape(),
-            if driver.uses_predictions() {
-                "yes"
-            } else {
-                "ignored"
-            },
-            pipeline.round_shape(),
-            pipeline.comm_shape(),
+            family.name,
+            &resilience,
+            predictions,
+            family.round_shape,
+            family.comm_shape,
         ]);
     }
     t
@@ -108,6 +109,7 @@ pub fn driver_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Pipeline;
 
     #[test]
     fn renders_aligned_markdown() {

@@ -13,8 +13,8 @@
 //! else's — and `Pipeline::Resilient` (Dallot et al.) trades that
 //! economy for *graceful* rounds: its cost climbs one phase per faulty
 //! identifier the error budget corrupts instead of cliff-switching into
-//! a fallback. All six run through the same `ProtocolDriver` path on
-//! identical fault workloads.
+//! a fallback. Every family runs through its row of the same
+//! `FAMILIES` table on identical fault workloads.
 //!
 //! ```sh
 //! cargo run --release --example pipelines_compared

@@ -29,22 +29,23 @@
 //! | [`ba_commeff`] | communication-efficient BA with predictions (Dzulfikar–Gilbert follow-up), unsigned + signed-certify variants |
 //! | [`ba_resilient`] | gracefully-degrading BA with predictions (Dallot et al. follow-up), unsigned + signed-classification variants |
 //! | [`ba_core`] | predictions, Algorithm 2, `π(c)` orderings, the Algorithm 1 wrapper |
-//! | [`ba_workloads`] | generators, adversary gallery, `ProtocolDriver` experiment harness, parallel sweeps, lower bounds |
+//! | [`ba_workloads`] | generators, adversary gallery, protocol-family table and experiment harness, parallel sweeps, lower bounds |
 //!
 //! ## Execution API
 //!
 //! Every protocol family runs through one seam: a
-//! [`Pipeline`](ba_workloads::Pipeline) names a
-//! [`ProtocolDriver`](ba_workloads::ProtocolDriver), and
+//! [`Pipeline`](ba_workloads::Pipeline) indexes its
+//! [`Family`](ba_workloads::Family) row in the
+//! [`FAMILIES`](ba_workloads::FAMILIES) table, and
 //! [`ExperimentConfig::run`](ba_workloads::ExperimentConfig::run)
 //! builds, executes, and measures the type-erased session identically
 //! for all of them: rounds, honest messages, and honest bytes
 //! ([`WireSize`](ba_sim::WireSize) accounting), so communication-vs-
 //! rounds trade-offs are comparable across families. Eight families
 //! ship; the authoritative comparison table is rendered live by
-//! [`driver_table`](ba_workloads::driver_table) (it iterates
-//! `Pipeline::ALL` and the shape strings it prints, so it cannot rot —
-//! run `examples/pipelines_compared.rs` to see it). A snapshot:
+//! [`driver_table`](ba_workloads::driver_table) from the same rows the
+//! engine runs, so it cannot rot — run `examples/pipelines_compared.rs`
+//! to see it. A snapshot:
 //!
 //! | pipeline | predictions | rounds | communication |
 //! |---|---|---|---|
@@ -77,9 +78,10 @@
 //! `with_*` combinators); multi-config comparisons run in parallel via
 //! [`SweepGrid`](ba_workloads::SweepGrid) /
 //! [`sweep_grid`](ba_workloads::sweep_grid) with deterministic output,
-//! serializable to JSON ([`ToJson`](ba_workloads::ToJson)). New
-//! protocol variants (sharded or batched execution modes) plug in by
-//! implementing `ProtocolDriver`.
+//! serializable to JSON ([`ToJson`](ba_workloads::ToJson)). A new
+//! protocol family (sharded or batched execution modes are the open
+//! directions) plugs in with one `Pipeline` variant plus one
+//! `FAMILIES` row.
 //!
 //! ## Quickstart
 //!
@@ -125,8 +127,7 @@ pub mod prelude {
     pub use ba_workloads::{
         driver_table, faults, grid_to_json, message_lower_bound, predictions_with_budget,
         round_lower_bound, sweep_grid, sweep_seeds, AdversaryKind, ErrorPlacement,
-        ExperimentBuilder, ExperimentConfig, ExperimentOutcome, FaultPlacement, GridPoint,
-        InputPattern, LiarStyle, Pipeline, ProtocolDriver, SessionSpec, SweepGrid, SweepSummary,
-        Table, ToJson,
+        ExperimentBuilder, ExperimentConfig, ExperimentOutcome, Family, FaultPlacement, GridPoint,
+        InputPattern, LiarStyle, Pipeline, SessionSpec, SweepGrid, SweepSummary, Table, ToJson,
     };
 }

@@ -1,4 +1,4 @@
-//! Conformance suite for the `ProtocolDriver` execution API: every
+//! Conformance suite for the family-table execution API: every
 //! `Pipeline` variant must reach agreement — and unanimity-validity —
 //! under both the weakest (`Silent`) and strongest (`Disruptor`)
 //! execution-scale adversaries, across multiple seeds; the parallel
