@@ -453,7 +453,20 @@ mod tests {
         assert_eq!(Pipeline::ALL.len(), FAMILIES.len());
         for (i, (pipeline, family)) in Pipeline::ALL.into_iter().zip(&FAMILIES).enumerate() {
             assert_eq!(pipeline as usize, i, "{pipeline:?} out of display order");
-            assert!(std::ptr::eq(pipeline.driver(), family), "{pipeline:?}");
+            // Row `i` is variant `i`'s own: `PhaseKing` runs
+            // "phase-king", `Unauth` runs "unauth-wrapper".
+            let mut kebab = String::new();
+            for (j, c) in format!("{pipeline:?}").chars().enumerate() {
+                if j > 0 && c.is_uppercase() {
+                    kebab.push('-');
+                }
+                kebab.push(c.to_ascii_lowercase());
+            }
+            assert!(
+                family.name == kebab || family.name == format!("{kebab}-wrapper"),
+                "{pipeline:?} runs the {} row",
+                family.name
+            );
         }
     }
 
