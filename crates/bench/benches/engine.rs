@@ -6,17 +6,20 @@
 //! observed batch (a serviceable noise floor for a deterministic
 //! workload).
 
-use ba_crypto::{hmac_sha256, sha256, Pki};
+use ba_crypto::{hmac_sha256, sha256, Pki, Signature};
 use ba_graded::UnauthGraded;
 use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
 use ba_workloads::Table;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// Untimed calls before `measure` starts timing.
+const WARMUP: u32 = 16;
+
 /// Times `f` over `batches × per_batch` iterations, returning
 /// (mean ns/iter, best batch ns/iter).
 fn measure<R>(batches: u32, per_batch: u32, mut f: impl FnMut() -> R) -> (f64, f64) {
-    for _ in 0..per_batch.min(16) {
+    for _ in 0..per_batch.min(WARMUP) {
         black_box(f());
     }
     let mut total_ns = 0u128;
@@ -57,14 +60,36 @@ fn main() {
         format!("{best:.0}"),
     ]);
 
+    // The PKI memoises successful verifications, so the cold row gives
+    // every iteration a message it has never verified and the hit row
+    // re-verifies one signature.
+    let (batches, per_batch) = (20, 500);
     let pki = Pki::new(64, 1);
     let signing_key = pki.signing_key(3);
+    let fresh: Vec<(Vec<u8>, Signature)> = (0..WARMUP + batches * per_batch)
+        .map(|i| {
+            let msg = format!("benchmark message {i}").into_bytes();
+            let sig = signing_key.sign(&msg);
+            (msg, sig)
+        })
+        .collect();
+    let mut fresh = fresh.iter();
+    let (mean, best) = measure(batches, per_batch, || {
+        let (msg, sig) = fresh.next().expect("one message per iteration");
+        assert!(pki.verify(black_box(msg), black_box(sig)));
+    });
+    table.row([
+        "pki_verify_cold".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
     let sig = signing_key.sign(b"benchmark message");
-    let (mean, best) = measure(20, 500, || {
+    let (mean, best) = measure(batches, per_batch, || {
         pki.verify(black_box(b"benchmark message"), black_box(&sig))
     });
     table.row([
-        "pki_verify".to_string(),
+        "pki_verify_hit".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
     ]);

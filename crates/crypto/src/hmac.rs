@@ -4,41 +4,68 @@ use crate::sha256::{sha256, Sha256};
 
 const BLOCK: usize = 64;
 
+/// An HMAC-SHA256 key with both padded key blocks already absorbed.
+///
+/// HMAC hashes `key ⊕ ipad` and `key ⊕ opad` in front of every message;
+/// both are one full block, so the SHA-256 chaining values after them
+/// depend on the key alone. `HmacKey` keeps those two midstates, and each
+/// [`HmacKey::mac`] resumes from them: a message under 56 bytes then
+/// costs two compressions instead of four.
+///
+/// There is deliberately no `Debug`: the midstates are key material.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Prepares `key`. Keys longer than the 64-byte block are hashed
+    /// first, per RFC 2104.
+    pub fn new(key: &[u8]) -> Self {
+        let mut k = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            let digest = sha256(key);
+            k[..32].copy_from_slice(&digest);
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let absorb = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey {
+            inner: absorb(0x36),
+            outer: absorb(0x5c),
+        }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = Sha256::resume(self.inner, 1);
+        inner.update(message);
+        let mut outer = Sha256::resume(self.outer, 1);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
 /// Computes `HMAC-SHA256(key, message)`.
 ///
 /// Keys longer than the 64-byte block are hashed first, per RFC 2104.
+/// To MAC many messages under one key, prepare it once with
+/// [`HmacKey::new`].
 ///
 /// # Examples
 ///
 /// ```
 /// let tag = ba_crypto::hmac_sha256(b"key", b"message");
 /// assert_eq!(tag.len(), 32);
+/// assert_eq!(tag, ba_crypto::HmacKey::new(b"key").mac(b"message"));
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut k = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let digest = sha256(key);
-        k[..32].copy_from_slice(&digest);
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= k[i];
-        opad[i] ^= k[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time equality of two MAC tags.

@@ -11,12 +11,19 @@
 //! * [`mod@sha256`] — SHA-256 implemented from scratch and validated
 //!   against the NIST FIPS 180-4 test vectors;
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231;
+//!   [`hmac::HmacKey`] keeps a key's two padded-block SHA-256 states, so
+//!   a short message costs two compressions instead of four;
 //! * [`sign`] — a *simulated PKI*: a [`sign::Pki`] oracle privately
 //!   holds one MAC key per process; a process signs with its own
 //!   [`sign::SigningKey`] and anyone verifies through the
 //!   oracle. Unforgeability holds by construction inside the simulation:
 //!   the Byzantine adversary receives keys only for corrupted identifiers,
-//!   and Rust privacy prevents key extraction from the oracle.
+//!   and Rust privacy prevents key extraction from the oracle. The
+//!   oracle memoises successful verifications, keyed on the exact message
+//!   bytes plus `(signer, tag)`, so a repeated check of one certificate
+//!   signature skips its MAC; failures are never stored, so a forgery is
+//!   recomputed and rejected on every call. Verification stays a pure
+//!   function, so no protocol outcome depends on the memo;
 //! * [`encode`] — a small deterministic, domain-separated byte encoder so
 //!   that every signed protocol message has a canonical serialization.
 //! * [`signed`] — the reusable [`signed::Signed`] envelope (canonical
@@ -35,7 +42,7 @@ pub mod sign;
 pub mod signed;
 
 pub use encode::{Encodable, Encoder};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use sha256::{sha256, Sha256};
-pub use sign::{Pki, Signature, SignerId, SigningKey};
+pub use sign::{Pki, Signature, SignerId, SigningKey, VerifyCounts};
 pub use signed::Signed;

@@ -71,6 +71,24 @@ impl Sha256 {
         }
     }
 
+    /// A hasher that has absorbed `blocks` whole blocks, ending in the
+    /// chaining value `midstate`.
+    pub(crate) fn resume(midstate: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            state: midstate,
+            buf: [0u8; 64],
+            buf_len: 0,
+            total_len: blocks * 64,
+        }
+    }
+
+    /// The chaining value, taken at a block boundary so that
+    /// [`Sha256::resume`] can continue from it.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "midstate taken inside a block");
+        self.state
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);

@@ -8,9 +8,32 @@
 //! experiment harness at corruption time), so within the simulation a
 //! signature by an honest process is unforgeable — exactly the assumption
 //! of §8.1 of the paper.
+//!
+//! # The verification memo
+//!
+//! Certificates travel: every receiver re-checks the same quorum
+//! signatures in every copy of a certificate it sees, so most
+//! [`Pki::verify`] calls repeat an earlier one. The oracle therefore
+//! remembers each signature that verified and answers a repeat without
+//! recomputing its MAC.
+//!
+//! * The memo is exact. It is keyed on the full message bytes and holds
+//!   the `(signer, tag)` pairs that verified on them; a hit needs message,
+//!   signer and tag all equal to a triple that verified. No digest stands
+//!   in for the message, so no hash assumption enters the key, and none is
+//!   paid for: the protocols' statements are a few dozen bytes, so hashing
+//!   one would cost about as much as the MAC it saves.
+//! * Only successes are stored. A forgery — a wrong tag, another
+//!   message, a re-attributed or unknown signer — never matches an entry,
+//!   so its MAC is recomputed and it is rejected on every call.
+//! * Verification is a pure function of its inputs, so the memo changes
+//!   no outcome, only how often the MAC is computed
+//!   ([`Pki::verify_counts`]).
 
 use crate::encode::Encoder;
-use crate::hmac::{hmac_sha256, tags_equal};
+use crate::hmac::{tags_equal, HmacKey};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier type mirrored from `ba-sim` (kept as a raw `u32` here so the
 /// crypto substrate has no simulator dependency; protocol crates convert
@@ -65,12 +88,12 @@ impl crate::encode::Encodable for Signature {
 #[derive(Clone)]
 pub struct SigningKey {
     id: SignerId,
-    secret: [u8; 32],
+    key: HmacKey,
 }
 
 impl std::fmt::Debug for SigningKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print the secret.
+        // Never print the key material.
         write!(f, "SigningKey(p{})", self.id)
     }
 }
@@ -83,28 +106,63 @@ impl SigningKey {
 
     /// Signs canonical message bytes.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        let full = hmac_sha256(&self.secret, message);
-        let mut tag = [0u8; 16];
-        tag.copy_from_slice(&full[..16]);
         Signature {
             signer: self.id,
-            tag,
+            tag: truncate(&self.key.mac(message)),
         }
     }
+}
+
+fn truncate(full: &[u8; 32]) -> [u8; 16] {
+    let mut tag = [0u8; 16];
+    tag.copy_from_slice(&full[..16]);
+    tag
+}
+
+/// How much work [`Pki::verify`] has done.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyCounts {
+    /// Calls to [`Pki::verify`].
+    pub calls: u64,
+    /// MACs those calls computed; the rest were answered by the memo or
+    /// named an unknown signer.
+    pub macs: u64,
+}
+
+/// Successful verifications, and the work counters, behind one lock.
+#[derive(Default)]
+struct Memo {
+    /// Message bytes → every signature (signer and tag) that verified on
+    /// them. One entry per message rather than per signature: a statement
+    /// gathers up to a quorum of signatures, and storing the message once
+    /// per signature instead raised the auth-wrapper benchmark's peak
+    /// memory by about a fifth.
+    valid: HashMap<Box<[u8]>, Vec<Signature>>,
+    counts: VerifyCounts,
 }
 
 /// The verification oracle, holding every per-process secret.
 ///
 /// Constructed once per execution from a seed; shared read-only
 /// (`Arc<Pki>`) by all processes. Secrets are private fields: protocol and
-/// adversary code can only `verify`.
+/// adversary code can only `verify`. Successful verifications are
+/// memoised (see the [module docs](self)); the memo sits behind a
+/// `Mutex`, so a `Pki` stays `Send + Sync`.
 pub struct Pki {
-    secrets: Vec<[u8; 32]>,
+    keys: Vec<HmacKey>,
+    memo: Mutex<Memo>,
 }
+
+// Parallel sweeps move sessions, and with them their `Arc<Pki>`, across
+// threads: fail the build if the memo ever makes `Pki` thread-bound.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Pki>();
+};
 
 impl std::fmt::Debug for Pki {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Pki({} identities)", self.secrets.len())
+        write!(f, "Pki({} identities)", self.keys.len())
     }
 }
 
@@ -116,26 +174,29 @@ impl Pki {
     pub fn new(n: usize, seed: u64) -> Self {
         let mut root = Encoder::new("pki-root");
         root.u64(seed);
-        let root = root.finish();
-        let secrets = (0..n as u32)
+        let root = HmacKey::new(&root.finish());
+        let keys = (0..n as u32)
             .map(|id| {
                 let mut e = Encoder::new("pki-key");
                 e.u32(id);
-                hmac_sha256(&root, &e.finish())
+                HmacKey::new(&root.mac(&e.finish()))
             })
             .collect();
-        Pki { secrets }
+        Pki {
+            keys,
+            memo: Mutex::default(),
+        }
     }
 
     /// Number of identities.
     pub fn len(&self) -> usize {
-        self.secrets.len()
+        self.keys.len()
     }
 
     /// Whether the PKI is empty (never true for real systems; provided for
     /// API completeness).
     pub fn is_empty(&self) -> bool {
-        self.secrets.is_empty()
+        self.keys.is_empty()
     }
 
     /// Issues the signing key of `id`.
@@ -149,18 +210,54 @@ impl Pki {
     pub fn signing_key(&self, id: SignerId) -> SigningKey {
         SigningKey {
             id,
-            secret: self.secrets[id as usize],
+            key: self.keys[id as usize].clone(),
         }
     }
 
     /// Verifies that `sig` is a valid signature by `sig.signer` over
     /// `message`.
+    ///
+    /// A signature that verified before is accepted from the memo without
+    /// recomputing its MAC; anything else is checked in full.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
-        let Some(secret) = self.secrets.get(sig.signer as usize) else {
+        let mut memo = self.memo();
+        let Memo { valid, counts } = &mut *memo;
+        counts.calls += 1;
+        let seen = valid.get_mut(message);
+        if seen.as_ref().is_some_and(|seen| seen.contains(sig)) {
+            return true;
+        }
+        let Some(key) = self.keys.get(sig.signer as usize) else {
             return false;
         };
-        let full = hmac_sha256(secret, message);
-        tags_equal(&full[..16], &sig.tag)
+        counts.macs += 1;
+        if !tags_equal(&truncate(&key.mac(message)), &sig.tag) {
+            return false;
+        }
+        match seen {
+            // Grow one entry at a time: a message gathers at most a quorum
+            // of signatures, and doubling would leave up to half of each
+            // allocation empty.
+            Some(seen) => {
+                seen.reserve_exact(1);
+                seen.push(*sig);
+            }
+            None => {
+                valid.insert(message.into(), vec![*sig]);
+            }
+        }
+        true
+    }
+
+    /// Verify calls so far, and the MACs they computed.
+    pub fn verify_counts(&self) -> VerifyCounts {
+        self.memo().counts
+    }
+
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        // Every update leaves each stored signature a verified one, so a
+        // memo whose lock a panicking thread poisoned is still sound.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -233,13 +330,33 @@ mod tests {
     }
 
     #[test]
+    fn memoised_tags_reject_every_flipped_bit() {
+        let pki = Pki::new(4, 7);
+        let sig = pki.signing_key(1).sign(b"m");
+        assert!(pki.verify(b"m", &sig));
+        for bit in 0..128 {
+            let mut forged = sig;
+            forged.tag[bit / 8] ^= 1 << (bit % 8);
+            assert!(!pki.verify(b"m", &forged), "tag bit {bit} flipped");
+        }
+        assert!(pki.verify(b"m", &sig));
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 130,
+                macs: 129
+            }
+        );
+    }
+
+    #[test]
     fn debug_output_never_leaks_secrets() {
         let pki = Pki::new(2, 3);
         let key = pki.signing_key(0);
-        let shown = format!("{key:?}{pki:?}");
-        // The secret is 32 raw bytes; its hex should never appear.
-        assert!(shown.contains("SigningKey(p0)"));
-        assert!(shown.contains("Pki(2 identities)"));
-        assert!(!shown.contains("secret"));
+        assert!(pki.verify(b"m", &key.sign(b"m")), "fill the memo");
+        // Exact output: there is no room for key material, midstates or
+        // memo contents.
+        assert_eq!(format!("{key:?}"), "SigningKey(p0)");
+        assert_eq!(format!("{pki:?}"), "Pki(2 identities)");
     }
 }

@@ -135,12 +135,13 @@ impl EchoCert {
         ) {
             return false;
         }
+        let msg = echo_bytes(cfg.session, cfg.inst, self.value);
         let mut signers = BTreeSet::new();
         for sig in &self.echo_sigs {
             if !signers.insert(sig.signer) {
                 return false; // duplicate signer
             }
-            if !pki.verify(&echo_bytes(cfg.session, cfg.inst, self.value), sig) {
+            if !pki.verify(&msg, sig) {
                 return false;
             }
         }
@@ -166,12 +167,13 @@ impl WireSize for CommitCert {
 impl CommitCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
+        let msg = confirm_bytes(cfg.session, cfg.inst, self.value);
         let mut signers = BTreeSet::new();
         for sig in &self.confirm_sigs {
             if !signers.insert(sig.signer) {
                 return false;
             }
-            if !pki.verify(&confirm_bytes(cfg.session, cfg.inst, self.value), sig) {
+            if !pki.verify(&msg, sig) {
                 return false;
             }
         }
@@ -254,8 +256,9 @@ pub struct GcastInstance {
     /// Distinct sender-signed values seen (capped at 2: enough to prove
     /// equivocation).
     inputs_seen: Vec<(Value, Signature)>,
-    /// Verified echo signatures per value (values capped at 2).
-    echo_sigs: BTreeMap<Value, BTreeMap<u32, Signature>>,
+    /// Verified echo signatures per value (values capped at 2), in
+    /// signer order.
+    echo_sigs: BTreeMap<Value, Vec<Signature>>,
     /// First valid certificate per value (values capped at 2).
     known_certs: BTreeMap<Value, EchoCert>,
     /// Certificate values known when the confirm decision was taken
@@ -264,8 +267,8 @@ pub struct GcastInstance {
     /// Certificate values known by the end of round 4.
     certs_at_r4: BTreeSet<Value>,
     /// Verified direct confirm signatures per value (round 4; values
-    /// capped at 2).
-    confirm_sigs: BTreeMap<Value, BTreeMap<u32, Signature>>,
+    /// capped at 2), in signer order.
+    confirm_sigs: BTreeMap<Value, Vec<Signature>>,
     /// Commit certificate this process formed from direct confirms.
     self_commit: Option<CommitCert>,
     /// Values with a known valid commit certificate (capped at 2).
@@ -357,13 +360,11 @@ impl GcastInstance {
         if !self.echo_sigs.contains_key(&value) && self.echo_sigs.len() >= 2 {
             return; // two echo-able values already tracked
         }
+        let cfg = &self.cfg;
         let per_value = self.echo_sigs.entry(value).or_default();
-        if per_value.contains_key(&sig.signer) || per_value.len() >= self.cfg.quorum() {
-            return; // duplicate or already at quorum: skip re-verification
-        }
-        if pki.verify(&echo_bytes(self.cfg.session, self.cfg.inst, value), sig) {
-            per_value.insert(sig.signer, *sig);
-        }
+        add_verified(per_value, cfg, pki, sig, || {
+            echo_bytes(cfg.session, cfg.inst, value)
+        });
     }
 
     /// Round-3 send: certificates this process can assemble from echoes.
@@ -382,7 +383,7 @@ impl GcastInstance {
                     .find(|(v, _)| v == value)
                     .map(|(_, s)| *s)
                     .expect("echoed value always has a recorded sender signature"),
-                echo_sigs: sigs.values().copied().collect(),
+                echo_sigs: sigs.clone(),
             })
             .collect();
         for cert in &formed {
@@ -449,13 +450,11 @@ impl GcastInstance {
         if !self.confirm_sigs.contains_key(&value) && self.confirm_sigs.len() >= 2 {
             return;
         }
+        let cfg = &self.cfg;
         let per_value = self.confirm_sigs.entry(value).or_default();
-        if per_value.contains_key(&sig.signer) || per_value.len() >= self.cfg.quorum() {
-            return;
-        }
-        if pki.verify(&confirm_bytes(self.cfg.session, self.cfg.inst, value), sig) {
-            per_value.insert(sig.signer, *sig);
-        }
+        add_verified(per_value, cfg, pki, sig, || {
+            confirm_bytes(cfg.session, cfg.inst, value)
+        });
     }
 
     /// Round-5 send: spread any commit certificate formed from direct
@@ -467,7 +466,7 @@ impl GcastInstance {
         if let Some((value, sigs)) = self.confirm_sigs.iter().find(|(_, sigs)| sigs.len() >= q) {
             let cc = CommitCert {
                 value: *value,
-                confirm_sigs: sigs.values().copied().collect(),
+                confirm_sigs: sigs.clone(),
             };
             self.self_commit = Some(cc.clone());
             self.known_commit_values.insert(*value);
@@ -521,6 +520,32 @@ impl GcastInstance {
             value: None,
             grade: 0,
         }
+    }
+}
+
+/// Adds `sig` to `sigs` (distinct signers in signer order, at most a
+/// quorum) if its signer is new, the quorum is not yet reached, and it
+/// verifies on `msg()`. Duplicates and signatures past the quorum are
+/// skipped unverified.
+///
+/// A sorted `Vec` sized to the quorum holds these few signatures in
+/// less memory than a `BTreeMap`, whose nodes have room for eleven.
+fn add_verified(
+    sigs: &mut Vec<Signature>,
+    cfg: &GcastConfig,
+    pki: &Pki,
+    sig: &Signature,
+    msg: impl FnOnce() -> Vec<u8>,
+) {
+    if sigs.len() >= cfg.quorum() {
+        return;
+    }
+    let Err(at) = sigs.binary_search_by_key(&sig.signer, |s| s.signer) else {
+        return;
+    };
+    if pki.verify(&msg(), sig) {
+        sigs.reserve_exact(cfg.quorum() - sigs.len());
+        sigs.insert(at, *sig);
     }
 }
 
