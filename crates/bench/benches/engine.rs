@@ -8,7 +8,9 @@
 
 use ba_crypto::{hmac_sha256, sha256, Pki, Signature};
 use ba_graded::UnauthGraded;
-use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
+use ba_sim::{
+    Envelope, Outbox, Process, ProcessId, ReplayAdversary, Runner, SilentAdversary, Value,
+};
 use ba_workloads::Table;
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,6 +37,24 @@ fn measure<R>(batches: u32, per_batch: u32, mut f: impl FnMut() -> R) -> (f64, f
     }
     let mean = total_ns as f64 / (f64::from(batches) * f64::from(per_batch));
     (mean, best_ns_per_iter)
+}
+
+/// Broadcasts a fresh value every round and never decides.
+struct Broadcaster;
+
+impl Process for Broadcaster {
+    type Msg = Value;
+    type Output = ();
+    fn step(&mut self, round: u64, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+        black_box(inbox.len());
+        out.broadcast(Value(round));
+    }
+    fn output(&self) -> Option<()> {
+        None
+    }
+    fn halted(&self) -> bool {
+        false
+    }
 }
 
 fn main() {
@@ -104,6 +124,18 @@ fn main() {
     });
     table.row([
         "unauth_graded_consensus_n32".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
+    // One steady-state round of routing under replay: 81 honest
+    // broadcasts, each replayed a round later to all 96 processes, so
+    // about 7.8k honest and 750k faulty envelopes per round.
+    let (n, f) = (96, 15);
+    let mut runner = Runner::new(n, (0..n - f).map(|_| Broadcaster), ReplayAdversary::new(1));
+    let (mean, best) = measure(5, 8, || runner.step());
+    table.row([
+        "runner_step_replay_n96".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
     ]);

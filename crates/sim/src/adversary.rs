@@ -13,7 +13,9 @@
 
 use crate::envelope::Envelope;
 use crate::id::ProcessId;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::runner::Delivery;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Index;
 use std::sync::Arc;
 
 /// Everything the adversary can see and do in one round.
@@ -28,12 +30,21 @@ pub struct AdversaryCtx<'a, M> {
     /// (rushing visibility).
     pub honest_traffic: &'a [Envelope<M>],
     /// Messages delivered to each corrupted process at the start of this
-    /// round (i.e. sent during the previous round).
-    pub faulty_inboxes: &'a BTreeMap<ProcessId, Vec<Envelope<M>>>,
+    /// round (i.e. sent during the previous round), borrowed from the
+    /// runner's delivery buffer.
+    pub faulty_inboxes: FaultyInboxes<'a, M>,
     pub(crate) outgoing: Vec<Envelope<M>>,
 }
 
 impl<'a, M> AdversaryCtx<'a, M> {
+    /// Panics unless `from` is a corrupted identity.
+    fn check_sender(&self, from: ProcessId) {
+        assert!(
+            self.faulty_inboxes.is_corrupted(from),
+            "adversary attempted to spoof honest sender {from}"
+        );
+    }
+
     /// Sends `msg` from corrupted process `from` to `to`.
     ///
     /// # Panics
@@ -41,10 +52,7 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Panics if `from` is not corrupted: the simulator enforces that the
     /// adversary cannot spoof honest senders.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
+        self.check_sender(from);
         self.outgoing.push(Envelope::new(from, to, msg));
     }
 
@@ -53,10 +61,7 @@ impl<'a, M> AdversaryCtx<'a, M> {
     where
         M: Clone,
     {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
+        self.check_sender(from);
         let payload = Arc::new(msg);
         for to in ProcessId::all(self.n) {
             self.outgoing.push(Envelope {
@@ -70,11 +75,49 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Re-sends an observed payload (e.g. an honest message body) from a
     /// corrupted identity — the strongest replay the model permits.
     pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Arc<M>) {
-        assert!(
-            self.corrupted.contains(&from),
-            "adversary attempted to spoof honest sender {from}"
-        );
+        self.check_sender(from);
         self.outgoing.push(Envelope { from, to, payload });
+    }
+}
+
+/// The inboxes of the corrupted processes for one round: a view of the
+/// runner's delivery buffer, which holds each recipient's envelopes as
+/// one contiguous slice ordered by sender.
+///
+/// Index it like the map it replaces: `get(&id)` is `Some` (possibly
+/// empty) exactly for corrupted `id`, and `inboxes[&id]` panics for an
+/// honest one.
+pub struct FaultyInboxes<'a, M> {
+    delivery: &'a Delivery<M>,
+    /// `corrupted[i]` iff `ProcessId(i)` is corrupted.
+    corrupted: &'a [bool],
+}
+
+impl<'a, M> FaultyInboxes<'a, M> {
+    pub(crate) fn new(delivery: &'a Delivery<M>, corrupted: &'a [bool]) -> Self {
+        FaultyInboxes {
+            delivery,
+            corrupted,
+        }
+    }
+
+    pub(crate) fn is_corrupted(&self, id: ProcessId) -> bool {
+        self.corrupted.get(id.index()) == Some(&true)
+    }
+
+    /// The envelopes delivered to `id` this round, ordered by sender, or
+    /// `None` if `id` is not corrupted.
+    pub fn get(&self, id: &ProcessId) -> Option<&'a [Envelope<M>]> {
+        self.is_corrupted(*id).then(|| self.delivery.inbox(*id))
+    }
+}
+
+impl<M> Index<&ProcessId> for FaultyInboxes<'_, M> {
+    type Output = [Envelope<M>];
+
+    fn index(&self, id: &ProcessId) -> &[Envelope<M>] {
+        self.get(id)
+            .unwrap_or_else(|| panic!("{id} is not a corrupted process"))
     }
 }
 
@@ -172,7 +215,8 @@ where
 #[derive(Debug)]
 pub struct ReplayAdversary<M> {
     delay: usize,
-    history: Vec<Vec<Arc<M>>>,
+    /// The honest payloads of the last `delay + 1` rounds, oldest first.
+    history: VecDeque<Vec<Arc<M>>>,
 }
 
 impl<M> ReplayAdversary<M> {
@@ -181,32 +225,33 @@ impl<M> ReplayAdversary<M> {
         assert!(delay >= 1, "replay delay must be at least one round");
         ReplayAdversary {
             delay,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
 }
 
 impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        let observed: Vec<Arc<M>> = ctx
-            .honest_traffic
-            .iter()
-            .map(|e| Arc::clone(&e.payload))
-            .collect();
-        self.history.push(observed);
-        let idx = match self.history.len().checked_sub(self.delay + 1) {
-            Some(i) => i,
-            None => return,
-        };
-        let stale: Vec<Arc<M>> = self.history[idx].clone();
+        if self.history.len() > self.delay {
+            self.history.pop_front();
+        }
+        self.history.push_back(
+            ctx.honest_traffic
+                .iter()
+                .map(|e| Arc::clone(&e.payload))
+                .collect(),
+        );
+        if self.history.len() <= self.delay {
+            return;
+        }
         let faulty: Vec<ProcessId> = ctx.corrupted.iter().copied().collect();
         if faulty.is_empty() {
             return;
         }
-        for (k, payload) in stale.into_iter().enumerate() {
+        for (k, payload) in self.history[0].iter().enumerate() {
             let from = faulty[k % faulty.len()];
             for to in ProcessId::all(ctx.n) {
-                ctx.replay(from, to, Arc::clone(&payload));
+                ctx.replay(from, to, Arc::clone(payload));
             }
         }
     }
@@ -215,27 +260,42 @@ impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Outbox;
 
-    fn ctx_fixture<'a>(
-        corrupted: &'a BTreeSet<ProcessId>,
-        honest: &'a [Envelope<u32>],
-        inboxes: &'a BTreeMap<ProcessId, Vec<Envelope<u32>>>,
-    ) -> AdversaryCtx<'a, u32> {
-        AdversaryCtx {
-            round: 3,
-            n: 4,
-            corrupted,
-            honest_traffic: honest,
-            faulty_inboxes: inboxes,
-            outgoing: Vec::new(),
+    /// A system of n = 4 with the given ids corrupted and nothing
+    /// delivered yet.
+    struct Fixture {
+        corrupted: BTreeSet<ProcessId>,
+        is_corrupted: Vec<bool>,
+        delivery: Delivery<u32>,
+    }
+
+    impl Fixture {
+        fn new(corrupted: &[u32]) -> Self {
+            let n = 4;
+            Fixture {
+                corrupted: corrupted.iter().copied().map(ProcessId).collect(),
+                is_corrupted: (0..n as u32).map(|i| corrupted.contains(&i)).collect(),
+                delivery: Delivery::new(n),
+            }
+        }
+
+        fn ctx<'a>(&'a self, round: u64, honest: &'a [Envelope<u32>]) -> AdversaryCtx<'a, u32> {
+            AdversaryCtx {
+                round,
+                n: self.is_corrupted.len(),
+                corrupted: &self.corrupted,
+                honest_traffic: honest,
+                faulty_inboxes: FaultyInboxes::new(&self.delivery, &self.is_corrupted),
+                outgoing: Vec::new(),
+            }
         }
     }
 
     #[test]
     fn adversary_can_send_only_from_corrupted_ids() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let inboxes = BTreeMap::new();
-        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
+        let fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
         ctx.send(ProcessId(3), ProcessId(0), 99);
         assert_eq!(ctx.outgoing.len(), 1);
     }
@@ -243,21 +303,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "spoof")]
     fn spoofing_honest_sender_panics() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let inboxes = BTreeMap::new();
-        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
+        let fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
         ctx.send(ProcessId(0), ProcessId(1), 1);
     }
 
     #[test]
+    #[should_panic(expected = "spoof")]
+    fn spoofing_an_out_of_range_sender_panics() {
+        let fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
+        ctx.replay(ProcessId(9), ProcessId(1), Arc::new(1));
+    }
+
+    #[test]
+    fn faulty_inboxes_answer_only_for_corrupted_ids() {
+        let fixture = Fixture::new(&[3]);
+        let ctx = fixture.ctx(3, &[]);
+        assert_eq!(
+            ctx.faulty_inboxes.get(&ProcessId(3)).map(<[_]>::len),
+            Some(0)
+        );
+        assert!(ctx.faulty_inboxes[&ProcessId(3)].is_empty());
+        assert!(ctx.faulty_inboxes.get(&ProcessId(0)).is_none());
+        assert!(ctx.faulty_inboxes.get(&ProcessId(4)).is_none());
+    }
+
+    #[test]
     fn crash_adversary_truncates_mid_broadcast() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let inboxes = BTreeMap::new();
+        let fixture = Fixture::new(&[3]);
         let inner = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, u32>| {
             ctx.broadcast(ProcessId(3), 5);
         });
         let mut crash = CrashAdversary::new(inner, 3, 2);
-        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
+        let mut ctx = fixture.ctx(3, &[]);
         crash.act(&mut ctx);
         // Broadcast to n=4, truncated to recipients {0, 1}.
         assert_eq!(ctx.outgoing.len(), 2);
@@ -266,35 +345,72 @@ mod tests {
 
     #[test]
     fn crash_adversary_is_silent_after_crash() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let inboxes = BTreeMap::new();
+        let fixture = Fixture::new(&[3]);
         let inner = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, u32>| {
             ctx.broadcast(ProcessId(3), 5);
         });
         let mut crash = CrashAdversary::new(inner, 2, 4);
-        let mut ctx = ctx_fixture(&corrupted, &[], &inboxes);
-        ctx.round = 3;
+        let mut ctx = fixture.ctx(3, &[]);
         crash.act(&mut ctx);
         assert!(ctx.outgoing.is_empty());
     }
 
     #[test]
     fn replay_adversary_resends_old_honest_payloads() {
-        let corrupted: BTreeSet<ProcessId> = [ProcessId(3)].into_iter().collect();
-        let inboxes = BTreeMap::new();
+        let fixture = Fixture::new(&[3]);
         let mut replayer: ReplayAdversary<u32> = ReplayAdversary::new(1);
 
         let honest_r0 = vec![Envelope::new(ProcessId(0), ProcessId(1), 77u32)];
-        let mut ctx0 = ctx_fixture(&corrupted, &honest_r0, &inboxes);
-        ctx0.round = 0;
+        let mut ctx0 = fixture.ctx(0, &honest_r0);
         replayer.act(&mut ctx0);
         assert!(ctx0.outgoing.is_empty(), "nothing old to replay yet");
 
-        let mut ctx1 = ctx_fixture(&corrupted, &[], &inboxes);
-        ctx1.round = 1;
+        let mut ctx1 = fixture.ctx(1, &[]);
         replayer.act(&mut ctx1);
         assert_eq!(ctx1.outgoing.len(), 4, "payload replayed to all n = 4");
         assert!(ctx1.outgoing.iter().all(|e| *e.payload == 77));
         assert!(ctx1.outgoing.iter().all(|e| e.from == ProcessId(3)));
+    }
+
+    #[test]
+    fn replay_adversary_replays_round_r_minus_delay_and_keeps_only_that_window() {
+        let fixture = Fixture::new(&[2, 3]);
+        // Round r: p0 broadcasts 10r (one shared payload, four envelopes)
+        // and p1 sends 10r + 1 to p0.
+        let honest = |r: u32| {
+            let mut out = Outbox::new(ProcessId(0), 4);
+            out.broadcast(10 * r);
+            let mut envs = out.into_envelopes();
+            envs.push(Envelope::new(ProcessId(1), ProcessId(0), 10 * r + 1));
+            envs
+        };
+        for delay in [1, 2] {
+            let mut replayer: ReplayAdversary<u32> = ReplayAdversary::new(delay);
+            for r in 0..5u32 {
+                let traffic = honest(r);
+                let mut ctx = fixture.ctx(u64::from(r), &traffic);
+                replayer.act(&mut ctx);
+                assert!(replayer.history.len() <= delay + 1);
+                let sent: Vec<(u32, u32, u32)> = ctx
+                    .outgoing
+                    .iter()
+                    .map(|e| (e.from.0, e.to.0, *e.payload))
+                    .collect();
+                // Payload k of round r − delay goes from faulty id
+                // k mod 2 (p2, p3) to all four processes.
+                let expected: Vec<(u32, u32, u32)> = match r.checked_sub(delay as u32) {
+                    None => Vec::new(),
+                    Some(old) => honest(old)
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(k, e)| {
+                            let payload = *e.payload;
+                            (0..4).map(move |to| (2 + k as u32 % 2, to, payload))
+                        })
+                        .collect(),
+                };
+                assert_eq!(sent, expected, "delay {delay}, round {r}");
+            }
+        }
     }
 }

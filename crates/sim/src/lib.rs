@@ -26,8 +26,9 @@
 //!
 //! `step(r, inbox, out)` is called once per round `r = 0, 1, 2, …`:
 //! `inbox` contains every message sent *to* this process during round
-//! `r − 1` (empty at `r = 0`), and messages pushed into `out` are delivered
-//! at step `r + 1`. A "`d`-round protocol" in the paper's counting sends
+//! `r − 1` (empty at `r = 0`), ordered by sender, with one sender's
+//! messages in the order they were sent. Messages pushed into `out` are
+//! delivered at step `r + 1`. A "`d`-round protocol" in the paper's counting sends
 //! messages during steps `0 … d−1` and produces its output at step `d`.
 //!
 //! ## Example
@@ -76,7 +77,8 @@ mod runner;
 mod wire;
 
 pub use adversary::{
-    Adversary, AdversaryCtx, CrashAdversary, FnAdversary, ReplayAdversary, SilentAdversary,
+    Adversary, AdversaryCtx, CrashAdversary, FaultyInboxes, FnAdversary, ReplayAdversary,
+    SilentAdversary,
 };
 pub use compose::{forward_sub, sub_inbox};
 pub use envelope::{Envelope, Outbox};

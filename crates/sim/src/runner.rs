@@ -1,6 +1,6 @@
 //! Lockstep execution engine with complexity instrumentation.
 
-use crate::adversary::{Adversary, AdversaryCtx};
+use crate::adversary::{Adversary, AdversaryCtx, FaultyInboxes};
 use crate::envelope::{Envelope, Outbox};
 use crate::id::ProcessId;
 use crate::process::Process;
@@ -29,23 +29,106 @@ fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
     let mut messages = 0;
     let mut bytes = 0;
     let mut sizes: Vec<(*const M, u64)> = Vec::new();
+    // Broadcasts and replays emit runs of envelopes sharing one payload,
+    // so most lookups stop at the last payload measured.
+    let mut last: (*const M, u64) = (std::ptr::null(), 0);
     for env in envs {
         if env.to == env.from {
             continue;
         }
         messages += 1;
         let key = Arc::as_ptr(&env.payload);
-        let size = match sizes.iter().find(|(k, _)| *k == key) {
-            Some((_, s)) => *s,
-            None => {
-                let s = env.payload.wire_bytes();
-                sizes.push((key, s));
-                s
-            }
-        };
-        bytes += size;
+        if last.0 != key {
+            let size = match sizes.iter().find(|(k, _)| *k == key) {
+                Some(&(_, s)) => s,
+                None => {
+                    let s = env.payload.wire_bytes();
+                    sizes.push((key, s));
+                    s
+                }
+            };
+            last = (key, size);
+        }
+        bytes += last.1;
     }
     (messages, bytes)
+}
+
+/// One round's traffic in delivery order. The envelopes addressed to
+/// process `i` are the contiguous slice `buf[start[i]..start[i + 1]]`,
+/// ordered by sender; one sender's envelopes keep the order they were
+/// sent in.
+pub(crate) struct Delivery<M> {
+    buf: Vec<Envelope<M>>,
+    start: Vec<u32>,
+    /// Counting-sort counters, one per (recipient, sender) pair plus one.
+    counts: Vec<u32>,
+}
+
+impl<M> Delivery<M> {
+    /// Nothing delivered, in a system of `n` processes.
+    pub(crate) fn new(n: usize) -> Self {
+        Delivery {
+            buf: Vec::new(),
+            start: vec![0; n + 1],
+            counts: Vec::new(),
+        }
+    }
+
+    /// The envelopes delivered to `id`, ordered by sender.
+    pub(crate) fn inbox(&self, id: ProcessId) -> &[Envelope<M>] {
+        let i = id.index();
+        &self.buf[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Replaces the delivered traffic with `first` followed by `then`,
+    /// both drained: one stable counting sort keyed by (recipient,
+    /// sender). An envelope addressed to an id outside the system is
+    /// dropped.
+    fn route(&mut self, first: &mut Vec<Envelope<M>>, then: &mut Vec<Envelope<M>>) {
+        let n = self.start.len() - 1;
+        assert!(
+            u32::try_from(first.len() + then.len()).is_ok(),
+            "more than u32::MAX envelopes in one round"
+        );
+        let key = |env: &Envelope<M>| {
+            debug_assert!(env.from.index() < n, "sender {} out of range", env.from);
+            (env.to.index() < n).then(|| env.to.index() * n + env.from.index())
+        };
+        // counts[k + 1] = envelopes with key k; after the prefix sum,
+        // counts[k] = the first slot of key k.
+        self.counts.clear();
+        self.counts.resize(n * n + 1, 0);
+        for env in first.iter().chain(then.iter()) {
+            if let Some(k) = key(env) {
+                self.counts[k + 1] += 1;
+            }
+        }
+        for k in 1..self.counts.len() {
+            self.counts[k] += self.counts[k - 1];
+        }
+        for (i, start) in self.start.iter_mut().enumerate() {
+            *start = self.counts[i * n];
+        }
+        // Reuse the buffer's allocation for the slots being filled.
+        self.buf.clear();
+        let mut slots: Vec<Option<Envelope<M>>> = std::mem::take(&mut self.buf)
+            .into_iter()
+            .map(Some)
+            .collect();
+        slots.resize_with(self.start[n] as usize, || None);
+        for env in first.drain(..).chain(then.drain(..)) {
+            if let Some(k) = key(&env) {
+                let slot = &mut self.counts[k];
+                slots[*slot as usize] = Some(env);
+                *slot += 1;
+            }
+        }
+        self.buf = slots
+            .into_iter()
+            .map(|slot| slot.expect("the counting sort fills every slot"))
+            .collect();
+    }
 }
 
 /// The outcome and cost profile of one synchronous execution.
@@ -116,14 +199,28 @@ impl<O: Clone + Eq> RunReport<O> {
 ///
 /// Honest processes are stepped in identifier order; the adversary then
 /// acts with full visibility of the round's honest traffic (rushing).
-/// All round-`r` traffic is delivered, sorted by sender, as the step-`r+1`
-/// inboxes.
+///
+/// All round-`r` traffic is delivered at step `r + 1`. One stable
+/// counting sort keyed by (recipient, sender) puts it into a single
+/// delivery buffer, and each process's inbox is its contiguous slice of
+/// that buffer: ordered by sender, with one sender's envelopes in the
+/// order they were sent. The adversary reads the corrupted processes'
+/// slices through [`AdversaryCtx::faulty_inboxes`]. An envelope addressed
+/// to an identifier `≥ n` is counted but delivered to no one.
 pub struct Runner<P: Process, A> {
     n: usize,
     honest: BTreeMap<ProcessId, P>,
     adversary: A,
     corrupted: BTreeSet<ProcessId>,
-    inboxes: BTreeMap<ProcessId, Vec<Envelope<P::Msg>>>,
+    /// `is_corrupted[i]` iff `ProcessId(i)` is in `corrupted`: the O(1)
+    /// spoof check behind every adversary send.
+    is_corrupted: Vec<bool>,
+    /// Last round's traffic, routed for delivery this round.
+    delivery: Delivery<P::Msg>,
+    /// This round's honest and faulty traffic, drained into `delivery`;
+    /// the buffers are kept to reuse their allocations.
+    honest_sent: Vec<Envelope<P::Msg>>,
+    faulty_sent: Vec<Envelope<P::Msg>>,
     round: u64,
     report: RunReport<P::Output>,
 }
@@ -174,12 +271,19 @@ where
             "honest identifier out of range"
         );
         let honest_count = honest.len();
+        let mut is_corrupted = vec![false; n];
+        for id in &corrupted {
+            is_corrupted[id.index()] = true;
+        }
         Runner {
             n,
             honest,
             adversary,
             corrupted,
-            inboxes: BTreeMap::new(),
+            is_corrupted,
+            delivery: Delivery::new(n),
+            honest_sent: Vec::new(),
+            faulty_sent: Vec::new(),
             round: 0,
             report: RunReport {
                 honest_count,
@@ -207,21 +311,19 @@ where
     pub fn step(&mut self) -> bool {
         let round = self.round;
         let mut trace = RoundTrace::default();
-        let mut honest_traffic: Vec<Envelope<P::Msg>> = Vec::new();
 
         for (&id, proc) in self.honest.iter_mut() {
             if proc.halted() {
                 continue;
             }
-            let inbox = self.inboxes.remove(&id).unwrap_or_default();
             let mut out = Outbox::new(id, self.n);
-            proc.step(round, &inbox, &mut out);
+            proc.step(round, self.delivery.inbox(id), &mut out);
             let envs = out.into_envelopes();
             let (remote, bytes) = remote_cost(&envs);
             trace.honest_messages += remote;
             trace.honest_bytes += bytes;
             *self.report.messages_per_process.entry(id).or_insert(0) += remote;
-            honest_traffic.extend(envs);
+            self.honest_sent.extend(envs);
 
             if let Some(o) = proc.output() {
                 self.report.outputs.entry(id).or_insert(o);
@@ -230,22 +332,17 @@ where
         }
 
         // Rushing adversary: acts after seeing this round's honest traffic.
-        let faulty_inboxes: BTreeMap<ProcessId, Vec<Envelope<P::Msg>>> = self
-            .corrupted
-            .iter()
-            .map(|&id| (id, self.inboxes.remove(&id).unwrap_or_default()))
-            .collect();
         let mut ctx = AdversaryCtx {
             round,
             n: self.n,
             corrupted: &self.corrupted,
-            honest_traffic: &honest_traffic,
-            faulty_inboxes: &faulty_inboxes,
-            outgoing: Vec::new(),
+            honest_traffic: &self.honest_sent,
+            faulty_inboxes: FaultyInboxes::new(&self.delivery, &self.is_corrupted),
+            outgoing: std::mem::take(&mut self.faulty_sent),
         };
         self.adversary.act(&mut ctx);
-        let faulty_traffic = ctx.outgoing;
-        let (faulty_messages, faulty_bytes) = remote_cost(&faulty_traffic);
+        self.faulty_sent = ctx.outgoing;
+        let (faulty_messages, faulty_bytes) = remote_cost(&self.faulty_sent);
         trace.faulty_messages += faulty_messages;
         trace.faulty_bytes += faulty_bytes;
 
@@ -256,15 +353,8 @@ where
             self.report.honest_bytes_until_decision = self.report.honest_bytes;
         }
 
-        // Route all round-`round` traffic into step-`round+1` inboxes,
-        // sorted by sender (stable within one sender).
-        let mut all = honest_traffic;
-        all.extend(faulty_traffic);
-        all.sort_by_key(|e| e.from);
-        self.inboxes.clear();
-        for env in all {
-            self.inboxes.entry(env.to).or_default().push(env);
-        }
+        self.delivery
+            .route(&mut self.honest_sent, &mut self.faulty_sent);
 
         self.report.rounds.push(trace);
         self.round += 1;
@@ -310,6 +400,8 @@ mod tests {
     use super::*;
     use crate::adversary::{FnAdversary, SilentAdversary};
     use crate::id::Value;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Echo-min protocol used across runner tests: broadcast once, then
     /// output the minimum value heard.
@@ -496,6 +588,157 @@ mod tests {
         let report = runner.run(10);
         assert_eq!(report.decision_round.len(), 3);
         assert!(report.decision_round.values().all(|&r| r == 1));
+    }
+
+    /// `Recorder` senders tag their round-0 messages `100·id + tag`, in
+    /// this order to every recipient.
+    const TAG_ORDER: [u64; 3] = [2, 1, 3];
+
+    fn tags(from: u32) -> impl Iterator<Item = Value> {
+        TAG_ORDER
+            .iter()
+            .map(move |tag| Value(100 * u64::from(from) + tag))
+    }
+
+    /// An inbox as `(sender, payload)` pairs.
+    type Transcript = Vec<(u32, u64)>;
+
+    fn transcript(inbox: &[Envelope<Value>]) -> Transcript {
+        inbox.iter().map(|e| (e.from.0, e.payload.0)).collect()
+    }
+
+    /// Sends its tags to everyone in round 0, then outputs its round-1
+    /// inbox as `(sender, payload)` pairs.
+    struct Recorder {
+        me: ProcessId,
+        n: usize,
+        out: Option<Transcript>,
+    }
+
+    impl Recorder {
+        fn new(me: u32, n: usize) -> Self {
+            Recorder {
+                me: ProcessId(me),
+                n,
+                out: None,
+            }
+        }
+    }
+
+    impl Process for Recorder {
+        type Msg = Value;
+        type Output = Transcript;
+        fn step(&mut self, round: u64, inbox: &[Envelope<Value>], out: &mut Outbox<Value>) {
+            if round == 0 {
+                for to in ProcessId::all(self.n) {
+                    for tag in tags(self.me.0) {
+                        out.send(to, tag);
+                    }
+                }
+            } else {
+                self.out = Some(transcript(inbox));
+            }
+        }
+        fn output(&self) -> Option<Transcript> {
+            self.out.clone()
+        }
+        fn halted(&self) -> bool {
+            self.out.is_some()
+        }
+    }
+
+    /// Round 1's faulty inboxes as the adversary saw them, plus whether it
+    /// was shown an honest process's inbox.
+    type Seen = Rc<RefCell<Vec<(ProcessId, Option<Transcript>)>>>;
+
+    /// Runs `Recorder`s on honest ids {1, 3, 5} of n = 6. The faulty p0,
+    /// p2 and p4 send the same tags, highest sender and recipient first,
+    /// so only the routing can restore the order.
+    fn interleaved_run() -> (RunReport<Transcript>, Seen) {
+        let n = 6;
+        let honest: BTreeMap<ProcessId, Recorder> = [1, 3, 5]
+            .into_iter()
+            .map(|i| (ProcessId(i), Recorder::new(i, n)))
+            .collect();
+        let seen: Seen = Rc::default();
+        let log = Rc::clone(&seen);
+        let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Value>| match ctx.round {
+            0 => {
+                let faulty: Vec<ProcessId> = ctx.corrupted.iter().rev().copied().collect();
+                for from in faulty {
+                    for to in (0..n as u32).rev().map(ProcessId) {
+                        for tag in tags(from.0) {
+                            ctx.send(from, to, tag);
+                        }
+                    }
+                }
+            }
+            1 => {
+                for id in ProcessId::all(n) {
+                    let inbox = ctx.faulty_inboxes.get(&id).map(transcript);
+                    log.borrow_mut().push((id, inbox));
+                }
+            }
+            _ => {}
+        });
+        let report = Runner::with_ids(n, honest, adv).run(5);
+        (report, seen)
+    }
+
+    /// What every process receives in round 1 of `interleaved_run`.
+    fn interleaved_inbox() -> Transcript {
+        (0..6)
+            .flat_map(|from| tags(from).map(move |v| (from, v.0)))
+            .collect()
+    }
+
+    #[test]
+    fn inboxes_are_ordered_by_sender_and_keep_each_senders_send_order() {
+        let (report, _) = interleaved_run();
+        assert_eq!(report.outputs.len(), 3);
+        for inbox in report.outputs.values() {
+            assert_eq!(*inbox, interleaved_inbox());
+        }
+    }
+
+    #[test]
+    fn faulty_inboxes_hold_exactly_last_rounds_envelopes_to_each_corrupted_id() {
+        let (_, seen) = interleaved_run();
+        let expected: Vec<(ProcessId, Option<Transcript>)> = ProcessId::all(6)
+            .map(|id| (id, (id.0 % 2 == 0).then(interleaved_inbox)))
+            .collect();
+        assert_eq!(*seen.borrow(), expected);
+    }
+
+    #[test]
+    fn envelopes_to_ids_outside_the_system_are_counted_but_not_delivered() {
+        let n = 4;
+        let seen: Seen = Rc::default();
+        let log = Rc::clone(&seen);
+        let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Value>| match ctx.round {
+            0 => {
+                ctx.send(ProcessId(3), ProcessId(n as u32 + 3), Value(7));
+                ctx.send(ProcessId(3), ProcessId(0), Value(8));
+            }
+            1 => {
+                let inbox = ctx.faulty_inboxes.get(&ProcessId(3)).map(transcript);
+                log.borrow_mut().push((ProcessId(3), inbox));
+            }
+            _ => {}
+        });
+        let honest = (0..3).map(|i| Recorder::new(i, n));
+        let report = Runner::new(n, honest, adv).run(5);
+        assert_eq!(report.rounds[0].faulty_messages, 2);
+        assert_eq!(report.rounds[0].faulty_bytes, 16);
+        let from_honest: Transcript = (0..3)
+            .flat_map(|from| tags(from).map(move |v| (from, v.0)))
+            .collect();
+        let mut to_p0 = from_honest.clone();
+        to_p0.push((3, 8));
+        assert_eq!(report.outputs[&ProcessId(0)], to_p0);
+        assert_eq!(report.outputs[&ProcessId(1)], from_honest);
+        assert_eq!(report.outputs[&ProcessId(2)], from_honest);
+        assert_eq!(*seen.borrow(), vec![(ProcessId(3), Some(from_honest))]);
     }
 
     #[test]
