@@ -75,10 +75,10 @@ impl CommitteeCert {
     /// Verifies the certificate: `t + 1` distinct valid signatures over
     /// the membership statement.
     pub fn verify(&self, session: u64, t: usize, pki: &Pki) -> bool {
-        let msg = committee_bytes(session, self.member);
+        let mut statement = pki.statement(committee_bytes(session, self.member));
         let mut signers = BTreeSet::new();
         for sig in &self.sigs {
-            if !signers.insert(sig.signer) || !pki.verify(&msg, sig) {
+            if !signers.insert(sig.signer) || !pki.verify_statement(&mut statement, sig) {
                 return false;
             }
         }

@@ -1,7 +1,7 @@
 //! Deterministic work counters of the simulated PKI on one hand-built
 //! authenticated-wrapper session: how many signature checks the
-//! protocol asks for, and how many MACs the verification memo leaves
-//! to compute.
+//! protocol asks for, how many MACs the verification memo leaves to
+//! compute, and how many times the memo is probed by message bytes.
 
 use ba_core::{AuthWrapper, PredictionMatrix};
 use ba_crypto::{Pki, VerifyCounts};
@@ -47,11 +47,16 @@ fn verify_counts_are_pinned_and_the_memo_absorbs_repeats() {
         counts,
         VerifyCounts {
             calls: 21_378,
-            macs: 1_620
+            macs: 1_620,
+            lookups: 3_754
         }
     );
     assert!(
         counts.macs * 10 < counts.calls,
         "the memo should answer most checks: {counts:?}"
+    );
+    assert!(
+        counts.lookups * 5 < counts.calls,
+        "statements should find their memo slot once, not per signature: {counts:?}"
     );
 }

@@ -24,14 +24,26 @@ pub struct Encoder {
     buf: Vec<u8>,
 }
 
+/// Initial buffer size: room for the fixed-size statements the protocols
+/// sign most (gradecast value, echo and confirm at 34–37 bytes, committee
+/// membership at 25), so that encoding one allocates exactly once.
+const INITIAL_CAPACITY: usize = 48;
+
 impl Encoder {
     /// Starts an encoding under the given domain tag.
     pub fn new(domain: &str) -> Self {
-        let mut buf = Vec::with_capacity(32);
-        buf.extend_from_slice(b"ba/");
-        buf.extend_from_slice(domain.as_bytes());
-        buf.push(0);
-        Encoder { buf }
+        let mut enc = Encoder {
+            buf: Vec::with_capacity(INITIAL_CAPACITY),
+        };
+        enc.domain(domain);
+        enc
+    }
+
+    /// Writes a domain tag: `ba/`, the domain, and a zero byte.
+    fn domain(&mut self, domain: &str) {
+        self.buf.extend_from_slice(b"ba/");
+        self.buf.extend_from_slice(domain.as_bytes());
+        self.buf.push(0);
     }
 
     /// Appends a `u8`.
@@ -59,10 +71,20 @@ impl Encoder {
         self
     }
 
-    /// Appends a nested encodable value.
+    /// Appends a nested encodable value: a big-endian `u64` length, then
+    /// the domain tag `ba/nested\0` followed by the value's
+    /// [`Encodable::encode`] output; the length counts both.
+    ///
+    /// The value is encoded straight into this buffer, and the length
+    /// prefix is filled in afterwards.
     pub fn nested<E: Encodable>(&mut self, v: &E) -> &mut Self {
-        let inner = v.encoded();
-        self.bytes(&inner);
+        let prefix = self.buf.len();
+        self.u64(0);
+        let start = self.buf.len();
+        self.domain("nested");
+        v.encode(self);
+        let len = (self.buf.len() - start) as u64;
+        self.buf[prefix..start].copy_from_slice(&len.to_be_bytes());
         self
     }
 
@@ -85,13 +107,6 @@ impl Encoder {
 pub trait Encodable {
     /// Writes the canonical encoding of `self`.
     fn encode(&self, enc: &mut Encoder);
-
-    /// Convenience: the canonical bytes under this type's own domain.
-    fn encoded(&self) -> Vec<u8> {
-        let mut enc = Encoder::new("nested");
-        self.encode(&mut enc);
-        enc.finish()
-    }
 }
 
 impl Encodable for u64 {

@@ -23,7 +23,13 @@
 //!   bytes plus `(signer, tag)`, so a repeated check of one certificate
 //!   signature skips its MAC; failures are never stored, so a forgery is
 //!   recomputed and rejected on every call. Verification stays a pure
-//!   function, so no protocol outcome depends on the memo;
+//!   function, so no protocol outcome depends on the memo. A caller
+//!   checking many signatures on one message resolves it once with
+//!   [`sign::Pki::statement`]: the [`sign::Statement`] remembers the
+//!   message's memo slot once it has one, so later checks through
+//!   [`sign::Pki::verify_statement`] neither re-encode nor re-hash the
+//!   bytes. A statement is bound to the `Pki` that resolved it; any
+//!   other `Pki` checks it through its bytes;
 //! * [`encode`] — a small deterministic, domain-separated byte encoder so
 //!   that every signed protocol message has a canonical serialization.
 //! * [`signed`] — the reusable [`signed::Signed`] envelope (canonical
@@ -44,5 +50,5 @@ pub mod signed;
 pub use encode::{Encodable, Encoder};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use sha256::{sha256, Sha256};
-pub use sign::{Pki, Signature, SignerId, SigningKey, VerifyCounts};
+pub use sign::{Pki, Signature, SignerId, SigningKey, Statement, VerifyCounts};
 pub use signed::Signed;

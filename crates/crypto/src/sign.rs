@@ -29,10 +29,37 @@
 //! * Verification is a pure function of its inputs, so the memo changes
 //!   no outcome, only how often the MAC is computed
 //!   ([`Pki::verify_counts`]).
+//!
+//! ## Statements
+//!
+//! A quorum certificate carries many signatures on one message, and a
+//! gradecast receiver checks one signature per sender on the same echo.
+//! [`Pki::verify`] finds the message's memo entry by its bytes on every
+//! call. A [`Statement`] lets the caller find it once instead:
+//! [`Pki::statement`] binds the canonical bytes to this `Pki`, and
+//! [`Pki::verify_statement`] checks signatures on them.
+//!
+//! * The memo is an index from message bytes to a slot holding that
+//!   message's verified signatures. A statement remembers its slot once
+//!   the index has one, and from then on goes straight to it: no hashing
+//!   and no byte comparison.
+//! * Resolving a statement inserts nothing. Its slot is filled on the
+//!   first signature that verifies on its bytes, through either method;
+//!   until then each check probes the index again.
+//! * Both methods share one check, so a statement answers exactly as
+//!   [`Pki::verify`] would on its bytes: the same hits, the same MACs,
+//!   the same rejections.
+//! * A statement is bound to the `Pki` that resolved it, through an id
+//!   unique to each `Pki`. Another `Pki` checks it through its bytes and
+//!   never reads or writes its slot.
+//!
+//! [`VerifyCounts::lookups`] counts the index probes, so the saving is a
+//! deterministic count.
 
 use crate::encode::Encoder;
 use crate::hmac::{tags_equal, HmacKey};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier type mirrored from `ba-sim` (kept as a raw `u32` here so the
@@ -119,26 +146,55 @@ fn truncate(full: &[u8; 32]) -> [u8; 16] {
     tag
 }
 
-/// How much work [`Pki::verify`] has done.
+/// How much work [`Pki::verify`] and [`Pki::verify_statement`] have
+/// done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyCounts {
-    /// Calls to [`Pki::verify`].
+    /// Signature checks, through either method.
     pub calls: u64,
     /// MACs those calls computed; the rest were answered by the memo or
     /// named an unknown signer.
     pub macs: u64,
+    /// Memo probes keyed by message bytes: one per [`Pki::verify`] call,
+    /// and one per [`Pki::verify_statement`] call on a statement whose
+    /// slot is not yet known.
+    pub lookups: u64,
 }
 
 /// Successful verifications, and the work counters, behind one lock.
 #[derive(Default)]
 struct Memo {
-    /// Message bytes → every signature (signer and tag) that verified on
-    /// them. One entry per message rather than per signature: a statement
+    /// Message bytes → the slot in `valid` holding the signatures that
+    /// verified on them.
+    index: HashMap<Box<[u8]>, u32>,
+    /// Every signature (signer and tag) that verified on one message, per
+    /// slot. One entry per message rather than per signature: a statement
     /// gathers up to a quorum of signatures, and storing the message once
     /// per signature instead raised the auth-wrapper benchmark's peak
     /// memory by about a fifth.
-    valid: HashMap<Box<[u8]>, Vec<Signature>>,
+    valid: Vec<Vec<Signature>>,
     counts: VerifyCounts,
+}
+
+impl Memo {
+    /// Probes the index for `message`'s slot.
+    fn lookup(&mut self, message: &[u8]) -> Option<u32> {
+        self.counts.lookups += 1;
+        self.index.get(message).copied()
+    }
+}
+
+/// Canonical message bytes resolved against one [`Pki`], for checking
+/// many signatures on them (see the [module docs](self#statements)).
+///
+/// Made by [`Pki::statement`]; checked with [`Pki::verify_statement`].
+#[derive(Clone, Debug)]
+pub struct Statement {
+    bytes: Vec<u8>,
+    /// The id of the `Pki` that resolved these bytes.
+    pki: u64,
+    /// The bytes' memo slot in that `Pki`, once it has one.
+    slot: Option<u32>,
 }
 
 /// The verification oracle, holding every per-process secret.
@@ -150,8 +206,14 @@ struct Memo {
 /// `Mutex`, so a `Pki` stays `Send + Sync`.
 pub struct Pki {
     keys: Vec<HmacKey>,
+    /// Distinguishes this `Pki` from every other in the process, so that
+    /// a [`Statement`]'s slot is only ever read by the `Pki` that set it.
+    id: u64,
     memo: Mutex<Memo>,
 }
+
+/// The id the next [`Pki`] gets.
+static NEXT_PKI_ID: AtomicU64 = AtomicU64::new(0);
 
 // Parallel sweeps move sessions, and with them their `Arc<Pki>`, across
 // threads: fail the build if the memo ever makes `Pki` thread-bound.
@@ -184,6 +246,7 @@ impl Pki {
             .collect();
         Pki {
             keys,
+            id: NEXT_PKI_ID.fetch_add(1, Ordering::Relaxed),
             memo: Mutex::default(),
         }
     }
@@ -221,35 +284,79 @@ impl Pki {
     /// recomputing its MAC; anything else is checked in full.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
         let mut memo = self.memo();
-        let Memo { valid, counts } = &mut *memo;
-        counts.calls += 1;
-        let seen = valid.get_mut(message);
-        if seen.as_ref().is_some_and(|seen| seen.contains(sig)) {
-            return true;
-        }
-        let Some(key) = self.keys.get(sig.signer as usize) else {
-            return false;
-        };
-        counts.macs += 1;
-        if !tags_equal(&truncate(&key.mac(message)), &sig.tag) {
-            return false;
-        }
-        match seen {
-            // Grow one entry at a time: a message gathers at most a quorum
-            // of signatures, and doubling would leave up to half of each
-            // allocation empty.
-            Some(seen) => {
-                seen.reserve_exact(1);
-                seen.push(*sig);
-            }
-            None => {
-                valid.insert(message.into(), vec![*sig]);
-            }
-        }
-        true
+        let slot = memo.lookup(message);
+        self.check(&mut memo, message, slot, sig).0
     }
 
-    /// Verify calls so far, and the MACs they computed.
+    /// Resolves canonical message bytes for [`Pki::verify_statement`].
+    ///
+    /// This neither locks nor fills the memo: the statement finds its slot
+    /// on its first check.
+    pub fn statement(&self, bytes: Vec<u8>) -> Statement {
+        Statement {
+            bytes,
+            pki: self.id,
+            slot: None,
+        }
+    }
+
+    /// Verifies that `sig` is a valid signature by `sig.signer` over the
+    /// statement's bytes, with the same answer and the same MACs as
+    /// [`Pki::verify`] on them.
+    ///
+    /// Once the statement knows its memo slot, a repeat is answered from
+    /// the slot without hashing the bytes. A statement resolved by another
+    /// `Pki` is checked through its bytes alone.
+    pub fn verify_statement(&self, statement: &mut Statement, sig: &Signature) -> bool {
+        if statement.pki != self.id {
+            return self.verify(&statement.bytes, sig);
+        }
+        let mut memo = self.memo();
+        let slot = statement.slot.or_else(|| memo.lookup(&statement.bytes));
+        let (valid, slot) = self.check(&mut memo, &statement.bytes, slot, sig);
+        statement.slot = slot;
+        valid
+    }
+
+    /// The one signature check behind both `verify` methods: answers from
+    /// `message`'s memo slot if it has one, else computes the MAC and
+    /// records a success. Returns the verdict and the message's slot
+    /// afterwards.
+    fn check(
+        &self,
+        memo: &mut Memo,
+        message: &[u8],
+        slot: Option<u32>,
+        sig: &Signature,
+    ) -> (bool, Option<u32>) {
+        memo.counts.calls += 1;
+        if slot.is_some_and(|slot| memo.valid[slot as usize].contains(sig)) {
+            return (true, slot);
+        }
+        let Some(key) = self.keys.get(sig.signer as usize) else {
+            return (false, slot);
+        };
+        memo.counts.macs += 1;
+        if !tags_equal(&truncate(&key.mac(message)), &sig.tag) {
+            return (false, slot);
+        }
+        let slot = slot.unwrap_or_else(|| {
+            let slot = u32::try_from(memo.valid.len()).expect("fewer than 2^32 messages");
+            memo.valid.push(Vec::new());
+            memo.index.insert(message.into(), slot);
+            slot
+        });
+        // Grow one entry at a time: a message gathers at most a quorum of
+        // signatures, and doubling would leave up to half of each
+        // allocation empty.
+        let seen = &mut memo.valid[slot as usize];
+        seen.reserve_exact(1);
+        seen.push(*sig);
+        (true, Some(slot))
+    }
+
+    /// Verify calls so far, the MACs they computed and the memo probes
+    /// they made.
     pub fn verify_counts(&self) -> VerifyCounts {
         self.memo().counts
     }
@@ -344,7 +451,94 @@ mod tests {
             pki.verify_counts(),
             VerifyCounts {
                 calls: 130,
-                macs: 129
+                macs: 129,
+                lookups: 130
+            }
+        );
+    }
+
+    #[test]
+    fn statements_reject_every_flipped_bit() {
+        let pki = Pki::new(4, 7);
+        let sig = pki.signing_key(1).sign(b"m");
+        let mut statement = pki.statement(b"m".to_vec());
+        assert!(pki.verify_statement(&mut statement, &sig));
+        for bit in 0..128 {
+            let mut forged = sig;
+            forged.tag[bit / 8] ^= 1 << (bit % 8);
+            for _ in 0..2 {
+                assert!(
+                    !pki.verify_statement(&mut statement, &forged),
+                    "tag bit {bit} flipped"
+                );
+            }
+        }
+        assert!(pki.verify_statement(&mut statement, &sig));
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 258,
+                macs: 257,
+                lookups: 1
+            }
+        );
+    }
+
+    #[test]
+    fn statements_that_never_verify_leave_no_memo_entry() {
+        let pki = Pki::new(4, 7);
+        let sig = pki.signing_key(1).sign(b"m");
+        let mut statement = pki.statement(b"other".to_vec());
+        assert_eq!(pki.verify_counts(), VerifyCounts::default());
+        for _ in 0..2 {
+            assert!(!pki.verify_statement(&mut statement, &sig));
+        }
+        let memo = pki.memo();
+        assert!(memo.index.is_empty() && memo.valid.is_empty());
+        assert_eq!(statement.slot, None);
+        assert_eq!(
+            memo.counts,
+            VerifyCounts {
+                calls: 2,
+                macs: 2,
+                lookups: 2
+            }
+        );
+    }
+
+    #[test]
+    fn statements_are_bound_to_the_pki_that_resolved_them() {
+        // Two PKIs with the same keys give their first messages the same
+        // slot. If `twin` read `pki`'s slot, it would find `sig_b` there
+        // and accept it on a message it does not sign.
+        let (pki, twin) = (Pki::new(4, 7), Pki::new(4, 7));
+        let sig_a = pki.signing_key(1).sign(b"a");
+        let sig_b = twin.signing_key(1).sign(b"b");
+        let mut statement = pki.statement(b"a".to_vec());
+        assert!(pki.verify_statement(&mut statement, &sig_a));
+        assert!(twin.verify(b"b", &sig_b));
+        assert_eq!(statement.slot, Some(0));
+        assert_eq!(twin.memo().index.get(&b"b"[..]), Some(&0));
+        for _ in 0..2 {
+            assert!(!twin.verify_statement(&mut statement, &sig_b));
+        }
+        assert!(twin.verify_statement(&mut statement, &sig_a), "bytes path");
+        assert_eq!(statement.slot, Some(0), "the slot stays `pki`'s");
+        assert!(pki.verify_statement(&mut statement, &sig_a));
+        assert_eq!(
+            twin.verify_counts(),
+            VerifyCounts {
+                calls: 4,
+                macs: 4,
+                lookups: 4
+            }
+        );
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 2,
+                macs: 1,
+                lookups: 1
             }
         );
     }

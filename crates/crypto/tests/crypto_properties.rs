@@ -1,10 +1,11 @@
 //! Property-based tests of the cryptographic substrate: streaming/one-shot
 //! equivalence for SHA-256, precomputed HMAC keys against the textbook
 //! construction, signature binding under random inputs (also once the
-//! verification memo holds the genuine signature), and encoder
-//! injectivity on structured inputs.
+//! verification memo holds the genuine signature, and through resolved
+//! statements), encoder injectivity on structured inputs, and in-place
+//! nesting against the two-step encoding.
 
-use ba_crypto::{hmac_sha256, sha256, Encoder, HmacKey, Pki, Sha256, Signature};
+use ba_crypto::{hmac_sha256, sha256, Encodable, Encoder, HmacKey, Pki, Sha256, Signature};
 use proptest::prelude::*;
 
 proptest! {
@@ -100,6 +101,114 @@ proptest! {
         prop_assert_eq!(counts.macs, 1 + 2 * in_range);
     }
 
+    /// The statement path mirrors the memo test above. Once a genuine
+    /// signature has verified through a resolved statement, every
+    /// variation of it is still rejected, twice each: other bytes (another
+    /// message, a prefix, an extension), another signer, a signer outside
+    /// the PKI, and the same bytes resolved by a PKI with another seed.
+    /// The statement finds its memo slot once and keeps it.
+    #[test]
+    fn statements_admit_no_forgery(
+        msg in proptest::collection::vec(any::<u8>(), 1..64),
+        other in proptest::collection::vec(any::<u8>(), 0..64),
+        extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ids in (0u32..8, 1u32..8),
+        seed in 0u64..1000,
+    ) {
+        let pki = Pki::new(8, seed);
+        let (signer, shift) = ids;
+        let sig = pki.signing_key(signer).sign(&msg);
+        let mut statement = pki.statement(msg.clone());
+        prop_assert!(pki.verify_statement(&mut statement, &sig));
+        prop_assert!(pki.verify_statement(&mut statement, &sig), "slot hit");
+        prop_assert!(pki.verify(&msg, &sig), "the bytes path finds the same entry");
+
+        let mut other_bytes = vec![
+            [msg.as_slice(), &extra].concat(),
+            msg[..msg.len() - 1].to_vec(),
+        ];
+        if other != msg {
+            other_bytes.push(other);
+        }
+        for bytes in &other_bytes {
+            let mut forged = pki.statement(bytes.clone());
+            for _ in 0..2 {
+                prop_assert!(
+                    !pki.verify_statement(&mut forged, &sig),
+                    "{:?} accepted over {:?}", sig, bytes
+                );
+            }
+        }
+        let claimed_by = |id: u32| {
+            let mut forged = sig;
+            forged.signer = id;
+            forged
+        };
+        let forged_sigs = [claimed_by((signer + shift) % 8), claimed_by(8 + shift), claimed_by(u32::MAX)];
+        for forged in &forged_sigs {
+            for _ in 0..2 {
+                prop_assert!(
+                    !pki.verify_statement(&mut statement, forged),
+                    "{:?} accepted", forged
+                );
+            }
+        }
+
+        let stranger = Pki::new(8, seed + 1000);
+        let mut foreign = stranger.statement(msg.clone());
+        for _ in 0..2 {
+            prop_assert!(!stranger.verify_statement(&mut foreign, &sig), "cross-seed statement");
+            prop_assert!(!stranger.verify_statement(&mut statement, &sig), "cross-seed slot");
+        }
+        prop_assert!(pki.verify_statement(&mut statement, &sig), "the genuine signature still verifies");
+
+        // One MAC for the genuine signature, and one per rejection of an
+        // in-range signer. Probes by bytes: the first statement check,
+        // `verify`, and every check of a statement with no slot yet.
+        let counts = pki.verify_counts();
+        prop_assert_eq!(counts.calls, 4 + 2 * (other_bytes.len() + forged_sigs.len()) as u64);
+        prop_assert_eq!(counts.macs, 1 + 2 * (other_bytes.len() as u64 + 1));
+        prop_assert_eq!(counts.lookups, 2 + 2 * other_bytes.len() as u64);
+        let counts = stranger.verify_counts();
+        prop_assert_eq!((counts.calls, counts.macs, counts.lookups), (4, 4, 4));
+    }
+
+    /// `nested` and `seq` encode in place exactly what the two-step
+    /// encoding wrote: each item encoded on its own under the `nested`
+    /// domain, then appended as a length-prefixed byte string. Items
+    /// that nest sequences themselves (`Link`) check the length
+    /// back-fill at two depths.
+    #[test]
+    fn nested_and_seq_match_the_two_step_encoding(
+        words in proptest::collection::vec(any::<u32>(), 0..6),
+        longs in proptest::collection::vec(any::<u64>(), 0..6),
+        strings in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..5),
+        signed in proptest::collection::vec((0u32..4, proptest::collection::vec(any::<u8>(), 0..16)), 0..6),
+        seed in 0u64..1000,
+    ) {
+        let pki = Pki::new(4, seed);
+        let sigs: Vec<Signature> = signed
+            .iter()
+            .map(|(id, msg)| pki.signing_key(*id).sign(msg))
+            .collect();
+        let links: Vec<Link> = (0..=sigs.len())
+            .map(|k| Link { value: k as u64, sigs: sigs[..k].to_vec() })
+            .collect();
+
+        prop_assert_eq!(in_place(&words), two_step(&words, |w| plain(|e| { e.u32(*w); })));
+        prop_assert_eq!(in_place(&longs), two_step(&longs, |l| plain(|e| { e.u64(*l); })));
+        prop_assert_eq!(in_place(&strings), two_step(&strings, |b| plain(|e| { e.bytes(b); })));
+        prop_assert_eq!(in_place(&sigs), two_step(&sigs, two_step_signature));
+        prop_assert_eq!(in_place(&links), two_step(&links, two_step_link));
+        for link in &links {
+            let mut e = Encoder::new("one");
+            e.nested(link);
+            let mut reference = Encoder::new("one");
+            reference.bytes(&two_step_link(link));
+            prop_assert_eq!(e.finish(), reference.finish());
+        }
+    }
+
     /// Distinct (signer, message) pairs never cross-verify.
     #[test]
     fn signatures_bind_signer_and_message(
@@ -156,6 +265,67 @@ proptest! {
         let sig = pki_a.signing_key(2).sign(&msg);
         prop_assert!(!pki_b.verify(&msg, &sig));
     }
+}
+
+/// An item that nests a sequence, as a message-chain link does.
+#[derive(Debug)]
+struct Link {
+    value: u64,
+    sigs: Vec<Signature>,
+}
+
+impl Encodable for Link {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.u64(self.value).seq(&self.sigs);
+    }
+}
+
+/// `items` as a sequence between two other fields, encoded by `seq`.
+fn in_place<E: Encodable>(items: &[E]) -> Vec<u8> {
+    let mut e = Encoder::new("seq");
+    e.u32(7).seq(items).u8(9);
+    e.finish()
+}
+
+/// What `in_place` wrote before nesting was done in place, spelled out
+/// without `nested` or `seq`.
+fn two_step<E>(items: &[E], encode_alone: impl Fn(&E) -> Vec<u8>) -> Vec<u8> {
+    let mut e = Encoder::new("seq");
+    e.u32(7);
+    [e.finish(), two_step_seq(items, encode_alone), vec![9]].concat()
+}
+
+/// A sequence field the two-step way: the item count, then each item's
+/// standalone encoding (from `encode_alone`) behind its length, all
+/// big-endian `u64`s.
+fn two_step_seq<E>(items: &[E], encode_alone: impl Fn(&E) -> Vec<u8>) -> Vec<u8> {
+    let mut seq = (items.len() as u64).to_be_bytes().to_vec();
+    for item in items {
+        let alone = encode_alone(item);
+        seq.extend((alone.len() as u64).to_be_bytes());
+        seq.extend(alone);
+    }
+    seq
+}
+
+/// A standalone encoding under the `nested` domain.
+fn plain(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new("nested");
+    write(&mut e);
+    e.finish()
+}
+
+/// A signature's standalone encoding.
+fn two_step_signature(sig: &Signature) -> Vec<u8> {
+    plain(|e| sig.encode(e))
+}
+
+/// A link's standalone encoding, its signatures nested the two-step way.
+fn two_step_link(link: &Link) -> Vec<u8> {
+    let head = plain(|e| {
+        e.u64(link.value);
+    });
+    [head, two_step_seq(&link.sigs, two_step_signature)].concat()
 }
 
 /// HMAC-SHA256 as RFC 2104 writes it, from the streaming hasher alone:

@@ -37,6 +37,24 @@
 //! 5; grade 1 iff exactly one commit-certificate value is known *and*
 //! exactly one certificate value was known by the end of round 4.
 //!
+//! ## State
+//!
+//! Every per-value table of an instance holds at most two values: two
+//! sender-signed values already prove equivocation, and two certified
+//! values a conflict, so a third adds nothing any output depends on. The
+//! tables are therefore private two-slot maps kept inline in the instance
+//! in ascending value order, and an instance allocates only for the
+//! signatures it gathers and the certificates it keeps. Whenever an
+//! instance sends items for two values, the smaller value goes first.
+//!
+//! * Each sender-signed value holds its sender signature and its echo
+//!   signatures; each certified value holds its first valid certificate
+//!   and its direct confirm signatures.
+//! * A value's echo and confirm statements are resolved against the
+//!   [`Pki`] on the first signature to check on them (see
+//!   [`ba_crypto::Statement`]); every later signature on them is checked
+//!   without encoding or hashing the statement again.
+//!
 //! ## Proof sketch
 //!
 //! *(c)*: only `v_s` can be `s`-signed, so only `EC(v_s)` can exist; all
@@ -60,9 +78,9 @@
 //! holders on different values would each violate the other's
 //! "exactly one certificate value by end of round 4" condition.
 
-use ba_crypto::{Encoder, Pki, Signature, SigningKey};
+use ba_crypto::{Encoder, Pki, Signature, SigningKey, Statement};
 use ba_sim::{Value, WireSize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Static parameters of one gradecast instance.
 #[derive(Clone, Copy, Debug)]
@@ -135,13 +153,13 @@ impl EchoCert {
         ) {
             return false;
         }
-        let msg = echo_bytes(cfg.session, cfg.inst, self.value);
+        let mut statement = pki.statement(echo_bytes(cfg.session, cfg.inst, self.value));
         let mut signers = BTreeSet::new();
         for sig in &self.echo_sigs {
             if !signers.insert(sig.signer) {
                 return false; // duplicate signer
             }
-            if !pki.verify(&msg, sig) {
+            if !pki.verify_statement(&mut statement, sig) {
                 return false;
             }
         }
@@ -167,13 +185,13 @@ impl WireSize for CommitCert {
 impl CommitCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
-        let msg = confirm_bytes(cfg.session, cfg.inst, self.value);
+        let mut statement = pki.statement(confirm_bytes(cfg.session, cfg.inst, self.value));
         let mut signers = BTreeSet::new();
         for sig in &self.confirm_sigs {
             if !signers.insert(sig.signer) {
                 return false;
             }
-            if !pki.verify(&msg, sig) {
+            if !pki.verify_statement(&mut statement, sig) {
                 return false;
             }
         }
@@ -253,26 +271,43 @@ pub struct GcastOutput {
 #[derive(Debug)]
 pub struct GcastInstance {
     cfg: GcastConfig,
-    /// Distinct sender-signed values seen (capped at 2: enough to prove
-    /// equivocation).
-    inputs_seen: Vec<(Value, Signature)>,
-    /// Verified echo signatures per value (values capped at 2), in
-    /// signer order.
-    echo_sigs: BTreeMap<Value, Vec<Signature>>,
-    /// First valid certificate per value (values capped at 2).
-    known_certs: BTreeMap<Value, EchoCert>,
-    /// Certificate values known when the confirm decision was taken
-    /// (end of round 3).
-    certs_at_confirm: BTreeSet<Value>,
-    /// Certificate values known by the end of round 4.
-    certs_at_r4: BTreeSet<Value>,
-    /// Verified direct confirm signatures per value (round 4; values
-    /// capped at 2), in signer order.
-    confirm_sigs: BTreeMap<Value, Vec<Signature>>,
-    /// Commit certificate this process formed from direct confirms.
-    self_commit: Option<CommitCert>,
-    /// Values with a known valid commit certificate (capped at 2).
-    known_commit_values: BTreeSet<Value>,
+    /// Distinct sender-signed values seen (at most two: enough to prove
+    /// equivocation), each with the echoes verified for it.
+    inputs: Two<Input>,
+    /// First valid certificate per value (at most two), each with the
+    /// direct confirms verified for it in round 4.
+    certs: Two<Certified>,
+    /// The certificate value known at the end of round 4, if it was the
+    /// only one.
+    sole_cert_at_r4: Option<Value>,
+    /// Value of the commit certificate this process formed from direct
+    /// confirms.
+    self_commit: Option<Value>,
+    /// Values with a known valid commit certificate (at most two).
+    commits: Two<()>,
+}
+
+/// A sender-signed value's sender signature and verified echoes.
+#[derive(Debug)]
+struct Input {
+    sender_sig: Signature,
+    echoes: Votes,
+}
+
+/// A certified value's first valid certificate and verified confirms.
+#[derive(Debug)]
+struct Certified {
+    cert: EchoCert,
+    confirms: Votes,
+}
+
+/// Verified signatures on one statement: distinct signers in signer
+/// order, at most a quorum, plus the statement once a signature on it
+/// has been checked.
+#[derive(Debug, Default)]
+struct Votes {
+    statement: Option<Statement>,
+    sigs: Vec<Signature>,
 }
 
 impl GcastInstance {
@@ -281,14 +316,11 @@ impl GcastInstance {
         assert!(2 * cfg.t < cfg.n, "gradecast needs 2t < n");
         GcastInstance {
             cfg,
-            inputs_seen: Vec::new(),
-            echo_sigs: BTreeMap::new(),
-            known_certs: BTreeMap::new(),
-            certs_at_confirm: BTreeSet::new(),
-            certs_at_r4: BTreeSet::new(),
-            confirm_sigs: BTreeMap::new(),
+            inputs: Two::new(),
+            certs: Two::new(),
+            sole_cert_at_r4: None,
             self_commit: None,
-            known_commit_values: BTreeSet::new(),
+            commits: Two::new(),
         }
     }
 
@@ -306,63 +338,53 @@ impl GcastInstance {
 
     /// Ingests a round-1 `Input` item.
     pub fn recv_input(&mut self, pki: &Pki, value: Value, sig: &Signature) {
-        if self.inputs_seen.iter().any(|(v, _)| *v == value) {
+        if self.inputs.contains(value) {
             return;
         }
-        if self.inputs_seen.len() >= 2 {
+        if self.inputs.is_full() {
             return; // equivocation already proven; more values add nothing
         }
         if sig.signer != self.cfg.inst {
             return;
         }
         if pki.verify(&value_bytes(self.cfg.session, self.cfg.inst, value), sig) {
-            self.inputs_seen.push((value, *sig));
+            self.inputs.insert(value, Input::new(*sig));
         }
     }
 
     /// Round-2 send: echo the unique sender-signed value, if any.
     pub fn make_echo(&self, key: &SigningKey) -> Option<GcastItem> {
-        match self.inputs_seen.as_slice() {
-            [(value, sender_sig)] => {
-                let sig = key.sign(&echo_bytes(self.cfg.session, self.cfg.inst, *value));
-                Some(GcastItem::Echo {
-                    value: *value,
-                    sender_sig: *sender_sig,
-                    sig,
-                })
-            }
-            _ => None,
-        }
+        self.inputs.sole().map(|(value, input)| GcastItem::Echo {
+            value,
+            sender_sig: input.sender_sig,
+            sig: key.sign(&echo_bytes(self.cfg.session, self.cfg.inst, value)),
+        })
     }
 
     /// Ingests a round-2 `Echo` item.
     pub fn recv_echo(&mut self, pki: &Pki, value: Value, sender_sig: &Signature, sig: &Signature) {
-        // The embedded sender signature proves the value originated from
-        // the sender; verify it once per value.
-        let sender_ok = self.inputs_seen.iter().any(|(v, _)| *v == value)
-            || (sender_sig.signer == self.cfg.inst
-                && pki.verify(
-                    &value_bytes(self.cfg.session, self.cfg.inst, value),
-                    sender_sig,
-                ));
-        if !sender_ok {
-            return;
-        }
-        if self.inputs_seen.len() < 2 && !self.inputs_seen.iter().any(|(v, _)| *v == value) {
-            self.inputs_seen.push((value, *sender_sig));
-        }
-        if !self.inputs_seen.iter().any(|(v, _)| *v == value) {
-            // A third sender-signed value: the sender has already proven
-            // itself faulty twice over; certificates for it are not needed
-            // for any output this instance can still produce.
-            return;
-        }
-        if !self.echo_sigs.contains_key(&value) && self.echo_sigs.len() >= 2 {
-            return; // two echo-able values already tracked
-        }
         let cfg = &self.cfg;
-        let per_value = self.echo_sigs.entry(value).or_default();
-        add_verified(per_value, cfg, pki, sig, || {
+        let input = match self.inputs.get_mut(value) {
+            Some(input) => input,
+            // The embedded sender signature proves the value originated
+            // from the sender; it is verified once per value.
+            None => {
+                if sender_sig.signer != cfg.inst
+                    || !pki.verify(&value_bytes(cfg.session, cfg.inst, value), sender_sig)
+                {
+                    return;
+                }
+                match self.inputs.insert(value, Input::new(*sender_sig)) {
+                    Some(input) => input,
+                    // A third sender-signed value: the sender has already
+                    // proven itself faulty twice over; certificates for it
+                    // are not needed for any output this instance can
+                    // still produce.
+                    None => return,
+                }
+            }
+        };
+        add_verified(&mut input.echoes, cfg, pki, sig, || {
             echo_bytes(cfg.session, cfg.inst, value)
         });
     }
@@ -371,68 +393,52 @@ impl GcastInstance {
     pub fn make_certs(&mut self) -> Vec<GcastItem> {
         let q = self.cfg.quorum();
         let formed: Vec<EchoCert> = self
-            .echo_sigs
+            .inputs
             .iter()
-            .filter(|(_, sigs)| sigs.len() >= q)
-            .take(2)
-            .map(|(value, sigs)| EchoCert {
-                value: *value,
-                sender_sig: self
-                    .inputs_seen
-                    .iter()
-                    .find(|(v, _)| v == value)
-                    .map(|(_, s)| *s)
-                    .expect("echoed value always has a recorded sender signature"),
-                echo_sigs: sigs.clone(),
+            .filter(|(_, input)| input.echoes.sigs.len() >= q)
+            .map(|(value, input)| EchoCert {
+                value,
+                sender_sig: input.sender_sig,
+                echo_sigs: input.echoes.sigs.clone(),
             })
             .collect();
         for cert in &formed {
-            self.note_cert_unchecked(cert.clone());
+            // Locally formed, so already valid.
+            if !self.certs.contains(cert.value) {
+                self.certs.insert(cert.value, Certified::new(cert.clone()));
+            }
         }
         formed.into_iter().map(GcastItem::Cert).collect()
     }
 
-    /// Records a locally-formed (already valid) certificate.
-    fn note_cert_unchecked(&mut self, cert: EchoCert) {
-        if self.known_certs.len() >= 2 && !self.known_certs.contains_key(&cert.value) {
-            return;
-        }
-        self.known_certs.entry(cert.value).or_insert(cert);
-    }
-
     /// Ingests a received certificate (any round).
     pub fn recv_cert(&mut self, pki: &Pki, cert: &EchoCert) {
-        if self.known_certs.contains_key(&cert.value) {
+        if self.certs.contains(cert.value) {
             return; // one valid certificate per value suffices
         }
-        if self.known_certs.len() >= 2 {
+        if self.certs.is_full() {
             return; // conflict already established
         }
         if cert.verify(&self.cfg, pki) {
-            self.known_certs.insert(cert.value, cert.clone());
+            self.certs.insert(cert.value, Certified::new(cert.clone()));
         }
     }
 
     /// Round-4 send: confirm the unique certified value, or report the
     /// conflict by spreading certificates.
     ///
-    /// Call after all round-3 receives; snapshots the end-of-round-3
-    /// certificate set.
+    /// Call after all round-3 receives.
     pub fn make_confirm(&mut self, key: &SigningKey) -> Vec<GcastItem> {
-        self.certs_at_confirm = self.known_certs.keys().copied().collect();
-        let mut values = self.known_certs.keys();
-        if self.known_certs.len() == 1 {
-            let value = *values.next().expect("len checked");
-            let cert = self.known_certs[&value].clone();
-            let sig = key.sign(&confirm_bytes(self.cfg.session, self.cfg.inst, value));
-            vec![GcastItem::Confirm { value, sig, cert }]
-        } else {
-            self.known_certs
-                .values()
-                .take(2)
-                .cloned()
-                .map(GcastItem::Cert)
-                .collect()
+        match self.certs.sole() {
+            Some((value, certified)) => {
+                let sig = key.sign(&confirm_bytes(self.cfg.session, self.cfg.inst, value));
+                vec![GcastItem::Confirm {
+                    value,
+                    sig,
+                    cert: certified.cert.clone(),
+                }]
+            }
+            None => self.cert_items().collect(),
         }
     }
 
@@ -444,15 +450,11 @@ impl GcastInstance {
         }
         // Count only confirms whose certificate checks out (a confirm for
         // an uncertifiable value is noise).
-        if !self.known_certs.contains_key(&value) {
+        let Some(certified) = self.certs.get_mut(value) else {
             return;
-        }
-        if !self.confirm_sigs.contains_key(&value) && self.confirm_sigs.len() >= 2 {
-            return;
-        }
+        };
         let cfg = &self.cfg;
-        let per_value = self.confirm_sigs.entry(value).or_default();
-        add_verified(per_value, cfg, pki, sig, || {
+        add_verified(&mut certified.confirms, cfg, pki, sig, || {
             confirm_bytes(cfg.session, cfg.inst, value)
         });
     }
@@ -460,58 +462,65 @@ impl GcastInstance {
     /// Round-5 send: spread any commit certificate formed from direct
     /// confirms, plus every certificate value known at the end of round 4.
     pub fn make_spread(&mut self) -> Vec<GcastItem> {
-        self.certs_at_r4 = self.known_certs.keys().copied().collect();
+        self.sole_cert_at_r4 = self.certs.sole().map(|(value, _)| value);
         let q = self.cfg.quorum();
         let mut items = Vec::new();
-        if let Some((value, sigs)) = self.confirm_sigs.iter().find(|(_, sigs)| sigs.len() >= q) {
-            let cc = CommitCert {
-                value: *value,
-                confirm_sigs: sigs.clone(),
-            };
-            self.self_commit = Some(cc.clone());
-            self.known_commit_values.insert(*value);
-            items.push(GcastItem::Commit(cc));
+        if let Some((value, certified)) = self
+            .certs
+            .iter()
+            .find(|(_, certified)| certified.confirms.sigs.len() >= q)
+        {
+            self.self_commit = Some(value);
+            items.push(GcastItem::Commit(CommitCert {
+                value,
+                confirm_sigs: certified.confirms.sigs.clone(),
+            }));
+            // Two other commit values may already be known, and then this
+            // one does not fit; either way more than one is known, which is
+            // all `finish` asks.
+            if !self.commits.contains(value) {
+                self.commits.insert(value, ());
+            }
         }
-        items.extend(
-            self.known_certs
-                .values()
-                .take(2)
-                .cloned()
-                .map(GcastItem::Cert),
-        );
+        items.extend(self.cert_items());
         items
+    }
+
+    /// Every known certificate, in ascending value order.
+    fn cert_items(&self) -> impl Iterator<Item = GcastItem> + '_ {
+        self.certs
+            .iter()
+            .map(|(_, certified)| GcastItem::Cert(certified.cert.clone()))
     }
 
     /// Ingests a round-5 `Commit` item.
     pub fn recv_commit(&mut self, pki: &Pki, cc: &CommitCert) {
-        if self.known_commit_values.contains(&cc.value) {
+        if self.commits.contains(cc.value) {
             return;
         }
-        if self.known_commit_values.len() >= 2 {
+        if self.commits.is_full() {
             return;
         }
         if cc.verify(&self.cfg, pki) {
-            self.known_commit_values.insert(cc.value);
+            self.commits.insert(cc.value, ());
         }
     }
 
     /// Final output after all round-5 receives.
     pub fn finish(&self) -> GcastOutput {
-        if let Some(cc) = &self.self_commit {
-            let pure = self.known_certs.len() == 1 && self.known_certs.contains_key(&cc.value);
+        if let Some(value) = self.self_commit {
+            let pure = self.certs.sole().is_some_and(|(v, _)| v == value);
             if pure {
                 return GcastOutput {
-                    value: Some(cc.value),
+                    value: Some(value),
                     grade: 2,
                 };
             }
         }
-        if self.known_commit_values.len() == 1 && self.certs_at_r4.len() == 1 {
-            let cc_val = *self.known_commit_values.iter().next().expect("len checked");
-            let cert_val = *self.certs_at_r4.iter().next().expect("len checked");
-            if cc_val == cert_val {
+        if let Some((value, ())) = self.commits.sole() {
+            if self.sole_cert_at_r4 == Some(value) {
                 return GcastOutput {
-                    value: Some(cc_val),
+                    value: Some(value),
                     grade: 1,
                 };
             }
@@ -523,29 +532,112 @@ impl GcastInstance {
     }
 }
 
-/// Adds `sig` to `sigs` (distinct signers in signer order, at most a
-/// quorum) if its signer is new, the quorum is not yet reached, and it
-/// verifies on `msg()`. Duplicates and signatures past the quorum are
+impl Input {
+    fn new(sender_sig: Signature) -> Self {
+        Input {
+            sender_sig,
+            echoes: Votes::default(),
+        }
+    }
+}
+
+impl Certified {
+    fn new(cert: EchoCert) -> Self {
+        Certified {
+            cert,
+            confirms: Votes::default(),
+        }
+    }
+}
+
+/// Adds `sig` to `votes` if its signer is new, the quorum is not yet
+/// reached, and it verifies on the statement, which `msg()` gives the
+/// bytes of on first use. Duplicates and signatures past the quorum are
 /// skipped unverified.
 ///
 /// A sorted `Vec` sized to the quorum holds these few signatures in
 /// less memory than a `BTreeMap`, whose nodes have room for eleven.
 fn add_verified(
-    sigs: &mut Vec<Signature>,
+    votes: &mut Votes,
     cfg: &GcastConfig,
     pki: &Pki,
     sig: &Signature,
     msg: impl FnOnce() -> Vec<u8>,
 ) {
+    let sigs = &mut votes.sigs;
     if sigs.len() >= cfg.quorum() {
         return;
     }
     let Err(at) = sigs.binary_search_by_key(&sig.signer, |s| s.signer) else {
         return;
     };
-    if pki.verify(&msg(), sig) {
+    let statement = votes.statement.get_or_insert_with(|| pki.statement(msg()));
+    if pki.verify_statement(statement, sig) {
         sigs.reserve_exact(cfg.quorum() - sigs.len());
         sigs.insert(at, *sig);
+    }
+}
+
+/// A map from at most two values, kept inline in ascending value order,
+/// so it iterates as a `BTreeMap` would (see the [module docs](self#state)).
+#[derive(Debug)]
+struct Two<T> {
+    /// Filled from the front: `slots[1]` is `Some` only if `slots[0]` is,
+    /// and then holds the larger value.
+    slots: [Option<(Value, T)>; 2],
+}
+
+impl<T> Two<T> {
+    fn new() -> Self {
+        Two {
+            slots: [None, None],
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.slots[1].is_some()
+    }
+
+    fn contains(&self, value: Value) -> bool {
+        self.iter().any(|(v, _)| v == value)
+    }
+
+    fn get_mut(&mut self, value: Value) -> Option<&mut T> {
+        self.slots
+            .iter_mut()
+            .flatten()
+            .find(|(v, _)| *v == value)
+            .map(|(_, t)| t)
+    }
+
+    /// The entry, if there is exactly one.
+    fn sole(&self) -> Option<(Value, &T)> {
+        match &self.slots {
+            [Some((value, t)), None] => Some((*value, t)),
+            _ => None,
+        }
+    }
+
+    /// Entries in ascending value order.
+    fn iter(&self) -> impl Iterator<Item = (Value, &T)> {
+        self.slots.iter().flatten().map(|(value, t)| (*value, t))
+    }
+
+    /// Inserts `value`, which must be absent, and returns its entry, or
+    /// returns `None` if two values are already held.
+    fn insert(&mut self, value: Value, t: T) -> Option<&mut T> {
+        debug_assert!(!self.contains(value), "{value:?} is already held");
+        let at = match &self.slots {
+            [None, _] => 0,
+            [Some(_), Some(_)] => return None,
+            [Some((first, _)), None] if value < *first => {
+                self.slots.swap(0, 1);
+                0
+            }
+            [Some(_), None] => 1,
+        };
+        let (_, t) = self.slots[at].insert((value, t));
+        Some(t)
     }
 }
 
