@@ -27,9 +27,7 @@
 use crate::bb_committee::{BbBatch, CommitteeMode, ParallelBroadcast};
 use crate::chains::{committee_bytes, CommitteeCert};
 use ba_crypto::{Pki, Signature, SigningKey};
-use ba_sim::{
-    forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Tally, Value, WireSize,
-};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Tally, Value, WireSize};
 use std::sync::Arc;
 
 /// Messages of Algorithm 7.
@@ -99,6 +97,12 @@ impl AuthBaWithClassification {
         2 * t < n && n >= t + k && 2 * k < n - t - k
     }
 
+    /// Whether the `2k + 1` committee candidates fit into `n`
+    /// identifiers — the *structural* requirement for running at all.
+    pub fn is_structurally_valid(n: usize, k: usize) -> bool {
+        2 * k < n
+    }
+
     /// Creates the state machine for process `me`.
     ///
     /// `order` is the priority ordering `π(cᵢ)`; `session` must be unique
@@ -116,7 +120,10 @@ impl AuthBaWithClassification {
         key: SigningKey,
     ) -> Self {
         assert_eq!(order.len(), n, "π(c) must order all n identifiers");
-        assert!(2 * k < n, "committee votes need 2k + 1 candidates");
+        assert!(
+            Self::is_structurally_valid(n, k),
+            "committee votes need 2k + 1 candidates"
+        );
         assert_eq!(key.id(), me.0);
         AuthBaWithClassification {
             me,
@@ -145,17 +152,21 @@ impl AuthBaWithClassification {
         inbox: &[Envelope<Alg7Msg>],
         out: &mut Outbox<Alg7Msg>,
     ) {
-        let sub = sub_inbox(inbox, |m| match m {
-            Alg7Msg::Chains(batch) => Some(Arc::clone(batch)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(self.me, self.n);
         let bb = self
             .broadcast
             .as_mut()
             .expect("parallel broadcast live during chain rounds");
-        bb.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, Alg7Msg::Chains);
+        step_sub(
+            bb,
+            local,
+            inbox,
+            out,
+            |m| match m {
+                Alg7Msg::Chains(batch) => Some(Arc::clone(batch)),
+                _ => None,
+            },
+            Alg7Msg::Chains,
+        );
     }
 }
 

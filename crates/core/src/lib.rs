@@ -20,8 +20,7 @@
 //! | [`classify`] | Algorithm 2 — majority-vote classification (§6) |
 //! | [`ordering`] | the priority order `π(c)` and Lemmas 2–6 (§6) |
 //! | [`schedule`] | the guess-and-double phase layout (§5) |
-//! | [`wrapper_unauth`] | Algorithm 1 over the unauthenticated pipeline (Theorem 11, `t < n/3`) |
-//! | [`wrapper_auth`] | Algorithm 1 over the authenticated pipeline (Theorem 12, `t < n/2`) |
+//! | [`wrapper`] | Algorithm 1, one state machine over a component kit: unauthenticated (Theorem 11, `t < n/3`) and authenticated (Theorem 12, `t < n/2`) |
 //!
 //! ## Quickstart
 //!
@@ -55,8 +54,7 @@ pub mod ordering;
 pub mod prediction;
 pub mod schedule;
 pub mod suspects;
-pub mod wrapper_auth;
-pub mod wrapper_unauth;
+pub mod wrapper;
 
 pub use bitvec::BitVec;
 pub use classify::{Classify, ClassifyMsg, MisclassificationReport};
@@ -64,5 +62,7 @@ pub use ordering::{core_of_window, misclassified_by, pi_order, position_in, trut
 pub use prediction::PredictionMatrix;
 pub use schedule::{phase_budget, phase_count, Schedule, Slot, SlotKind};
 pub use suspects::{matrix_from_suspect_lists, SuspectList};
-pub use wrapper_auth::{AuthWrapper, AuthWrapperMsg};
-pub use wrapper_unauth::{UnauthWrapper, UnauthWrapperMsg};
+pub use wrapper::{
+    Auth, AuthWrapper, AuthWrapperMsg, Kit, Unauth, UnauthWrapper, UnauthWrapperMsg, Wrapper,
+    WrapperMsg,
+};

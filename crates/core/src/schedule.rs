@@ -33,7 +33,7 @@ pub enum SlotKind {
     Es {
         /// 1-based phase number.
         phase: u16,
-        /// Fault budget `k = 2^{φ−1}` (capped at `t`).
+        /// Fault budget `k = 2^{φ−1}` (the protocol caps it at `t`).
         k: usize,
     },
     /// Graded consensus between the two conditional BAs (line 9).
@@ -112,57 +112,26 @@ impl Schedule {
         let mut slots = Vec::new();
         let mut cursor = 0u64;
         let mut idx = 0u16;
-        let push =
-            |kind: SlotKind, dur: u64, cursor: &mut u64, idx: &mut u16, slots: &mut Vec<Slot>| {
-                slots.push(Slot {
-                    kind,
-                    idx: *idx,
-                    start: *cursor,
-                    end: *cursor + dur,
-                });
-                *cursor += dur;
-                *idx += 1;
-            };
-        push(SlotKind::Classify, 1, &mut cursor, &mut idx, &mut slots);
+        let mut push = |kind: SlotKind, dur: u64| {
+            slots.push(Slot {
+                kind,
+                idx,
+                start: cursor,
+                end: cursor + dur,
+            });
+            cursor += dur;
+            idx += 1;
+        };
+        push(SlotKind::Classify, 1);
         for phase in 1..=phases {
             let k = phase_budget(phase);
-            push(
-                SlotKind::GcA { phase },
-                gc_rounds,
-                &mut cursor,
-                &mut idx,
-                &mut slots,
-            );
-            push(
-                SlotKind::Es { phase, k },
-                es_rounds(k),
-                &mut cursor,
-                &mut idx,
-                &mut slots,
-            );
-            push(
-                SlotKind::GcB { phase },
-                gc_rounds,
-                &mut cursor,
-                &mut idx,
-                &mut slots,
-            );
+            push(SlotKind::GcA { phase }, gc_rounds);
+            push(SlotKind::Es { phase, k }, es_rounds(k));
+            push(SlotKind::GcB { phase }, gc_rounds);
             if let Some(dur) = class_rounds(k) {
-                push(
-                    SlotKind::Class { phase, k },
-                    dur,
-                    &mut cursor,
-                    &mut idx,
-                    &mut slots,
-                );
+                push(SlotKind::Class { phase, k }, dur);
             }
-            push(
-                SlotKind::GcC { phase },
-                gc_rounds,
-                &mut cursor,
-                &mut idx,
-                &mut slots,
-            );
+            push(SlotKind::GcC { phase }, gc_rounds);
         }
         Schedule {
             slots,

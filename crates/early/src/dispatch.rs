@@ -14,7 +14,7 @@
 //!   `k` directly (it is self-conditional on `f ≤ k`).
 
 use crate::phase_king::{PhaseKing, PhaseKingMsg};
-use ba_sim::{forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use ba_unauth::{Alg5Msg, UnauthBaWithClassification};
 use std::sync::Arc;
 
@@ -98,24 +98,28 @@ impl Process for EsUnauth {
 
     fn step(&mut self, round: u64, inbox: &[Envelope<EsUnauthMsg>], out: &mut Outbox<EsUnauthMsg>) {
         match self {
-            EsUnauth::Alg5(inner) => {
-                let sub = sub_inbox(inbox, |m| match m {
+            EsUnauth::Alg5(inner) => step_sub(
+                inner,
+                round,
+                inbox,
+                out,
+                |m| match m {
                     EsUnauthMsg::Alg5(x) => Some(Arc::clone(x)),
                     EsUnauthMsg::King(_) => None,
-                });
-                let mut sub_out = Outbox::new(out.sender(), out.system_size());
-                inner.step(round, &sub, &mut sub_out);
-                forward_sub(sub_out, out, EsUnauthMsg::Alg5);
-            }
-            EsUnauth::King(inner) => {
-                let sub = sub_inbox(inbox, |m| match m {
+                },
+                EsUnauthMsg::Alg5,
+            ),
+            EsUnauth::King(inner) => step_sub(
+                inner,
+                round,
+                inbox,
+                out,
+                |m| match m {
                     EsUnauthMsg::King(x) => Some(Arc::clone(x)),
                     EsUnauthMsg::Alg5(_) => None,
-                });
-                let mut sub_out = Outbox::new(out.sender(), out.system_size());
-                inner.step(round, &sub, &mut sub_out);
-                forward_sub(sub_out, out, EsUnauthMsg::King);
-            }
+                },
+                EsUnauthMsg::King,
+            ),
         }
     }
 

@@ -35,8 +35,7 @@
 
 use ba_graded::{UnauthGcMsg, UnauthGraded};
 use ba_sim::{
-    distinct_values_by_sender, forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value,
-    WireSize,
+    distinct_values_by_sender, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::sync::Arc;
 
@@ -209,7 +208,6 @@ impl PhaseKing {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn drive_gc(
         gc: &mut UnauthGraded,
         local: u64,
@@ -217,27 +215,29 @@ impl PhaseKing {
         is_main: bool,
         inbox: &[Envelope<PhaseKingMsg>],
         out: &mut Outbox<PhaseKingMsg>,
-        me: ProcessId,
-        n: usize,
     ) {
-        let sub = sub_inbox(inbox, |m| match (m, is_main) {
-            (PhaseKingMsg::Main { phase: p, inner }, true) if *p == phase => {
-                Some(Arc::clone(inner))
-            }
-            (PhaseKingMsg::Detect { phase: p, inner }, false) if *p == phase => {
-                Some(Arc::clone(inner))
-            }
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        gc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| {
-            if is_main {
-                PhaseKingMsg::Main { phase, inner }
-            } else {
-                PhaseKingMsg::Detect { phase, inner }
-            }
-        });
+        step_sub(
+            gc,
+            local,
+            inbox,
+            out,
+            |m| match (m, is_main) {
+                (PhaseKingMsg::Main { phase: p, inner }, true) if *p == phase => {
+                    Some(Arc::clone(inner))
+                }
+                (PhaseKingMsg::Detect { phase: p, inner }, false) if *p == phase => {
+                    Some(Arc::clone(inner))
+                }
+                _ => None,
+            },
+            |inner| {
+                if is_main {
+                    PhaseKingMsg::Main { phase, inner }
+                } else {
+                    PhaseKingMsg::Detect { phase, inner }
+                }
+            },
+        );
     }
 
     /// Completes a phase's detect consensus; returns `true` if the
@@ -249,7 +249,7 @@ impl PhaseKing {
         phase: usize,
     ) -> bool {
         let mut gc = self.detect.take().expect("detect live at completion");
-        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out, self.me, self.n);
+        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out);
         let graded = gc.output().expect("graded consensus outputs at step 2");
         self.value = graded.value;
         if let Some(decided) = self.decision {
@@ -297,17 +297,17 @@ impl Process for PhaseKing {
                     return;
                 }
                 let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out);
                 self.main = Some(gc);
             }
             1 => {
                 let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out);
                 self.main = Some(gc);
             }
             2 => {
                 let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out);
                 let graded = gc.output().expect("graded consensus outputs at step 2");
                 self.value = graded.value;
                 self.main_grade = graded.grade;
@@ -331,12 +331,12 @@ impl Process for PhaseKing {
                     }
                 }
                 let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out);
                 self.detect = Some(gc);
             }
             4 => {
                 let mut gc = self.detect.take().expect("detect live");
-                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out);
                 self.detect = Some(gc);
             }
             _ => unreachable!(),

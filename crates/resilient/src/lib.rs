@@ -64,8 +64,7 @@ use ba_core::BitVec;
 use ba_early::{PhaseKing, PhaseKingMsg};
 use ba_graded::UnauthGcMsg;
 use ba_sim::{
-    forward_sub, sub_inbox, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value,
-    WireSize,
+    step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -308,13 +307,17 @@ impl Process for ResilientBa {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        let sub = sub_inbox(inbox, |m| match m {
-            ResilientMsg::Phase(x) => Some(Arc::clone(x)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(out.sender(), out.system_size());
-        inner.step(round - 1, &sub, &mut sub_out);
-        forward_sub(sub_out, out, ResilientMsg::Phase);
+        step_sub(
+            inner,
+            round - 1,
+            inbox,
+            out,
+            |m| match m {
+                ResilientMsg::Phase(x) => Some(Arc::clone(x)),
+                _ => None,
+            },
+            ResilientMsg::Phase,
+        );
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }

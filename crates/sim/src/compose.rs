@@ -1,4 +1,4 @@
-//! Helpers for embedding one protocol inside another.
+//! Embedding one protocol inside another.
 //!
 //! Higher-level protocols (the paper's Algorithm 5 and the Algorithm-1
 //! wrapper) run sub-protocols in tagged slots: every sub-protocol message
@@ -7,23 +7,32 @@
 //! honest process simply never routes a mis-tagged message into a live
 //! sub-protocol.
 //!
-//! The helpers here keep that routing cheap: inner payloads stay behind
+//! [`step_sub`] keeps that routing cheap: inner payloads stay behind
 //! their `Arc`, and broadcast wrapping reuses one outer allocation per
 //! distinct inner payload.
 
 use crate::envelope::{Envelope, Outbox};
+use crate::process::Process;
 use std::sync::Arc;
 
-/// Projects an outer inbox onto a sub-protocol inbox.
+/// Steps the embedded sub-protocol `sub` at its local round `local`.
 ///
-/// `extract` returns the inner payload for messages addressed to the
-/// sub-protocol's slot (and `None` for everything else, which is
-/// discarded).
-pub fn sub_inbox<M, S>(
+/// `extract` projects the outer inbox onto the sub-protocol's: it returns
+/// the inner payload of messages addressed to this sub-protocol (its
+/// slot, phase, or lane) and `None` for everything else, which is
+/// discarded. Every envelope `sub` sends is pushed into `out` with its
+/// payload wrapped by `wrap`; envelopes that share an inner payload
+/// (sub-protocol broadcasts) share the outer allocation too. The
+/// sub-protocol sends as `out`'s owner in a system of `out`'s size.
+pub fn step_sub<P: Process, M>(
+    sub: &mut P,
+    local: u64,
     inbox: &[Envelope<M>],
-    mut extract: impl FnMut(&M) -> Option<Arc<S>>,
-) -> Vec<Envelope<S>> {
-    inbox
+    out: &mut Outbox<M>,
+    mut extract: impl FnMut(&M) -> Option<Arc<P::Msg>>,
+    mut wrap: impl FnMut(Arc<P::Msg>) -> M,
+) {
+    let sub_inbox: Vec<Envelope<P::Msg>> = inbox
         .iter()
         .filter_map(|env| {
             extract(&env.payload).map(|payload| Envelope {
@@ -32,20 +41,10 @@ pub fn sub_inbox<M, S>(
                 payload,
             })
         })
-        .collect()
-}
-
-/// Forwards a sub-protocol's outbox into the outer outbox, wrapping each
-/// inner payload with `wrap`.
-///
-/// Envelopes that share an inner payload (sub-protocol broadcasts) share
-/// the outer allocation too.
-pub fn forward_sub<S, M>(
-    sub_out: Outbox<S>,
-    out: &mut Outbox<M>,
-    mut wrap: impl FnMut(Arc<S>) -> M,
-) {
-    let mut cache: Vec<(*const S, Arc<M>)> = Vec::new();
+        .collect();
+    let mut sub_out = Outbox::new(out.sender(), out.system_size());
+    sub.step(local, &sub_inbox, &mut sub_out);
+    let mut cache: Vec<(*const P::Msg, Arc<M>)> = Vec::new();
     for env in sub_out.into_envelopes() {
         let key = Arc::as_ptr(&env.payload);
         let outer = match cache.iter().find(|(k, _)| *k == key) {
@@ -75,29 +74,66 @@ mod tests {
         B(Arc<u32>),
     }
 
+    /// Records what it receives and, when stepped, sends its script:
+    /// `(Some(to), v)` to one recipient, `(None, v)` to everyone.
+    #[derive(Default)]
+    struct Scripted {
+        seen: Vec<(ProcessId, u32)>,
+        script: Vec<(Option<ProcessId>, u32)>,
+    }
+
+    impl Process for Scripted {
+        type Msg = u32;
+        type Output = ();
+        fn step(&mut self, _round: u64, inbox: &[Envelope<u32>], out: &mut Outbox<u32>) {
+            self.seen
+                .extend(inbox.iter().map(|env| (env.from, *env.payload)));
+            for (to, v) in self.script.drain(..) {
+                match to {
+                    Some(to) => out.send(to, v),
+                    None => out.broadcast(v),
+                }
+            }
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+        fn halted(&self) -> bool {
+            false
+        }
+    }
+
+    fn only_a(m: &Outer) -> Option<Arc<u32>> {
+        match m {
+            Outer::A(x) => Some(Arc::clone(x)),
+            Outer::B(_) => None,
+        }
+    }
+
     #[test]
-    fn sub_inbox_filters_and_unwraps() {
+    fn step_sub_filters_and_unwraps() {
         let inbox = vec![
             Envelope::new(ProcessId(0), ProcessId(1), Outer::A(Arc::new(10))),
             Envelope::new(ProcessId(2), ProcessId(1), Outer::B(Arc::new(20))),
         ];
-        let sub = sub_inbox(&inbox, |m| match m {
-            Outer::A(x) => Some(Arc::clone(x)),
-            Outer::B(_) => None,
-        });
-        assert_eq!(sub.len(), 1);
-        assert_eq!(*sub[0].payload, 10);
-        assert_eq!(sub[0].from, ProcessId(0));
+        let mut sub = Scripted::default();
+        let mut out: Outbox<Outer> = Outbox::new(ProcessId(1), 3);
+        step_sub(&mut sub, 0, &inbox, &mut out, only_a, Outer::A);
+        assert_eq!(sub.seen, vec![(ProcessId(0), 10)]);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn forward_sub_wraps_and_shares_allocations() {
-        let mut sub: Outbox<u32> = Outbox::new(ProcessId(0), 3);
-        sub.broadcast(7);
+    fn step_sub_wraps_and_shares_allocations() {
+        let mut sub = Scripted {
+            script: vec![(None, 7)],
+            ..Scripted::default()
+        };
         let mut out: Outbox<Outer> = Outbox::new(ProcessId(0), 3);
-        forward_sub(sub, &mut out, Outer::A);
+        step_sub(&mut sub, 0, &[], &mut out, only_a, Outer::A);
         let envs = out.into_envelopes();
         assert_eq!(envs.len(), 3);
+        assert!(envs.iter().all(|env| env.from == ProcessId(0)));
         // One outer allocation shared by all three envelopes.
         assert!(envs
             .windows(2)
@@ -106,13 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn forward_sub_distinguishes_distinct_payloads() {
-        let mut sub: Outbox<u32> = Outbox::new(ProcessId(1), 4);
-        sub.send(ProcessId(0), 1);
-        sub.send(ProcessId(2), 2);
+    fn step_sub_distinguishes_distinct_payloads() {
+        let mut sub = Scripted {
+            script: vec![(Some(ProcessId(0)), 1), (Some(ProcessId(2)), 2)],
+            ..Scripted::default()
+        };
         let mut out: Outbox<Outer> = Outbox::new(ProcessId(1), 4);
-        forward_sub(sub, &mut out, Outer::B);
+        step_sub(&mut sub, 0, &[], &mut out, only_a, Outer::B);
         let envs = out.into_envelopes();
+        assert_eq!(envs.len(), 2);
+        assert!(!Arc::ptr_eq(&envs[0].payload, &envs[1].payload));
+        assert_eq!(envs[0].to, ProcessId(0));
         assert!(matches!(&*envs[0].payload, Outer::B(x) if **x == 1));
         assert!(matches!(&*envs[1].payload, Outer::B(x) if **x == 2));
     }

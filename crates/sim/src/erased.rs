@@ -1,7 +1,7 @@
 //! Type-erased session handles: one engine for every message type.
 //!
 //! Each protocol family in this workspace exchanges its own message type
-//! (`UnauthWrapperMsg`, `BbBatch`, `PhaseKingMsg`, …), so a [`Runner`] is
+//! (`WrapperMsg<K>`, `BbBatch`, `PhaseKingMsg`, …), so a [`Runner`] is
 //! generic over it — and any harness that wants to treat protocols
 //! uniformly ends up duplicating its setup/measure logic per message
 //! type. This module erases the type: a fully built session (honest

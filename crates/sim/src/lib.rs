@@ -80,7 +80,7 @@ pub use adversary::{
     Adversary, AdversaryCtx, CrashAdversary, FaultyInboxes, FnAdversary, ReplayAdversary,
     SilentAdversary,
 };
-pub use compose::{forward_sub, sub_inbox};
+pub use compose::step_sub;
 pub use envelope::{Envelope, Outbox};
 pub use erased::{erase, ErasedSession, MapOutput};
 pub use id::{ProcessId, Value};

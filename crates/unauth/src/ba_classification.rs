@@ -31,7 +31,7 @@
 use crate::conciliation::{ConcMsg, Conciliation};
 use crate::gc_core_set::{CoreSetGcMsg, CoreSetGraded};
 use crate::ListenSet;
-use ba_sim::{forward_sub, sub_inbox, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use std::sync::Arc;
 
 /// Tagged messages of Algorithm 5.
@@ -188,7 +188,6 @@ impl UnauthBaWithClassification {
     }
 
     /// Drives one sub-protocol step, translating inboxes/outboxes.
-    #[allow(clippy::too_many_arguments)]
     fn drive_gc(
         gc: &mut CoreSetGraded,
         local: u64,
@@ -196,23 +195,25 @@ impl UnauthBaWithClassification {
         slot_is_a: bool,
         inbox: &[Envelope<Alg5Msg>],
         out: &mut Outbox<Alg5Msg>,
-        me: ProcessId,
-        n: usize,
     ) {
-        let sub = sub_inbox(inbox, |m| match (m, slot_is_a) {
-            (Alg5Msg::GcA { phase: p, inner }, true) if *p == phase => Some(Arc::clone(inner)),
-            (Alg5Msg::GcB { phase: p, inner }, false) if *p == phase => Some(Arc::clone(inner)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        gc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| {
-            if slot_is_a {
-                Alg5Msg::GcA { phase, inner }
-            } else {
-                Alg5Msg::GcB { phase, inner }
-            }
-        });
+        step_sub(
+            gc,
+            local,
+            inbox,
+            out,
+            |m| match (m, slot_is_a) {
+                (Alg5Msg::GcA { phase: p, inner }, true) if *p == phase => Some(Arc::clone(inner)),
+                (Alg5Msg::GcB { phase: p, inner }, false) if *p == phase => Some(Arc::clone(inner)),
+                _ => None,
+            },
+            |inner| {
+                if slot_is_a {
+                    Alg5Msg::GcA { phase, inner }
+                } else {
+                    Alg5Msg::GcB { phase, inner }
+                }
+            },
+        );
     }
 
     fn drive_conc(
@@ -221,16 +222,18 @@ impl UnauthBaWithClassification {
         phase: u16,
         inbox: &[Envelope<Alg5Msg>],
         out: &mut Outbox<Alg5Msg>,
-        me: ProcessId,
-        n: usize,
     ) {
-        let sub = sub_inbox(inbox, |m| match m {
-            Alg5Msg::Conc { phase: p, inner } if *p == phase => Some(Arc::clone(inner)),
-            _ => None,
-        });
-        let mut sub_out = Outbox::new(me, n);
-        conc.step(local, &sub, &mut sub_out);
-        forward_sub(sub_out, out, |inner| Alg5Msg::Conc { phase, inner });
+        step_sub(
+            conc,
+            local,
+            inbox,
+            out,
+            |m| match m {
+                Alg5Msg::Conc { phase: p, inner } if *p == phase => Some(Arc::clone(inner)),
+                _ => None,
+            },
+            |inner| Alg5Msg::Conc { phase, inner },
+        );
     }
 
     /// Completes the phase's second graded consensus and applies lines
@@ -242,7 +245,7 @@ impl UnauthBaWithClassification {
         out: &mut Outbox<Alg5Msg>,
     ) -> bool {
         let mut gc = self.gc_b.take().expect("gc_b live at phase completion");
-        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out, self.me, self.n);
+        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out);
         let graded = gc.output().expect("Algorithm 3 outputs at step 2");
         self.value = graded.value;
         if let Some(decided) = self.decision {
@@ -293,19 +296,19 @@ impl Process for UnauthBaWithClassification {
                 }
                 let listen = self.listen_for_phase(phase);
                 let mut gc = CoreSetGraded::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out);
                 self.gc_a = Some(gc);
             }
             1 => {
                 let mut gc = self.gc_a.take().expect("gc_a live");
-                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out);
                 self.gc_a = Some(gc);
             }
             2 => {
                 // gc_a output; conciliation starts with the updated value
                 // (line 6 feeding line 7).
                 let mut gc = self.gc_a.take().expect("gc_a live");
-                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out);
                 let graded = gc.output().expect("Algorithm 3 outputs at step 2");
                 self.value = graded.value;
                 // Stash the grade inside gc_a slot via re-store: we keep
@@ -314,12 +317,12 @@ impl Process for UnauthBaWithClassification {
                 self.gc_a = Some(gc);
                 let listen = self.listen_for_phase(phase);
                 let mut conc = Conciliation::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_conc(&mut conc, 0, phase as u16, inbox, out, self.me, self.n);
+                Self::drive_conc(&mut conc, 0, phase as u16, inbox, out);
                 self.conc = Some(conc);
             }
             3 => {
                 let mut conc = self.conc.take().expect("conc live");
-                Self::drive_conc(&mut conc, 1, phase as u16, inbox, out, self.me, self.n);
+                Self::drive_conc(&mut conc, 1, phase as u16, inbox, out);
                 let conciliated = conc.output().expect("Algorithm 4 outputs at step 1");
                 let gc_a = self.gc_a.take().expect("gc_a holds the phase grade");
                 let graded = gc_a.output().expect("already completed");
@@ -329,12 +332,12 @@ impl Process for UnauthBaWithClassification {
                 }
                 let listen = self.listen_for_phase(phase);
                 let mut gc = CoreSetGraded::new(self.me, self.n, self.k, self.value, listen);
-                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out);
                 self.gc_b = Some(gc);
             }
             4 => {
                 let mut gc = self.gc_b.take().expect("gc_b live");
-                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out, self.me, self.n);
+                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out);
                 self.gc_b = Some(gc);
             }
             _ => unreachable!("off < 5"),

@@ -15,7 +15,7 @@
 //! written against the concrete message type.
 
 use ba_commeff::signed::{AckBody, Certificate, CommEffSignedMsg, ReportBody};
-use ba_core::{AuthWrapperMsg, BitVec, UnauthWrapperMsg};
+use ba_core::{BitVec, Kit, WrapperMsg};
 use ba_crypto::{Pki, Signed, SigningKey};
 use ba_resilient::signed::{ClassifyBody, ResilientSignedMsg};
 use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
@@ -40,8 +40,7 @@ pub enum LiarStyle {
 /// Broadcasts crafted prediction vectors in the classification round and
 /// stays silent afterwards.
 ///
-/// Works against both wrapper pipelines via [`ClassifyLiar::unauth`] and
-/// [`ClassifyLiar::auth`].
+/// Works against both wrapper pipelines via [`ClassifyLiar::wrapper`].
 #[derive(Clone, Debug)]
 pub struct ClassifyLiar {
     n: usize,
@@ -100,14 +99,10 @@ impl ClassifyLiar {
         }
     }
 
-    /// Adapter for the unauthenticated wrapper's message type.
-    pub fn unauth(self) -> impl Adversary<UnauthWrapperMsg> {
-        UnauthLiar(self)
-    }
-
-    /// Adapter for the authenticated wrapper's message type.
-    pub fn auth(self) -> impl Adversary<AuthWrapperMsg> {
-        AuthLiar(self)
+    /// Adapter for the Algorithm-1 wrapper's message type, over either
+    /// component kit.
+    pub fn wrapper<K: Kit>(self) -> impl Adversary<WrapperMsg<K>> {
+        Wrapped(self, WrapperMsg::Classify)
     }
 
     /// Adapter for the resilient pipeline's message type — the only
@@ -115,7 +110,7 @@ impl ClassifyLiar {
     /// (`RandomPerRecipient` there splits the honest suspicion views,
     /// exercising the schedule's liveness suffix).
     pub fn resilient(self) -> impl Adversary<ba_resilient::ResilientMsg> {
-        ResilientLiar(self)
+        Wrapped(self, ba_resilient::ResilientMsg::Classify)
     }
 
     /// Adapter for the *signed* resilient pipeline: the same crafted
@@ -133,24 +128,12 @@ impl ClassifyLiar {
     }
 }
 
-struct UnauthLiar(ClassifyLiar);
-impl Adversary<UnauthWrapperMsg> for UnauthLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, UnauthWrapperMsg>) {
-        self.0.emit(ctx, UnauthWrapperMsg::Classify);
-    }
-}
-
-struct AuthLiar(ClassifyLiar);
-impl Adversary<AuthWrapperMsg> for AuthLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, AuthWrapperMsg>) {
-        self.0.emit(ctx, AuthWrapperMsg::Classify);
-    }
-}
-
-struct ResilientLiar(ClassifyLiar);
-impl Adversary<ba_resilient::ResilientMsg> for ResilientLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ba_resilient::ResilientMsg>) {
-        self.0.emit(ctx, ba_resilient::ResilientMsg::Classify);
+/// A liar whose vectors travel in the classification message its
+/// second field builds.
+struct Wrapped<F>(ClassifyLiar, F);
+impl<M: Clone, F: Fn(Arc<BitVec>) -> M> Adversary<M> for Wrapped<F> {
+    fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
+        self.0.emit(ctx, &self.1);
     }
 }
 

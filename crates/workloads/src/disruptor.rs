@@ -30,7 +30,7 @@
 //! follow `min{B/n + 1, f}` because of exactly these two exits.
 
 use ba_auth::chains::{committee_bytes, CommitteeCert, MessageChain};
-use ba_core::schedule::{Slot, SlotKind};
+use ba_core::schedule::{Schedule, SlotKind};
 use ba_core::{AuthWrapper, AuthWrapperMsg, BitVec, UnauthWrapper, UnauthWrapperMsg};
 use ba_crypto::{Pki, Signature, SigningKey};
 use ba_early::{EsUnauth, EsUnauthMsg, PhaseKingMsg};
@@ -49,31 +49,22 @@ fn split_value(to: ProcessId) -> Option<Value> {
     to.0.is_multiple_of(2).then_some(Value(0))
 }
 
-/// Locates the slot covering `round` plus the local round within it.
-fn locate(slots: &[Slot], round: u64) -> Option<(&Slot, u64)> {
-    slots
-        .iter()
-        .find(|s| s.start <= round && round < s.end)
-        .map(|s| (s, round - s.start))
-}
-
 /// Worst-case adversary against the unauthenticated wrapper.
 pub struct UnauthDisruptor {
     n: usize,
     t: usize,
     faulty: Vec<ProcessId>,
-    slots: Vec<Slot>,
+    schedule: Schedule,
 }
 
 impl UnauthDisruptor {
     /// Creates the disruptor for the given system parameters.
     pub fn new(n: usize, t: usize, faulty: Vec<ProcessId>) -> Self {
-        let schedule = UnauthWrapper::schedule(n, t);
         UnauthDisruptor {
             n,
             t,
             faulty,
-            slots: schedule.slots,
+            schedule: UnauthWrapper::schedule(n, t),
         }
     }
 
@@ -153,9 +144,10 @@ impl UnauthDisruptor {
 
 impl Adversary<UnauthWrapperMsg> for UnauthDisruptor {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, UnauthWrapperMsg>) {
-        let Some((slot, local)) = locate(&self.slots, ctx.round) else {
+        let Some(slot) = self.schedule.slot_at(ctx.round) else {
             return;
         };
+        let local = ctx.round - slot.start;
         let faulty = self.faulty.clone();
         for from in faulty {
             for to in ProcessId::all(self.n) {
@@ -209,7 +201,7 @@ pub struct AuthDisruptor {
     n: usize,
     faulty: Vec<ProcessId>,
     keys: Vec<SigningKey>,
-    slots: Vec<Slot>,
+    schedule: Schedule,
     harvested_certs: Vec<Option<CommitteeCert>>,
 }
 
@@ -219,12 +211,11 @@ impl AuthDisruptor {
     /// model allows).
     pub fn new(n: usize, t: usize, faulty: Vec<ProcessId>, pki: &Pki) -> Self {
         let keys = faulty.iter().map(|p| pki.signing_key(p.0)).collect();
-        let schedule = AuthWrapper::schedule(n, t);
         AuthDisruptor {
             n,
             faulty: faulty.clone(),
             keys,
-            slots: schedule.slots,
+            schedule: AuthWrapper::schedule(n, t),
             harvested_certs: vec![None; faulty.len()],
         }
     }
@@ -257,10 +248,10 @@ impl AuthDisruptor {
 
 impl Adversary<AuthWrapperMsg> for AuthDisruptor {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, AuthWrapperMsg>) {
-        let Some((slot, local)) = locate(&self.slots, ctx.round) else {
+        let Some(&slot) = self.schedule.slot_at(ctx.round) else {
             return;
         };
-        let slot = *slot;
+        let local = ctx.round - slot.start;
         let session = u64::from(slot.idx);
         match slot.kind {
             SlotKind::Classify => {
@@ -405,11 +396,11 @@ mod tests {
     fn unauth_disruptor_crafts_slot_consistent_messages() {
         let d = UnauthDisruptor::new(16, 5, vec![ProcessId(0)]);
         // Slot 0 is classify; slot 1 is GcA with 2 rounds.
-        assert!(matches!(d.slots[0].kind, SlotKind::Classify));
-        assert!(matches!(d.slots[1].kind, SlotKind::GcA { .. }));
-        let (slot, local) = locate(&d.slots, 1).unwrap();
+        assert!(matches!(d.schedule.slots[0].kind, SlotKind::Classify));
+        assert!(matches!(d.schedule.slots[1].kind, SlotKind::GcA { .. }));
+        let slot = d.schedule.slot_at(1).unwrap();
         assert_eq!(slot.idx, 1);
-        assert_eq!(local, 0);
+        assert_eq!(slot.start, 1, "round 1 is the slot's local round 0");
     }
 
     #[test]

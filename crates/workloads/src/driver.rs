@@ -166,7 +166,7 @@ pub static FAMILIES: [Family; Pipeline::ALL.len()] = [
         build: |spec| {
             let adversary = adversary(
                 spec.adversary,
-                |style| Some(Box::new(liar(spec, style).unauth())),
+                |style| Some(Box::new(liar(spec, style).wrapper())),
                 || Box::new(UnauthDisruptor::new(spec.n, spec.t, spec.faulty_vec())),
             );
             let make = |id, input| {
@@ -187,7 +187,7 @@ pub static FAMILIES: [Family; Pipeline::ALL.len()] = [
             let pki = pki(spec);
             let adversary = adversary(
                 spec.adversary,
-                |style| Some(Box::new(liar(spec, style).auth())),
+                |style| Some(Box::new(liar(spec, style).wrapper())),
                 || Box::new(AuthDisruptor::new(spec.n, spec.t, spec.faulty_vec(), &pki)),
             );
             let make = |id: ProcessId, input| {
