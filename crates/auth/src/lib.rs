@@ -22,6 +22,8 @@
 //! messages; unconditionally it finishes in `k + 3` rounds with `O(n²)`
 //! messages sent per process.
 
+#![forbid(unsafe_code)]
+
 pub mod ba_classification;
 pub mod bb_committee;
 pub mod chains;

@@ -6,7 +6,7 @@
 //! observed batch (a serviceable noise floor for a deterministic
 //! workload).
 
-use ba_crypto::{hmac_sha256, sha256, Pki, Signature};
+use ba_crypto::{hmac_sha256, sha256, Pki, SealedSig, Signature};
 use ba_graded::{AuthGraded, UnauthGraded};
 use ba_sim::{
     Envelope, Outbox, Process, ProcessId, ReplayAdversary, Runner, SilentAdversary, Value,
@@ -72,6 +72,27 @@ fn main() {
         format!("{best:.0}"),
     ]);
 
+    // One block compression, portable and as dispatched: the dispatched
+    // row runs on the SHA extensions when the CPU has them.
+    let block = [0x5au8; 64];
+    let mut state = [0u32; 8];
+    let (mean, best) = measure(20, 5000, || {
+        ba_crypto::sha256::compress_portable(black_box(&mut state), black_box(&block))
+    });
+    table.row([
+        "sha256_block_portable".to_string(),
+        format!("{mean:.1}"),
+        format!("{best:.1}"),
+    ]);
+    let (mean, best) = measure(20, 5000, || {
+        ba_crypto::sha256::compress(black_box(&mut state), black_box(&block))
+    });
+    table.row([
+        "sha256_block".to_string(),
+        format!("{mean:.1}"),
+        format!("{best:.1}"),
+    ]);
+
     let key = [7u8; 32];
     let msg = vec![1u8; 128];
     let (mean, best) = measure(20, 500, || hmac_sha256(black_box(&key), black_box(&msg)));
@@ -125,6 +146,19 @@ fn main() {
         "pki_verify_statement_hit".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
+    ]);
+
+    // The same check once the signature is sealed on the statement's
+    // slot: answered from the seal, without the memo's lock.
+    let sealed = SealedSig::from(sig);
+    assert!(pki.verify_sealed(&mut statement, &sealed));
+    let (mean, best) = measure(batches, per_batch, || {
+        pki.verify_sealed(black_box(&mut statement), black_box(&sealed))
+    });
+    table.row([
+        "pki_verify_sealed_hit".to_string(),
+        format!("{mean:.1}"),
+        format!("{best:.1}"),
     ]);
 
     let (mean, best) = measure(10, 20, || {

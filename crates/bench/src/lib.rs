@@ -12,6 +12,8 @@
 //! rather than sampling wall-clock distributions; the `engine` bench
 //! times the substrate microbenchmarks directly.
 
+#![forbid(unsafe_code)]
+
 use ba_workloads::{
     AdversaryKind, ErrorPlacement, ExperimentConfig, ExperimentOutcome, FaultPlacement, Pipeline,
 };

@@ -38,6 +38,8 @@
 //! the [`signed`] variant ([`CommEffSigned`]) removes exactly that
 //! conditionality with transferable certify certificates.
 
+#![forbid(unsafe_code)]
+
 pub mod signed;
 
 pub use signed::{CommEffSigned, CommEffSignedMsg};

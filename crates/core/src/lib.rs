@@ -48,6 +48,8 @@
 //! assert_eq!(report.decision(), Some(&Value(42)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitvec;
 pub mod classify;
 pub mod ordering;

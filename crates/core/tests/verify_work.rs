@@ -1,7 +1,8 @@
 //! Deterministic work counters of the simulated PKI on one hand-built
 //! authenticated-wrapper session: how many signature checks the
 //! protocol asks for, how many MACs the verification memo leaves to
-//! compute, and how many times the memo is probed by message bytes.
+//! compute, how many times the memo is probed by message bytes, and how
+//! many checks a sealed signature answers without the memo.
 
 use ba_core::{AuthWrapper, PredictionMatrix};
 use ba_crypto::{Pki, VerifyCounts};
@@ -48,7 +49,8 @@ fn verify_counts_are_pinned_and_the_memo_absorbs_repeats() {
         VerifyCounts {
             calls: 21_378,
             macs: 1_620,
-            lookups: 3_754
+            lookups: 3_754,
+            sealed: 14_976
         }
     );
     assert!(
@@ -58,5 +60,9 @@ fn verify_counts_are_pinned_and_the_memo_absorbs_repeats() {
     assert!(
         counts.lookups * 5 < counts.calls,
         "statements should find their memo slot once, not per signature: {counts:?}"
+    );
+    assert!(
+        counts.sealed * 2 > counts.calls,
+        "seals should answer the repeat checks of shared echoes and confirms: {counts:?}"
     );
 }

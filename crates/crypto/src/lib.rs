@@ -9,7 +9,9 @@
 //! tags under per-process keys that only a PKI oracle holds:
 //!
 //! * [`mod@sha256`] — SHA-256 implemented from scratch and validated
-//!   against the NIST FIPS 180-4 test vectors;
+//!   against the NIST FIPS 180-4 test vectors; its block compression
+//!   runs on the x86-64 SHA extensions when the CPU has them, the one
+//!   `unsafe` module in the workspace;
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against RFC 4231;
 //!   [`hmac::HmacKey`] keeps a key's two padded-block SHA-256 states, so
 //!   a short message costs two compressions instead of four;
@@ -29,7 +31,10 @@
 //!   message's memo slot once it has one, so later checks through
 //!   [`sign::Pki::verify_statement`] neither re-encode nor re-hash the
 //!   bytes. A statement is bound to the `Pki` that resolved it; any
-//!   other `Pki` checks it through its bytes;
+//!   other `Pki` checks it through its bytes. A [`sign::SealedSig`]
+//!   shared by the recipients of one broadcast records where it verified
+//!   ([`sign::Pki::verify_sealed`]), so only its first recipient pays
+//!   for the check;
 //! * [`encode`] — a small deterministic, domain-separated byte encoder so
 //!   that every signed protocol message has a canonical serialization.
 //! * [`signed`] — the reusable [`signed::Signed`] envelope (canonical
@@ -41,6 +46,8 @@
 //! preserved. The test suites include active forgery attempts that must
 //! fail.
 
+#![deny(unsafe_code)]
+
 pub mod encode;
 pub mod hmac;
 pub mod sha256;
@@ -50,5 +57,5 @@ pub mod signed;
 pub use encode::{Encodable, Encoder};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use sha256::{sha256, Sha256};
-pub use sign::{Pki, Signature, SignerId, SigningKey, Statement, VerifyCounts};
+pub use sign::{Pki, SealedSig, Signature, SignerId, SigningKey, Statement, VerifyCounts};
 pub use signed::Signed;

@@ -55,12 +55,34 @@
 //!
 //! [`VerifyCounts::lookups`] counts the index probes, so the saving is a
 //! deterministic count.
+//!
+//! ## Seals
+//!
+//! A broadcast payload is shared by all its recipients, and each of them
+//! checks the same signature in it on the same statement. Even a slot hit
+//! takes the memo's lock and scans the slot. A [`SealedSig`] carries the
+//! answer instead: [`Pki::verify_sealed`] records on the signature itself
+//! the `Pki` and the memo slot it verified on, and a later check of the
+//! same signature on a statement that knows the same slot in the same
+//! `Pki` is answered from that record without locking the memo.
+//!
+//! * The seal is exact. A slot names one message's bytes in one `Pki`,
+//!   the seal is set only after the signature verified on that slot, and
+//!   a sealed signature cannot be changed: its fields are private and it
+//!   dereferences to a [`Signature`] only immutably.
+//! * A seal is set once and never read by another `Pki`, even one with
+//!   the same keys, nor for a statement whose slot differs or is not
+//!   known yet. Those checks take the statement path; a forgery never
+//!   gets a seal, so it is recomputed and rejected on every call.
+//! * [`VerifyCounts::calls`] still counts every check;
+//!   [`VerifyCounts::sealed`] counts those a seal answered.
 
 use crate::encode::Encoder;
 use crate::hmac::{tags_equal, HmacKey};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Identifier type mirrored from `ba-sim` (kept as a raw `u32` here so the
 /// crypto substrate has no simulator dependency; protocol crates convert
@@ -106,6 +128,49 @@ impl crate::encode::Encodable for Signature {
     }
 }
 
+/// A [`Signature`] that remembers where it verified, so that the
+/// recipients of one shared payload pay for its check once (see the
+/// [module docs](self#seals)).
+///
+/// It reads as the signature it wraps, and goes on the wire as one.
+#[derive(Clone)]
+pub struct SealedSig {
+    sig: Signature,
+    /// The id of the `Pki` the signature verified in, and the memo slot
+    /// of the bytes it verified on.
+    seal: OnceLock<(u64, u32)>,
+}
+
+impl From<Signature> for SealedSig {
+    fn from(sig: Signature) -> Self {
+        SealedSig {
+            sig,
+            seal: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for SealedSig {
+    type Target = Signature;
+
+    fn deref(&self) -> &Signature {
+        &self.sig
+    }
+}
+
+impl std::fmt::Debug for SealedSig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.sig.fmt(f)
+    }
+}
+
+/// The seal stays with the receiver: on the wire this is a signature.
+impl ba_sim::WireSize for SealedSig {
+    fn wire_bytes(&self) -> u64 {
+        self.sig.wire_bytes()
+    }
+}
+
 /// The capability to sign as one process.
 ///
 /// Obtained from [`Pki::signing_key`]. Cloning is allowed (a process may
@@ -146,19 +211,21 @@ fn truncate(full: &[u8; 32]) -> [u8; 16] {
     tag
 }
 
-/// How much work [`Pki::verify`] and [`Pki::verify_statement`] have
-/// done.
+/// How much work [`Pki::verify`], [`Pki::verify_statement`] and
+/// [`Pki::verify_sealed`] have done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyCounts {
-    /// Signature checks, through either method.
+    /// Signature checks, through any method.
     pub calls: u64,
     /// MACs those calls computed; the rest were answered by the memo or
-    /// named an unknown signer.
+    /// a seal, or named an unknown signer.
     pub macs: u64,
     /// Memo probes keyed by message bytes: one per [`Pki::verify`] call,
-    /// and one per [`Pki::verify_statement`] call on a statement whose
-    /// slot is not yet known.
+    /// and one per statement check on a statement whose slot is not yet
+    /// known.
     pub lookups: u64,
+    /// Checks answered from a [`SealedSig`]'s seal, without the memo.
+    pub sealed: u64,
 }
 
 /// Successful verifications, and the work counters, behind one lock.
@@ -210,6 +277,8 @@ pub struct Pki {
     /// a [`Statement`]'s slot is only ever read by the `Pki` that set it.
     id: u64,
     memo: Mutex<Memo>,
+    /// [`VerifyCounts::sealed`], kept outside the lock that seals avoid.
+    sealed: AtomicU64,
 }
 
 /// The id the next [`Pki`] gets.
@@ -248,6 +317,7 @@ impl Pki {
             keys,
             id: NEXT_PKI_ID.fetch_add(1, Ordering::Relaxed),
             memo: Mutex::default(),
+            sealed: AtomicU64::new(0),
         }
     }
 
@@ -318,7 +388,31 @@ impl Pki {
         valid
     }
 
-    /// The one signature check behind both `verify` methods: answers from
+    /// Verifies `sig` on the statement's bytes like
+    /// [`Pki::verify_statement`], and seals it once it verified on the
+    /// statement's slot (see the [module docs](self#seals)).
+    ///
+    /// A signature sealed by this `Pki` on the slot the statement knows
+    /// is accepted without touching the memo; any other seal is ignored.
+    pub fn verify_sealed(&self, statement: &mut Statement, sig: &SealedSig) -> bool {
+        let ours = statement.pki == self.id;
+        if ours
+            && statement
+                .slot
+                .is_some_and(|slot| sig.seal.get() == Some(&(self.id, slot)))
+        {
+            self.sealed.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        let valid = self.verify_statement(statement, sig);
+        if let (true, true, Some(slot)) = (valid, ours, statement.slot) {
+            // A signature already sealed elsewhere keeps that seal.
+            let _ = sig.seal.set((self.id, slot));
+        }
+        valid
+    }
+
+    /// The one signature check behind every `verify` method: answers from
     /// `message`'s memo slot if it has one, else computes the MAC and
     /// records a success. Returns the verdict and the message's slot
     /// afterwards.
@@ -355,10 +449,13 @@ impl Pki {
         (true, Some(slot))
     }
 
-    /// Verify calls so far, the MACs they computed and the memo probes
-    /// they made.
+    /// Verify calls so far, the MACs they computed, the memo probes they
+    /// made and the calls a seal answered.
     pub fn verify_counts(&self) -> VerifyCounts {
-        self.memo().counts
+        let mut counts = self.memo().counts;
+        counts.sealed = self.sealed.load(Ordering::Relaxed);
+        counts.calls += counts.sealed;
+        counts
     }
 
     fn memo(&self) -> MutexGuard<'_, Memo> {
@@ -452,7 +549,8 @@ mod tests {
             VerifyCounts {
                 calls: 130,
                 macs: 129,
-                lookups: 130
+                lookups: 130,
+                sealed: 0
             }
         );
     }
@@ -479,7 +577,8 @@ mod tests {
             VerifyCounts {
                 calls: 258,
                 macs: 257,
-                lookups: 1
+                lookups: 1,
+                sealed: 0
             }
         );
     }
@@ -501,7 +600,8 @@ mod tests {
             VerifyCounts {
                 calls: 2,
                 macs: 2,
-                lookups: 2
+                lookups: 2,
+                sealed: 0
             }
         );
     }
@@ -530,7 +630,8 @@ mod tests {
             VerifyCounts {
                 calls: 4,
                 macs: 4,
-                lookups: 4
+                lookups: 4,
+                sealed: 0
             }
         );
         assert_eq!(
@@ -538,7 +639,102 @@ mod tests {
             VerifyCounts {
                 calls: 2,
                 macs: 1,
-                lookups: 1
+                lookups: 1,
+                sealed: 0
+            }
+        );
+    }
+
+    #[test]
+    fn sealed_signatures_reject_every_flipped_bit() {
+        let pki = Pki::new(4, 7);
+        let sig = SealedSig::from(pki.signing_key(1).sign(b"m"));
+        let mut statement = pki.statement(b"m".to_vec());
+        assert!(pki.verify_sealed(&mut statement, &sig));
+        assert_eq!(sig.seal.get(), Some(&(pki.id, 0)));
+        for bit in 0..128 {
+            let mut forged = *sig;
+            forged.tag[bit / 8] ^= 1 << (bit % 8);
+            let forged = SealedSig::from(forged);
+            for _ in 0..2 {
+                assert!(
+                    !pki.verify_sealed(&mut statement, &forged),
+                    "tag bit {bit} flipped"
+                );
+            }
+            assert_eq!(forged.seal.get(), None, "a forgery is never sealed");
+        }
+        assert!(pki.verify_sealed(&mut statement, &sig), "seal hit");
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 258,
+                macs: 257,
+                lookups: 1,
+                sealed: 1
+            }
+        );
+    }
+
+    #[test]
+    fn seals_are_bound_to_the_pki_that_set_them() {
+        // A twin with the same keys gives its first message the same slot
+        // as `pki`. If it trusted `pki`'s seal on `sig_a`, it would accept
+        // `sig_a` on bytes `a` was never signed over.
+        let (pki, twin) = (Pki::new(4, 7), Pki::new(4, 7));
+        let sig_a = SealedSig::from(pki.signing_key(1).sign(b"a"));
+        let mut on_a = pki.statement(b"a".to_vec());
+        assert!(pki.verify_sealed(&mut on_a, &sig_a));
+        assert_eq!(sig_a.seal.get(), Some(&(pki.id, 0)));
+        let mut twin_on_b = twin.statement(b"b".to_vec());
+        assert!(twin.verify_statement(&mut twin_on_b, &twin.signing_key(2).sign(b"b")));
+        assert_eq!(twin_on_b.slot, Some(0));
+        for _ in 0..2 {
+            assert!(!twin.verify_sealed(&mut twin_on_b, &sig_a));
+        }
+        // On its own bytes the twin accepts `sig_a` by its MAC, and keeps
+        // `pki`'s seal.
+        let mut twin_on_a = twin.statement(b"a".to_vec());
+        for _ in 0..2 {
+            assert!(twin.verify_sealed(&mut twin_on_a, &sig_a));
+        }
+        assert_eq!(sig_a.seal.get(), Some(&(pki.id, 0)));
+        assert_eq!(
+            twin.verify_counts(),
+            VerifyCounts {
+                calls: 5,
+                macs: 4,
+                lookups: 2,
+                sealed: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_seal_never_accepts_its_signature_on_other_bytes() {
+        let pki = Pki::new(4, 7);
+        let sig = SealedSig::from(pki.signing_key(1).sign(b"a"));
+        let mut on_a = pki.statement(b"a".to_vec());
+        assert!(pki.verify_sealed(&mut on_a, &sig));
+        // `b` gets its own slot from another signer's signature; `c` has
+        // none yet.
+        let mut on_b = pki.statement(b"b".to_vec());
+        assert!(pki.verify_statement(&mut on_b, &pki.signing_key(2).sign(b"b")));
+        assert_eq!((on_a.slot, on_b.slot), (Some(0), Some(1)));
+        let mut on_c = pki.statement(b"c".to_vec());
+        for _ in 0..2 {
+            assert!(!pki.verify_sealed(&mut on_b, &sig));
+            assert!(!pki.verify_sealed(&mut on_c, &sig));
+        }
+        assert_eq!(sig.seal.get(), Some(&(pki.id, 0)), "the seal stays on `a`");
+        assert!(pki.verify_sealed(&mut on_a, &sig));
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 7,
+                macs: 6,
+                lookups: 4,
+                sealed: 1
             }
         );
     }

@@ -1,11 +1,13 @@
 //! Property-based tests of the cryptographic substrate: streaming/one-shot
 //! equivalence for SHA-256, precomputed HMAC keys against the textbook
 //! construction, signature binding under random inputs (also once the
-//! verification memo holds the genuine signature, and through resolved
-//! statements), encoder injectivity on structured inputs, and in-place
+//! verification memo holds the genuine signature, through resolved
+//! statements, and once the genuine signature is sealed), encoder injectivity on structured inputs, and in-place
 //! nesting against the two-step encoding.
 
-use ba_crypto::{hmac_sha256, sha256, Encodable, Encoder, HmacKey, Pki, Sha256, Signature};
+use ba_crypto::{
+    hmac_sha256, sha256, Encodable, Encoder, HmacKey, Pki, SealedSig, Sha256, Signature,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -171,6 +173,90 @@ proptest! {
         prop_assert_eq!(counts.lookups, 2 + 2 * other_bytes.len() as u64);
         let counts = stranger.verify_counts();
         prop_assert_eq!((counts.calls, counts.macs, counts.lookups), (4, 4, 4));
+    }
+
+    /// The seal path mirrors the statement test above. Once a genuine
+    /// signature is sealed, it and its clones are accepted from the seal,
+    /// and every variation is still rejected, twice each: the sealed
+    /// signature on other bytes that have a memo slot of their own,
+    /// another signer, a signer outside the PKI, a PKI with another seed,
+    /// and a twin PKI with the same keys, which checks it by its MAC and
+    /// never reads the seal.
+    #[test]
+    fn sealed_signatures_admit_no_forgery(
+        msg in proptest::collection::vec(any::<u8>(), 1..64),
+        other in proptest::collection::vec(any::<u8>(), 0..64),
+        extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ids in (0u32..8, 1u32..8),
+        seed in 0u64..1000,
+    ) {
+        let pki = Pki::new(8, seed);
+        let (signer, shift) = ids;
+        let sig = SealedSig::from(pki.signing_key(signer).sign(&msg));
+        let mut statement = pki.statement(msg.clone());
+        prop_assert!(pki.verify_sealed(&mut statement, &sig));
+        prop_assert!(pki.verify_sealed(&mut statement, &sig), "seal hit");
+        prop_assert!(pki.verify_sealed(&mut statement, &sig.clone()), "a clone keeps the seal");
+
+        let mut other_bytes = vec![
+            [msg.as_slice(), &extra].concat(),
+            msg[..msg.len() - 1].to_vec(),
+        ];
+        if other != msg && !other_bytes.contains(&other) {
+            other_bytes.push(other);
+        }
+        let witness = pki.signing_key((signer + shift) % 8);
+        for bytes in &other_bytes {
+            let mut forged = pki.statement(bytes.clone());
+            prop_assert!(pki.verify_statement(&mut forged, &witness.sign(bytes)), "give the bytes a slot");
+            for _ in 0..2 {
+                prop_assert!(
+                    !pki.verify_sealed(&mut forged, &sig),
+                    "{:?} accepted over {:?}", sig, bytes
+                );
+            }
+        }
+        let claimed_by = |id: u32| {
+            let mut forged = *sig;
+            forged.signer = id;
+            SealedSig::from(forged)
+        };
+        let forged_sigs = [claimed_by((signer + shift) % 8), claimed_by(8 + shift), claimed_by(u32::MAX)];
+        for forged in &forged_sigs {
+            for _ in 0..2 {
+                prop_assert!(
+                    !pki.verify_sealed(&mut statement, forged),
+                    "{:?} accepted", forged
+                );
+            }
+        }
+
+        let stranger = Pki::new(8, seed + 1000);
+        let mut foreign = stranger.statement(msg.clone());
+        for _ in 0..2 {
+            prop_assert!(!stranger.verify_sealed(&mut foreign, &sig), "cross-seed statement");
+            prop_assert!(!stranger.verify_sealed(&mut statement, &sig), "cross-seed slot");
+        }
+        let twin = Pki::new(8, seed);
+        let mut twin_statement = twin.statement(msg.clone());
+        for _ in 0..2 {
+            prop_assert!(twin.verify_sealed(&mut twin_statement, &sig), "same keys, own memo");
+        }
+        prop_assert!(pki.verify_sealed(&mut statement, &sig), "the genuine signature still verifies");
+
+        // Seals answer the three repeats of the genuine signature. One MAC
+        // for it, one per witness, and one per rejection of an in-range
+        // signer. Probes by bytes: the first check on each statement.
+        let ob = other_bytes.len() as u64;
+        let counts = pki.verify_counts();
+        prop_assert_eq!(counts.calls, 4 + 3 * ob + 2 * forged_sigs.len() as u64);
+        prop_assert_eq!(counts.macs, 1 + 3 * ob + 2);
+        prop_assert_eq!(counts.lookups, 1 + ob);
+        prop_assert_eq!(counts.sealed, 3);
+        let counts = stranger.verify_counts();
+        prop_assert_eq!((counts.calls, counts.macs, counts.lookups, counts.sealed), (4, 4, 4, 0));
+        let counts = twin.verify_counts();
+        prop_assert_eq!((counts.calls, counts.macs, counts.lookups, counts.sealed), (2, 1, 1, 0));
     }
 
     /// `nested` and `seq` encode in place exactly what the two-step

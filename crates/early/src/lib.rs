@@ -22,6 +22,8 @@
 //! same code paths: [`PhaseKing::full`] (unauthenticated, `t + 2`
 //! phases) and [`TruncatedDs::full`] (authenticated, `t + 1` rounds).
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 pub mod phase_king;
 pub mod truncated_ds;

@@ -408,7 +408,7 @@ mod tests {
                 ctx.broadcast(
                     ProcessId(3),
                     AuthGcMsg {
-                        items: vec![(3, GcastItem::Cert(cert))],
+                        items: vec![(3, GcastItem::Cert(Arc::new(cert)))],
                     },
                 );
             }
@@ -541,7 +541,7 @@ mod tests {
                                         GcastItem::Echo {
                                             value,
                                             sender_sig: ssig,
-                                            sig: esig,
+                                            sig: esig.into(),
                                         },
                                     )],
                                 },

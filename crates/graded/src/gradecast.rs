@@ -54,6 +54,13 @@
 //!   [`Pki`] on the first signature to check on them (see
 //!   [`ba_crypto::Statement`]); every later signature on them is checked
 //!   without encoding or hashing the statement again.
+//! * Certificates are shared, not copied: a formed or received echo
+//!   certificate is one `Arc<EchoCert>` allocation, held by the instance
+//!   and by every round-3 to round-5 item that carries it.
+//! * Echo and confirm signatures travel as [`SealedSig`]s. A broadcast
+//!   item reaches every recipient as one shared payload, so the first
+//!   recipient to verify one seals it, and the rest accept it from the
+//!   seal without the memo (see [`Pki::verify_sealed`]).
 //!
 //! ## Proof sketch
 //!
@@ -78,9 +85,10 @@
 //! holders on different values would each violate the other's
 //! "exactly one certificate value by end of round 4" condition.
 
-use ba_crypto::{Encoder, Pki, Signature, SigningKey, Statement};
+use ba_crypto::{Encoder, Pki, SealedSig, Signature, SigningKey, Statement};
 use ba_sim::{Value, WireSize};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Static parameters of one gradecast instance.
 #[derive(Clone, Copy, Debug)]
@@ -217,19 +225,19 @@ pub enum GcastItem {
         /// The sender's signature being echoed.
         sender_sig: Signature,
         /// The echoer's signature over [`echo_bytes`].
-        sig: Signature,
+        sig: SealedSig,
     },
     /// Rounds 3–5: an echo certificate (fresh, conflict report, or
     /// spread).
-    Cert(EchoCert),
+    Cert(Arc<EchoCert>),
     /// Round 4: a confirmation with its supporting certificate.
     Confirm {
         /// Confirmed value.
         value: Value,
         /// Confirmer's signature over [`confirm_bytes`].
-        sig: Signature,
+        sig: SealedSig,
         /// Certificate justifying the confirmation.
-        cert: EchoCert,
+        cert: Arc<EchoCert>,
     },
     /// Round 5: a commit certificate.
     Commit(CommitCert),
@@ -297,7 +305,7 @@ struct Input {
 /// A certified value's first valid certificate and verified confirms.
 #[derive(Debug)]
 struct Certified {
-    cert: EchoCert,
+    cert: Arc<EchoCert>,
     confirms: Votes,
 }
 
@@ -357,12 +365,14 @@ impl GcastInstance {
         self.inputs.sole().map(|(value, input)| GcastItem::Echo {
             value,
             sender_sig: input.sender_sig,
-            sig: key.sign(&echo_bytes(self.cfg.session, self.cfg.inst, value)),
+            sig: key
+                .sign(&echo_bytes(self.cfg.session, self.cfg.inst, value))
+                .into(),
         })
     }
 
     /// Ingests a round-2 `Echo` item.
-    pub fn recv_echo(&mut self, pki: &Pki, value: Value, sender_sig: &Signature, sig: &Signature) {
+    pub fn recv_echo(&mut self, pki: &Pki, value: Value, sender_sig: &Signature, sig: &SealedSig) {
         let cfg = &self.cfg;
         let input = match self.inputs.get_mut(value) {
             Some(input) => input,
@@ -392,27 +402,30 @@ impl GcastInstance {
     /// Round-3 send: certificates this process can assemble from echoes.
     pub fn make_certs(&mut self) -> Vec<GcastItem> {
         let q = self.cfg.quorum();
-        let formed: Vec<EchoCert> = self
+        let formed: Vec<Arc<EchoCert>> = self
             .inputs
             .iter()
             .filter(|(_, input)| input.echoes.sigs.len() >= q)
-            .map(|(value, input)| EchoCert {
-                value,
-                sender_sig: input.sender_sig,
-                echo_sigs: input.echoes.sigs.clone(),
+            .map(|(value, input)| {
+                Arc::new(EchoCert {
+                    value,
+                    sender_sig: input.sender_sig,
+                    echo_sigs: input.echoes.sigs.clone(),
+                })
             })
             .collect();
         for cert in &formed {
             // Locally formed, so already valid.
             if !self.certs.contains(cert.value) {
-                self.certs.insert(cert.value, Certified::new(cert.clone()));
+                self.certs
+                    .insert(cert.value, Certified::new(Arc::clone(cert)));
             }
         }
         formed.into_iter().map(GcastItem::Cert).collect()
     }
 
     /// Ingests a received certificate (any round).
-    pub fn recv_cert(&mut self, pki: &Pki, cert: &EchoCert) {
+    pub fn recv_cert(&mut self, pki: &Pki, cert: &Arc<EchoCert>) {
         if self.certs.contains(cert.value) {
             return; // one valid certificate per value suffices
         }
@@ -420,7 +433,8 @@ impl GcastInstance {
             return; // conflict already established
         }
         if cert.verify(&self.cfg, pki) {
-            self.certs.insert(cert.value, Certified::new(cert.clone()));
+            self.certs
+                .insert(cert.value, Certified::new(Arc::clone(cert)));
         }
     }
 
@@ -434,8 +448,8 @@ impl GcastInstance {
                 let sig = key.sign(&confirm_bytes(self.cfg.session, self.cfg.inst, value));
                 vec![GcastItem::Confirm {
                     value,
-                    sig,
-                    cert: certified.cert.clone(),
+                    sig: sig.into(),
+                    cert: Arc::clone(&certified.cert),
                 }]
             }
             None => self.cert_items().collect(),
@@ -444,7 +458,7 @@ impl GcastInstance {
 
     /// Ingests a round-4 `Confirm` item (records the attached certificate
     /// first, then the confirm signature).
-    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &Signature, cert: &EchoCert) {
+    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &SealedSig, cert: &Arc<EchoCert>) {
         if cert.value == value {
             self.recv_cert(pki, cert);
         }
@@ -490,7 +504,7 @@ impl GcastInstance {
     fn cert_items(&self) -> impl Iterator<Item = GcastItem> + '_ {
         self.certs
             .iter()
-            .map(|(_, certified)| GcastItem::Cert(certified.cert.clone()))
+            .map(|(_, certified)| GcastItem::Cert(Arc::clone(&certified.cert)))
     }
 
     /// Ingests a round-5 `Commit` item.
@@ -542,7 +556,7 @@ impl Input {
 }
 
 impl Certified {
-    fn new(cert: EchoCert) -> Self {
+    fn new(cert: Arc<EchoCert>) -> Self {
         Certified {
             cert,
             confirms: Votes::default(),
@@ -551,9 +565,9 @@ impl Certified {
 }
 
 /// Adds `sig` to `votes` if its signer is new, the quorum is not yet
-/// reached, and it verifies on the statement, which `msg()` gives the
-/// bytes of on first use. Duplicates and signatures past the quorum are
-/// skipped unverified.
+/// reached, and it verifies (or is sealed) on the statement, which
+/// `msg()` gives the bytes of on first use. Duplicates and signatures
+/// past the quorum are skipped unverified.
 ///
 /// A sorted `Vec` sized to the quorum holds these few signatures in
 /// less memory than a `BTreeMap`, whose nodes have room for eleven.
@@ -561,7 +575,7 @@ fn add_verified(
     votes: &mut Votes,
     cfg: &GcastConfig,
     pki: &Pki,
-    sig: &Signature,
+    sig: &SealedSig,
     msg: impl FnOnce() -> Vec<u8>,
 ) {
     let sigs = &mut votes.sigs;
@@ -572,9 +586,9 @@ fn add_verified(
         return;
     };
     let statement = votes.statement.get_or_insert_with(|| pki.statement(msg()));
-    if pki.verify_statement(statement, sig) {
+    if pki.verify_sealed(statement, sig) {
         sigs.reserve_exact(cfg.quorum() - sigs.len());
-        sigs.insert(at, *sig);
+        sigs.insert(at, **sig);
     }
 }
 
@@ -781,7 +795,7 @@ mod tests {
             let esig = pki
                 .signing_key(i)
                 .sign(&echo_bytes(cfg.session, 0, Value(6)));
-            inst.recv_echo(&pki, Value(6), &ssig, &esig);
+            inst.recv_echo(&pki, Value(6), &ssig, &esig.into());
         }
         let certs = inst.make_certs();
         assert_eq!(certs.len(), 1);
@@ -791,6 +805,42 @@ mod tests {
                 assert!(c.verify(&cfg, &pki));
             }
             other => panic!("expected Cert, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn certificates_are_shared_not_copied() {
+        let (pki, cfg) = (pki(), cfg());
+        let sender = pki.signing_key(0);
+        let mut formed = GcastInstance::new(cfg);
+        let ssig = sender.sign(&value_bytes(cfg.session, 0, Value(6)));
+        for i in [0u32, 1, 2] {
+            let esig = pki
+                .signing_key(i)
+                .sign(&echo_bytes(cfg.session, 0, Value(6)));
+            formed.recv_echo(&pki, Value(6), &ssig, &esig.into());
+        }
+        let mut received = GcastInstance::new(cfg);
+        let cert = Arc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
+        received.recv_cert(&pki, &cert);
+        let certs = |items: &[GcastItem]| -> Vec<Arc<EchoCert>> {
+            items
+                .iter()
+                .map(|item| match item {
+                    GcastItem::Cert(cert) | GcastItem::Confirm { cert, .. } => Arc::clone(cert),
+                    other => panic!("expected a certificate, got {other:?}"),
+                })
+                .collect()
+        };
+        for (inst, first) in [(&mut formed, None), (&mut received, Some(cert))] {
+            let first = first.unwrap_or_else(|| certs(&inst.make_certs())[0].clone());
+            let key = pki.signing_key(3);
+            for later in [certs(&inst.make_confirm(&key)), certs(&inst.make_spread())] {
+                assert!(
+                    Arc::ptr_eq(&first, &later[0]),
+                    "one allocation per certificate"
+                );
+            }
         }
     }
 
@@ -805,7 +855,7 @@ mod tests {
             let esig = pki
                 .signing_key(i)
                 .sign(&echo_bytes(cfg.session, 0, Value(6)));
-            inst.recv_echo(&pki, Value(6), &ssig, &esig);
+            inst.recv_echo(&pki, Value(6), &ssig, &esig.into());
         }
         assert!(inst.make_certs().is_empty());
     }
@@ -814,7 +864,7 @@ mod tests {
     fn confirm_only_with_unique_certified_value() {
         let (pki, cfg) = (pki(), cfg());
         let mut inst = GcastInstance::new(cfg);
-        inst.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
+        inst.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]).into());
         let items = inst.make_confirm(&pki.signing_key(3));
         assert!(
             matches!(items.as_slice(), [GcastItem::Confirm { value, .. }] if *value == Value(1))
@@ -822,8 +872,8 @@ mod tests {
 
         // Conflicting certificates: report instead of confirming.
         let mut inst2 = GcastInstance::new(cfg);
-        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
-        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(2), &[0, 3, 4]));
+        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]).into());
+        inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(2), &[0, 3, 4]).into());
         let items2 = inst2.make_confirm(&pki.signing_key(3));
         assert_eq!(items2.len(), 2);
         assert!(items2.iter().all(|i| matches!(i, GcastItem::Cert(_))));

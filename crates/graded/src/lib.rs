@@ -30,6 +30,8 @@
 //! [`Graded::paper_grade`]. The extra level is what the early-stopping
 //! phase-king construction in `ba-early` needs.
 
+#![forbid(unsafe_code)]
+
 pub mod auth;
 pub mod gradecast;
 pub mod unauth;

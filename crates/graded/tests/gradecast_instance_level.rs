@@ -9,6 +9,7 @@ use ba_graded::gradecast::{
     GcastItem, GcastOutput,
 };
 use ba_sim::Value;
+use std::sync::Arc;
 
 fn cfg() -> GcastConfig {
     GcastConfig {
@@ -35,12 +36,12 @@ fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(11, 0, v))
 }
 
-fn cert(pki: &Pki, v: Value, echoers: &[u32]) -> EchoCert {
-    EchoCert {
+fn cert(pki: &Pki, v: Value, echoers: &[u32]) -> Arc<EchoCert> {
+    Arc::new(EchoCert {
         value: v,
         sender_sig: sender_sig(pki, v),
         echo_sigs: echoers.iter().map(|&s| echo_sig(pki, s, v)).collect(),
-    }
+    })
 }
 
 /// Runs a fully honest instance end to end by hand: every round's rule
@@ -59,7 +60,7 @@ fn honest_happy_path_reaches_grade_2() {
     // R2: quorum (n − t = 3) of echoes.
     let ssig = sender_sig(&pki, v);
     for s in [0u32, 1, 2] {
-        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, s, v));
+        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, s, v).into());
     }
     let certs = inst.make_certs();
     assert_eq!(certs.len(), 1);
@@ -71,7 +72,7 @@ fn honest_happy_path_reaches_grade_2() {
     // R4: quorum of direct confirms.
     let own_cert = cert(&pki, v, &[0, 1, 2]);
     for s in [0u32, 1, 2] {
-        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v), &own_cert);
+        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &own_cert);
     }
     let spread = inst.make_spread();
     assert!(
@@ -149,13 +150,13 @@ fn confirms_without_certificates_do_not_count() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
     let v = Value(3);
-    let junk_cert = EchoCert {
+    let junk_cert = Arc::new(EchoCert {
         value: Value(4), // mismatched: attached cert is for another value
         sender_sig: sender_sig(&pki, Value(4)),
         echo_sigs: vec![echo_sig(&pki, 0, Value(4))],
-    };
+    });
     for s in [0u32, 1, 2] {
-        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v), &junk_cert);
+        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &junk_cert);
     }
     let _ = inst.make_confirm(&pki.signing_key(1));
     let spread = inst.make_spread();
@@ -175,7 +176,7 @@ fn duplicate_echoers_do_not_reach_quorum() {
     let ssig = sender_sig(&pki, v);
     inst.recv_input(&pki, v, &ssig);
     for _ in 0..5 {
-        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, 1, v));
+        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, 1, v).into());
     }
     assert!(inst.make_certs().is_empty(), "one signer echoed five times");
 }

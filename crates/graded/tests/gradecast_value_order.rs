@@ -8,6 +8,7 @@ use ba_graded::gradecast::{
     GcastItem,
 };
 use ba_sim::Value;
+use std::sync::Arc;
 
 const SESSION: u64 = 3;
 
@@ -32,12 +33,12 @@ fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(SESSION, 0, v))
 }
 
-fn cert(pki: &Pki, v: Value) -> EchoCert {
-    EchoCert {
+fn cert(pki: &Pki, v: Value) -> Arc<EchoCert> {
+    Arc::new(EchoCert {
         value: v,
         sender_sig: sender_sig(pki, v),
         echo_sigs: [0, 1, 2].iter().map(|&s| echo_sig(pki, s, v)).collect(),
-    }
+    })
 }
 
 /// The value each item carries, in emitted order, with `C` for a
@@ -71,7 +72,7 @@ fn two_values_arriving_in_descending_order_are_emitted_ascending() {
     );
     for v in [high, low, third] {
         for s in [0, 1, 2] {
-            inst.recv_echo(&pki, v, &sender_sig(&pki, v), &echo_sig(&pki, s, v));
+            inst.recv_echo(&pki, v, &sender_sig(&pki, v), &echo_sig(&pki, s, v).into());
         }
     }
     let certs = inst.make_certs();
@@ -93,7 +94,7 @@ fn two_values_arriving_in_descending_order_are_emitted_ascending() {
     // the smaller value, then both certificates follow in order.
     for v in [high, low, third] {
         for s in [0, 1, 2] {
-            inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v), &cert(&pki, v));
+            inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &cert(&pki, v));
         }
     }
     let spread = inst.make_spread();

@@ -54,6 +54,8 @@
 //! their own signatures — shrinking the budget to `t + 2` phases with
 //! no suffix at all.
 
+#![forbid(unsafe_code)]
+
 pub mod signed;
 
 pub use signed::{

@@ -10,6 +10,8 @@
 //! * `prop_assume!` rejects the case; rejected cases are retried with
 //!   fresh inputs up to a bounded attempt budget.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 
 /// Deterministic SplitMix64 stream driving all generation.

@@ -6,6 +6,8 @@
 //! streams against golden constants, only runs against runs, so the
 //! numeric difference from upstream `StdRng` (ChaCha12) is unobservable.
 
+#![forbid(unsafe_code)]
+
 /// Low-level entropy source: everything derives from `next_u64`.
 pub trait RngCore {
     /// Produces the next 64 random bits.

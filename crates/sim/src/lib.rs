@@ -66,6 +66,8 @@
 //! assert_eq!(report.outputs[&ProcessId(0)], Value(10));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod adversary;
 mod compose;
 mod envelope;

@@ -25,6 +25,8 @@
 //!
 //! Interestingly (§7), none of this requires `t < n/3`.
 
+#![forbid(unsafe_code)]
+
 pub mod ba_classification;
 pub mod conciliation;
 pub mod gc_core_set;

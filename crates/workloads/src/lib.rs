@@ -32,6 +32,8 @@
 //!   and 14) as checkable functions;
 //! * [`tables`] — markdown table rendering for the bench harnesses.
 
+#![forbid(unsafe_code)]
+
 pub mod adversaries;
 pub mod disruptor;
 pub mod driver;

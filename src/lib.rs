@@ -104,6 +104,8 @@
 //! assert!(baseline.agreement);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ba_auth;
 pub use ba_commeff;
 pub use ba_core;
