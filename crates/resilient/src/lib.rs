@@ -12,55 +12,66 @@
 //! realized prediction error — instead of cliff-switching.
 //!
 //! This crate reproduces that trade-off in the repository's execution
-//! model (`t < n/3`, no signatures) by making predictions steer *who
-//! leads*, not *which protocol runs*:
+//! model (`t < n/3`) by making predictions steer *who leads*, not *which
+//! protocol runs*. The protocol is one state machine, [`Resilient<X>`],
+//! in two stages:
 //!
-//! 1. **Classification exchange** (1 round): every process broadcasts
-//!    its `n`-bit prediction string and aggregates the strings it
-//!    receives into a per-identifier *suspicion score* — the number of
-//!    peers predicting that identifier faulty.
+//! 1. **Classification exchange** ([`Exchange`]): every process ships
+//!    its `n`-bit prediction string, and aggregates the strings it
+//!    accepts into one [`View`] — a per-identifier *suspicion score*
+//!    (the number of voters predicting that identifier faulty), the
+//!    identifiers convicted of equivocation, the majority
+//!    classification, and the king schedule.
 //! 2. **Trust-ordered phase king** (5 rounds per phase): a standard
 //!    early-stopping phase-king agreement ([`ba_early::PhaseKing`])
-//!    whose throne order is the suspicion order, most-trusted first
-//!    ([`king_schedule`]). Accurate predictions put an honest king on
-//!    the throne in phase 0; every faulty identifier the error budget
-//!    `B` manages to promote above the first honest one costs exactly
-//!    one extra (stalled) phase. The round count is thus a staircase in
-//!    `B` with unit steps — no fast lane, no cliff — and it can never
-//!    exceed the prediction-free baseline by more than the schedule
-//!    constant, because at most `f` faulty identifiers exist to be
-//!    promoted.
+//!    whose throne order is the view's schedule, most-trusted first.
+//!    Accurate predictions put an honest king on the throne in phase 0;
+//!    every faulty identifier the error budget `B` manages to promote
+//!    above the first honest one costs exactly one extra (stalled)
+//!    phase. The round count is thus a staircase in `B` with unit steps
+//!    — no fast lane, no cliff — and at most `f` faulty identifiers
+//!    exist to be promoted.
+//!
+//! Two exchanges plug in; they differ only in the rounds before phase
+//! king and in the schedule rule:
+//!
+//! | exchange | rounds before phase king | schedule | phase budget | pipeline |
+//! |---|---|---|---|---|
+//! | [`Plain`] | 1: broadcast | [`king_schedule`]: `t + 1` trust slots, then a `t + 2`-phase rotation suffix | `2t + 3` | [`ResilientBa`] |
+//! | [`Signed`] | 2: sign, then echo | [`signed_king_schedule`]: `t + 2` trust slots | `t + 2` | [`ResilientSigned`] |
+//!
+//! ## Suffix versus conviction
 //!
 //! Safety never depends on the predictions: deciding requires a grade-2
-//! detect consensus exactly as in the baseline, so arbitrarily wrong
-//! (or arbitrarily adversarial) hints can only cost rounds. Liveness
-//! holds unconditionally too: the king schedule ends with a `t + 2`
-//! phase suffix in plain identifier rotation, so even if Byzantine
-//! classifications split the honest processes' suspicion views (they
-//! are broadcast unauthenticated), every honest process eventually
-//! crowns the same honest king.
+//! detect consensus exactly as in the baseline, so arbitrarily wrong (or
+//! adversarial) hints can only cost rounds. Liveness needs every honest
+//! process to crown the same honest king, and the two exchanges buy that
+//! differently:
 //!
-//! The worst-case budget is `2t + 3` phases — the `t + 1` suspicion-
-//! ordered slots plus the unconditional suffix — i.e. within a small
-//! constant factor of the baseline's `t + 2`, which is the resilience
-//! contract: *graceful* gains when the predictions help, bounded loss
-//! when they are garbage.
+//! * [`Plain`] broadcasts unauthenticated, so a Byzantine classifier can
+//!   send a *different* string to every recipient and split the honest
+//!   suspicion views (pinned by
+//!   `equivocated_classifications_split_the_unsigned_schedules`). Its
+//!   schedule therefore ends with a `t + 2`-phase suffix in plain
+//!   identifier rotation, which crowns a common honest king whatever the
+//!   prefixes were. The worst case is `2t + 3` phases, a small constant
+//!   factor over the baseline's `t + 2`: *graceful* gains when the
+//!   predictions help, bounded loss when they are garbage.
+//! * [`Signed`] makes the views agree instead: signed strings, an echo
+//!   round that only counts strings carried by `t + 1` echoers, and
+//!   conviction of signers caught with two strings (see [`signed`]).
+//!   With agreeing views the suffix is dead weight, and the `t + 2`
+//!   least-suspected identifiers (at least two of them honest) decide
+//!   within `t + 2` phases. The price is the echo round's `O(n³)`
+//!   signed-string bytes.
 //!
-//! The suffix is insurance against *classification equivocation* (the
-//! schedule split is pinned by
-//! `equivocated_classifications_split_the_unsigned_schedules`); the
-//! [`signed`] variant ([`ResilientSigned`]) replaces the insurance with
-//! signed, echoed classifications whose equivocators are convicted by
-//! their own signatures — shrinking the budget to `t + 2` phases with
-//! no suffix at all.
+//! [`Disruptor<X>`] is the worst-case coalition against either exchange.
 
 #![forbid(unsafe_code)]
 
 pub mod signed;
 
-pub use signed::{
-    signed_king_schedule, ResilientSigned, ResilientSignedMsg, SignedResilientDisruptor,
-};
+pub use signed::{signed_king_schedule, ResilientSignedMsg, Signed};
 
 use ba_core::BitVec;
 use ba_early::{PhaseKing, PhaseKingMsg};
@@ -69,7 +80,101 @@ use ba_sim::{
     step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::Arc;
+
+/// A classification exchange: how prediction strings travel, which of
+/// them count, and which throne order they induce. Round 0 broadcasts
+/// [`classify`](Exchange::classify); rounds `1 .. PHASE_START` run
+/// [`echo`](Exchange::echo); round `PHASE_START` runs
+/// [`aggregate`](Exchange::aggregate) and seats the phase king.
+pub trait Exchange: Sized {
+    /// Messages of the pipeline over this exchange.
+    type Msg: Clone + Debug + WireSize;
+    /// The first phase-king round.
+    const PHASE_START: u64;
+
+    /// Worst-case phase budget of the exchange's schedule.
+    fn phases(t: usize) -> usize;
+
+    /// The throne order of a view.
+    fn schedule(n: usize, t: usize, suspicion: &[usize], convicted: &[bool]) -> Vec<ProcessId>;
+
+    /// The classification message this process sends for `bits`.
+    fn classify(&self, bits: BitVec) -> Self::Msg;
+
+    /// The rounds between the classification broadcast and
+    /// [`PHASE_START`](Exchange::PHASE_START); none by default.
+    fn echo(&self, _inbox: &[Envelope<Self::Msg>], _out: &mut Outbox<Self::Msg>) {}
+
+    /// Aggregates the inbox of round [`PHASE_START`](Exchange::PHASE_START).
+    fn aggregate(&self, n: usize, t: usize, inbox: &[Envelope<Self::Msg>]) -> View;
+
+    /// The first accepted classification each sender shipped in an
+    /// envelope batch.
+    fn classifications_by_sender<'a>(
+        &self,
+        envelopes: &'a [Envelope<Self::Msg>],
+    ) -> BTreeMap<ProcessId, &'a BitVec>;
+
+    /// The view of one classification per sender, nobody convicted. It
+    /// is [`Plain`]'s aggregation, and [`Disruptor`] reconstructs the
+    /// honest schedule of either exchange through it from the rushed
+    /// round-0 traffic; the reconstruction is exact only while both
+    /// sides aggregate in this one function.
+    fn view_by_sender(&self, n: usize, t: usize, envelopes: &[Envelope<Self::Msg>]) -> View {
+        let strings = self.classifications_by_sender(envelopes).into_values();
+        View::new::<Self>(n, t, strings, vec![false; n])
+    }
+
+    /// The phase-king payload `msg` carries, if any.
+    fn phase(msg: &Self::Msg) -> Option<Arc<PhaseKingMsg>>;
+
+    /// Wraps phase-king traffic.
+    fn wrap(inner: Arc<PhaseKingMsg>) -> Self::Msg;
+}
+
+/// One process's aggregation of the classification exchange.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct View {
+    suspicion: Vec<usize>,
+    convicted: Vec<bool>,
+    classification: BitVec,
+    schedule: Vec<ProcessId>,
+}
+
+impl View {
+    /// Aggregates the accepted strings (one per voter) and the
+    /// convictions under `X`'s schedule rule. Bit `j` of the
+    /// classification is set ⇔ fewer than half the voters suspect `p_j`
+    /// and `p_j` is unconvicted.
+    pub(crate) fn new<'a, X: Exchange>(
+        n: usize,
+        t: usize,
+        strings: impl IntoIterator<Item = &'a BitVec>,
+        convicted: Vec<bool>,
+    ) -> View {
+        let strings: Vec<&BitVec> = strings.into_iter().collect();
+        let voters = strings.iter().filter(|c| c.len() == n).count().max(1);
+        let suspicion = suspicion_scores(n, strings);
+        let mut classification = BitVec::zeros(n);
+        for (j, &s) in suspicion.iter().enumerate() {
+            classification.set(j, 2 * s < voters && !convicted[j]);
+        }
+        let schedule = X::schedule(n, t, &suspicion, &convicted);
+        View {
+            suspicion,
+            convicted,
+            classification,
+            schedule,
+        }
+    }
+}
+
+/// The unauthenticated exchange: one broadcast round, one string per
+/// sender, no convictions, and the rotation suffix as liveness insurance.
+#[derive(Clone, Copy, Debug)]
+pub struct Plain;
 
 /// Messages of the resilient pipeline. The classification exchange is
 /// bound to round 0 and phase-king traffic carries its own phase tags,
@@ -92,22 +197,50 @@ impl WireSize for ResilientMsg {
     }
 }
 
-/// The first classification each sender shipped in an envelope batch —
-/// the one aggregation view of the round-0 exchange. Honest processes
-/// apply it to their round-1 inbox and [`ResilientDisruptor`] applies
-/// it to the rushed honest traffic of round 0; both sides *must* go
-/// through this function, because the disruptor's schedule
-/// reconstruction is only exact while the two aggregations agree.
-pub fn classifications_by_sender(
-    envelopes: &[Envelope<ResilientMsg>],
-) -> BTreeMap<ProcessId, &BitVec> {
-    let mut per_sender: BTreeMap<ProcessId, &BitVec> = BTreeMap::new();
-    for env in envelopes {
-        if let ResilientMsg::Classify(bits) = &*env.payload {
-            per_sender.entry(env.from).or_insert(bits);
+impl Exchange for Plain {
+    type Msg = ResilientMsg;
+    const PHASE_START: u64 = 1;
+
+    /// The `t + 1` suspicion-ordered slots plus the `t + 2`-phase suffix.
+    fn phases(t: usize) -> usize {
+        2 * t + 3
+    }
+
+    fn schedule(n: usize, t: usize, suspicion: &[usize], _: &[bool]) -> Vec<ProcessId> {
+        king_schedule(n, t, suspicion)
+    }
+
+    fn classify(&self, bits: BitVec) -> ResilientMsg {
+        ResilientMsg::Classify(Arc::new(bits))
+    }
+
+    fn aggregate(&self, n: usize, t: usize, inbox: &[Envelope<ResilientMsg>]) -> View {
+        self.view_by_sender(n, t, inbox)
+    }
+
+    fn classifications_by_sender<'a>(
+        &self,
+        envelopes: &'a [Envelope<ResilientMsg>],
+    ) -> BTreeMap<ProcessId, &'a BitVec> {
+        let mut per_sender = BTreeMap::new();
+        for env in envelopes {
+            if let ResilientMsg::Classify(bits) = &*env.payload {
+                per_sender.entry(env.from).or_insert(&**bits);
+            }
+        }
+        per_sender
+    }
+
+    fn phase(msg: &ResilientMsg) -> Option<Arc<PhaseKingMsg>> {
+        match msg {
+            ResilientMsg::Phase(x) => Some(Arc::clone(x)),
+            _ => None,
         }
     }
-    per_sender
+
+    fn wrap(inner: Arc<PhaseKingMsg>) -> ResilientMsg {
+        ResilientMsg::Phase(inner)
+    }
 }
 
 /// Aggregates classification strings into per-identifier suspicion
@@ -132,6 +265,32 @@ pub fn suspicion_scores<'a>(
     scores
 }
 
+/// The shared throne order: `slots` identifiers by trust (convicted ones
+/// below every unconvicted one, then least suspected, ties toward the
+/// smaller id), followed by `suffix` phases of identifier rotation
+/// `p_0, p_1, …`. Identifiers wrap modulo `n` — the rule
+/// `PhaseKing` follows without a schedule — which only matters when the
+/// schedule is longer than the system (n = 1).
+fn throne_order(
+    n: usize,
+    suspicion: &[usize],
+    convicted: &[bool],
+    slots: usize,
+    suffix: usize,
+) -> Vec<ProcessId> {
+    assert_eq!(suspicion.len(), n, "one suspicion score per identifier");
+    assert_eq!(convicted.len(), n, "one conviction flag per identifier");
+    let mut by_trust: Vec<usize> = (0..n).collect();
+    by_trust.sort_by_key(|&j| (convicted[j], suspicion[j], j));
+    by_trust
+        .into_iter()
+        .cycle()
+        .take(slots)
+        .chain(0..suffix)
+        .map(|j| ProcessId((j % n) as u32))
+        .collect()
+}
+
 /// The throne order a suspicion vector induces: the `t + 1` least
 /// suspected identifiers (ties toward the smaller id) followed by the
 /// unconditional `t + 2`-phase identifier-rotation suffix `p_0 … p_{t+1}`.
@@ -144,19 +303,11 @@ pub fn suspicion_scores<'a>(
 /// liveness net for *inconsistent* views seeded by equivocated
 /// classifications.
 pub fn king_schedule(n: usize, t: usize, suspicion: &[usize]) -> Vec<ProcessId> {
-    assert_eq!(suspicion.len(), n, "one suspicion score per identifier");
-    assert!(t + 2 <= n, "suffix rotation needs t + 2 identifiers");
-    let mut by_trust: Vec<usize> = (0..n).collect();
-    by_trust.sort_by_key(|&j| (suspicion[j], j));
-    by_trust
-        .into_iter()
-        .take(t + 1)
-        .chain(0..=t + 1)
-        .map(|j| ProcessId(j as u32))
-        .collect()
+    throne_order(n, suspicion, &vec![false; n], t + 1, t + 2)
 }
 
-/// One process's state machine for the resilient pipeline.
+/// One process's state machine for the resilient pipeline over the
+/// classification exchange `X`.
 ///
 /// # Examples
 ///
@@ -180,42 +331,47 @@ pub fn king_schedule(n: usize, t: usize, suspicion: &[usize]) -> Vec<ProcessId> 
 /// let report = runner.run(ResilientBa::rounds(2));
 /// assert_eq!(report.decision(), Some(&Value(9)));
 /// ```
-pub struct ResilientBa {
+pub struct Resilient<X: Exchange> {
+    exchange: X,
     me: ProcessId,
     n: usize,
     t: usize,
     input: Value,
     prediction: BitVec,
-    suspicion: Option<Vec<usize>>,
-    classification: Option<BitVec>,
+    view: Option<View>,
     inner: Option<PhaseKing>,
     out: Option<Value>,
 }
 
-impl std::fmt::Debug for ResilientBa {
+/// The resilient pipeline over the unauthenticated exchange.
+pub type ResilientBa = Resilient<Plain>;
+/// The resilient pipeline over the signed exchange.
+pub type ResilientSigned = Resilient<Signed>;
+
+impl<X: Exchange> Debug for Resilient<X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientBa")
+        f.debug_struct("Resilient")
             .field("me", &self.me)
-            .field("suspicion", &self.suspicion)
+            .field("view", &self.view)
             .field("out", &self.out)
             .finish_non_exhaustive()
     }
 }
 
-impl ResilientBa {
-    /// Worst-case phase budget: the `t + 1` suspicion-ordered slots plus
-    /// the unconditional `t + 2`-phase rotation suffix.
+impl<X: Exchange> Resilient<X> {
+    /// Worst-case phase budget of the exchange's schedule.
     pub fn phases(t: usize) -> usize {
-        2 * t + 3
+        X::phases(t)
     }
 
-    /// Total round budget: one classification round plus the phase-king
+    /// Total round budget: the exchange rounds plus the phase-king
     /// rounds of the full schedule.
     pub fn rounds(t: usize) -> u64 {
-        1 + PhaseKing::rounds(Self::phases(t))
+        X::PHASE_START + PhaseKing::rounds(X::phases(t))
     }
 
-    /// Creates the state machine for process `me`.
+    /// Creates the state machine for process `me`, exchanging through
+    /// `exchange`.
     ///
     /// `prediction` is `me`'s n-bit prediction string (bit `j` set ⇔
     /// `p_j` predicted honest), exactly as handed to the paper's
@@ -224,17 +380,24 @@ impl ResilientBa {
     /// # Panics
     ///
     /// Panics unless `3t < n` and the prediction has `n` bits.
-    pub fn new(me: ProcessId, n: usize, t: usize, input: Value, prediction: BitVec) -> Self {
+    pub fn with_exchange(
+        exchange: X,
+        me: ProcessId,
+        n: usize,
+        t: usize,
+        input: Value,
+        prediction: BitVec,
+    ) -> Self {
         assert!(3 * t < n, "resilient BA needs 3t < n");
         assert_eq!(prediction.len(), n, "prediction must have n bits");
-        ResilientBa {
+        Resilient {
+            exchange,
             me,
             n,
             t,
             input,
             prediction,
-            suspicion: None,
-            classification: None,
+            view: None,
             inner: None,
             out: None,
         }
@@ -246,80 +409,68 @@ impl ResilientBa {
     }
 
     /// The aggregated classification — bit `j` set ⇔ a majority of the
-    /// received prediction strings trusts `p_j`. This is the pipeline's
-    /// probe surface: its realized `k_A` measures prediction quality
-    /// *after* the exchange has washed out minority noise, which is the
-    /// resilience mechanism in one number. `None` until round 1.
+    /// counted prediction strings trusts `p_j` and `p_j` is unconvicted.
+    /// This is the pipeline's probe surface: its realized `k_A` measures
+    /// prediction quality *after* the exchange has washed out minority
+    /// noise, which is the resilience mechanism in one number. `None`
+    /// until the view is aggregated.
     pub fn classification(&self) -> Option<&BitVec> {
-        self.classification.as_ref()
+        self.view.as_ref().map(|v| &v.classification)
     }
 
-    /// The per-identifier suspicion scores aggregated at round 1.
+    /// The per-identifier suspicion scores of the view.
     pub fn suspicion(&self) -> Option<&[usize]> {
-        self.suspicion.as_deref()
+        self.view.as_ref().map(|v| v.suspicion.as_slice())
     }
 
-    /// The king schedule this process derived (`None` until round 1).
+    /// Which identifiers were convicted of classification equivocation
+    /// (never any under [`Plain`]).
+    pub fn convicted(&self) -> Option<&[bool]> {
+        self.view.as_ref().map(|v| v.convicted.as_slice())
+    }
+
+    /// The king schedule this process derived.
     pub fn schedule(&self) -> Option<Vec<ProcessId>> {
-        self.suspicion
-            .as_ref()
-            .map(|s| king_schedule(self.n, self.t, s))
-    }
-
-    /// Aggregates the round-0 classifications and seats the inner
-    /// trust-ordered phase king.
-    fn ingest_classifications(&mut self, inbox: &[Envelope<ResilientMsg>]) {
-        let per_sender = classifications_by_sender(inbox);
-        let voters = per_sender
-            .values()
-            .filter(|c| c.len() == self.n)
-            .count()
-            .max(1);
-        let suspicion = suspicion_scores(self.n, per_sender.into_values());
-        let mut classification = BitVec::zeros(self.n);
-        for (j, &s) in suspicion.iter().enumerate() {
-            classification.set(j, 2 * s < voters);
-        }
-        let schedule = king_schedule(self.n, self.t, &suspicion);
-        self.inner = Some(PhaseKing::with_kings(
-            self.me, self.n, self.t, self.input, schedule,
-        ));
-        self.suspicion = Some(suspicion);
-        self.classification = Some(classification);
+        self.view.as_ref().map(|v| v.schedule.clone())
     }
 }
 
-impl Process for ResilientBa {
-    type Msg = ResilientMsg;
+impl Resilient<Plain> {
+    /// Creates the state machine for process `me`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `3t < n` and the prediction has `n` bits.
+    pub fn new(me: ProcessId, n: usize, t: usize, input: Value, prediction: BitVec) -> Self {
+        Self::with_exchange(Plain, me, n, t, input, prediction)
+    }
+}
+
+impl<X: Exchange> Process for Resilient<X> {
+    type Msg = X::Msg;
     type Output = Value;
 
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<ResilientMsg>],
-        out: &mut Outbox<ResilientMsg>,
-    ) {
+    fn step(&mut self, round: u64, inbox: &[Envelope<X::Msg>], out: &mut Outbox<X::Msg>) {
         if round == 0 {
-            out.broadcast(ResilientMsg::Classify(Arc::new(self.prediction.clone())));
+            out.broadcast(self.exchange.classify(self.prediction.clone()));
             return;
         }
-        if round == 1 {
-            self.ingest_classifications(inbox);
+        if round < X::PHASE_START {
+            self.exchange.echo(inbox, out);
+            return;
+        }
+        if round == X::PHASE_START {
+            let view = self.exchange.aggregate(self.n, self.t, inbox);
+            let kings = view.schedule.clone();
+            self.inner = Some(PhaseKing::with_kings(
+                self.me, self.n, self.t, self.input, kings,
+            ));
+            self.view = Some(view);
         }
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        step_sub(
-            inner,
-            round - 1,
-            inbox,
-            out,
-            |m| match m {
-                ResilientMsg::Phase(x) => Some(Arc::clone(x)),
-                _ => None,
-            },
-            ResilientMsg::Phase,
-        );
+        step_sub(inner, round - X::PHASE_START, inbox, out, X::phase, X::wrap);
         if let Some(o) = inner.output() {
             self.out = Some(o.decision.unwrap_or(o.value));
         }
@@ -339,9 +490,13 @@ impl Process for ResilientBa {
 /// round curve (every faulty king the error budget promotes stalls its
 /// phase):
 ///
-/// * **classification round** — votes "everyone is honest", shielding
-///   the coalition so that missed-detection budget spent on its members
-///   keeps them at the head of the throne order;
+/// * **classification round** — every member votes "everyone is
+///   honest" through its own exchange handle (signed with its own key
+///   under [`Signed`]; equivocating there would get it convicted),
+///   shielding the coalition so that missed-detection budget spent on
+///   its members keeps them at the head of the throne order;
+/// * **echo rounds** — silence: honest echoes already spread the
+///   shields;
 /// * **every graded-consensus round** — equivocates value 0 to
 ///   even-numbered recipients and silence to the odd ones, keeping
 ///   honest values split below every quorum while no honest king reigns;
@@ -350,150 +505,183 @@ impl Process for ResilientBa {
 ///
 /// The coalition derives the throne order exactly as the honest
 /// processes do: rushing visibility over the round-0 classifications
-/// (plus its own shield votes) reproduces the suspicion scores, so it
-/// always knows which phases are its own to waste. Deterministic: no
-/// randomness anywhere.
-pub struct ResilientDisruptor {
+/// (plus its own shield votes, which add no suspicion) reproduces the
+/// view through [`Exchange::view_by_sender`], so it always knows which
+/// phases are its own to waste. Deterministic: no randomness anywhere.
+pub struct Disruptor<X: Exchange> {
     n: usize,
     t: usize,
+    coalition: Vec<(ProcessId, X)>,
     faulty: Vec<ProcessId>,
     schedule: Vec<ProcessId>,
 }
 
-impl ResilientDisruptor {
-    /// Creates the disruptor for the given system parameters.
-    pub fn new(n: usize, t: usize, faulty: Vec<ProcessId>) -> Self {
-        ResilientDisruptor {
+/// The worst-case coalition against [`ResilientBa`].
+pub type ResilientDisruptor = Disruptor<Plain>;
+/// The worst-case coalition against [`ResilientSigned`].
+pub type SignedResilientDisruptor = Disruptor<Signed>;
+
+impl<X: Exchange> Disruptor<X> {
+    /// The coalition of the given members, each with its own exchange
+    /// handle.
+    pub(crate) fn with_coalition(n: usize, t: usize, coalition: Vec<(ProcessId, X)>) -> Self {
+        let faulty = coalition.iter().map(|(id, _)| *id).collect();
+        Disruptor {
             n,
             t,
+            coalition,
             faulty,
             schedule: Vec::new(),
         }
     }
+}
 
-    /// One phase-slot's worth of coalition disruption, shared by the
-    /// unsigned and signed disruptors: equivocate every graded-consensus
-    /// round (the message to even recipients, silence to the odd ones —
-    /// the selective half-cast that keeps minimum/plurality-style
-    /// honest aggregation split) and split the crown broadcast whenever
-    /// the scheduled king is a coalition member.
-    pub(crate) fn disrupt_phase<M: Clone>(
-        ctx: &mut AdversaryCtx<'_, M>,
-        faulty: &[ProcessId],
-        n: usize,
-        king: ProcessId,
-        tag: u16,
-        slot: u64,
-        wrap: impl Fn(Arc<PhaseKingMsg>) -> M,
-    ) {
-        let gc = |inner: UnauthGcMsg, main: bool| {
-            let inner = Arc::new(inner);
-            wrap(Arc::new(if main {
-                PhaseKingMsg::Main { phase: tag, inner }
-            } else {
-                PhaseKingMsg::Detect { phase: tag, inner }
-            }))
+impl Disruptor<Plain> {
+    /// Creates the disruptor for the given system parameters.
+    pub fn new(n: usize, t: usize, faulty: Vec<ProcessId>) -> Self {
+        Self::with_coalition(n, t, faulty.into_iter().map(|id| (id, Plain)).collect())
+    }
+}
+
+impl<X: Exchange> Adversary<X::Msg> for Disruptor<X> {
+    fn act(&mut self, ctx: &mut AdversaryCtx<'_, X::Msg>) {
+        let Some((_, exchange)) = self.coalition.first() else {
+            return; // nobody to act
         };
-        let split_cast = |ctx: &mut AdversaryCtx<'_, M>, msg: M| {
-            for &from in faulty {
-                for to in ProcessId::all(n).filter(|p| p.0.is_multiple_of(2)) {
-                    ctx.send(from, to, msg.clone());
-                }
+        if ctx.round == 0 {
+            let view = exchange.view_by_sender(self.n, self.t, ctx.honest_traffic);
+            self.schedule = view.schedule;
+            for (from, exchange) in &self.coalition {
+                ctx.broadcast(*from, exchange.classify(BitVec::ones(self.n)));
             }
+            return;
+        }
+        let Some(local) = ctx.round.checked_sub(X::PHASE_START) else {
+            return;
         };
-        match slot {
-            0 => split_cast(ctx, gc(UnauthGcMsg::Vote(Value(0)), true)),
-            1 => split_cast(ctx, gc(UnauthGcMsg::Echo(Value(0)), true)),
-            2 => {
-                if faulty.contains(&king) {
-                    for to in ProcessId::all(n) {
-                        let value = Value(u64::from(to.0 % 2));
-                        let msg = wrap(Arc::new(PhaseKingMsg::King { phase: tag, value }));
-                        ctx.send(king, to, msg);
-                    }
-                }
-            }
-            3 => split_cast(ctx, gc(UnauthGcMsg::Vote(Value(0)), false)),
-            4 => split_cast(ctx, gc(UnauthGcMsg::Echo(Value(0)), false)),
-            _ => unreachable!(),
+        let phase = (local / 5) as usize;
+        if let Some(&king) = self.schedule.get(phase) {
+            let (tag, slot) = (phase as u16, local % 5);
+            disrupt_phase(ctx, &self.faulty, self.n, king, tag, slot, X::wrap);
         }
     }
 }
 
-impl Adversary<ResilientMsg> for ResilientDisruptor {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientMsg>) {
-        if ctx.round == 0 {
-            // Reconstruct the suspicion scores the honest processes will
-            // compute at round 1: their classifications (rushed) plus the
-            // coalition's all-ones shield votes (which add no suspicion).
-            let per_sender = classifications_by_sender(ctx.honest_traffic);
-            let suspicion = suspicion_scores(self.n, per_sender.into_values());
-            self.schedule = king_schedule(self.n, self.t, &suspicion);
-            let shield = ResilientMsg::Classify(Arc::new(BitVec::ones(self.n)));
-            for &from in &self.faulty {
-                ctx.broadcast(from, shield.clone());
+/// One phase-slot's worth of coalition disruption: equivocate every
+/// graded-consensus round (the message to even recipients, silence to
+/// the odd ones — the selective half-cast that keeps
+/// minimum/plurality-style honest aggregation split) and split the crown
+/// broadcast whenever the scheduled king is a coalition member. Generic
+/// over the carrier message, so any pipeline embedding phase king can
+/// reuse the attack.
+fn disrupt_phase<M: Clone>(
+    ctx: &mut AdversaryCtx<'_, M>,
+    faulty: &[ProcessId],
+    n: usize,
+    king: ProcessId,
+    tag: u16,
+    slot: u64,
+    wrap: impl Fn(Arc<PhaseKingMsg>) -> M,
+) {
+    let gc = |inner: UnauthGcMsg, main: bool| {
+        let inner = Arc::new(inner);
+        wrap(Arc::new(if main {
+            PhaseKingMsg::Main { phase: tag, inner }
+        } else {
+            PhaseKingMsg::Detect { phase: tag, inner }
+        }))
+    };
+    let split_cast = |ctx: &mut AdversaryCtx<'_, M>, msg: M| {
+        for &from in faulty {
+            for to in ProcessId::all(n).filter(|p| p.0.is_multiple_of(2)) {
+                ctx.send(from, to, msg.clone());
             }
-            return;
         }
-        let local = ctx.round - 1;
-        let phase = (local / 5) as usize;
-        if phase >= self.schedule.len() {
-            return;
+    };
+    match slot {
+        0 => split_cast(ctx, gc(UnauthGcMsg::Vote(Value(0)), true)),
+        1 => split_cast(ctx, gc(UnauthGcMsg::Echo(Value(0)), true)),
+        2 => {
+            if faulty.contains(&king) {
+                for to in ProcessId::all(n) {
+                    let value = Value(u64::from(to.0 % 2));
+                    let msg = wrap(Arc::new(PhaseKingMsg::King { phase: tag, value }));
+                    ctx.send(king, to, msg);
+                }
+            }
         }
-        Self::disrupt_phase(
-            ctx,
-            &self.faulty,
-            self.n,
-            self.schedule[phase],
-            phase as u16,
-            local % 5,
-            ResilientMsg::Phase,
-        );
+        3 => split_cast(ctx, gc(UnauthGcMsg::Vote(Value(0)), false)),
+        4 => split_cast(ctx, gc(UnauthGcMsg::Echo(Value(0)), false)),
+        _ => unreachable!(),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ba_core::PredictionMatrix;
+    use ba_crypto::Pki;
     use ba_sim::{ReplayAdversary, Runner, SilentAdversary};
     use std::collections::BTreeSet;
 
-    fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
+    pub(crate) fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
         ids.iter().copied().map(ProcessId).collect()
     }
 
-    fn system(
+    /// The plain exchange handle of any process.
+    pub(crate) fn plain(_: ProcessId) -> Plain {
+        Plain
+    }
+
+    /// The signed exchange handle of each process: its own key.
+    pub(crate) fn signed(pki: &Arc<Pki>) -> impl Fn(ProcessId) -> Signed + '_ {
+        |id| Signed {
+            pki: Arc::clone(pki),
+            key: pki.signing_key(id.0),
+        }
+    }
+
+    /// The honest processes of a system, each with the exchange handle
+    /// `exchange` gives it.
+    pub(crate) fn system<X: Exchange>(
         n: usize,
         t: usize,
         faulty: &BTreeSet<ProcessId>,
         matrix: &PredictionMatrix,
+        exchange: impl Fn(ProcessId) -> X,
         input: impl Fn(usize) -> u64,
-    ) -> BTreeMap<ProcessId, ResilientBa> {
+    ) -> BTreeMap<ProcessId, Resilient<X>> {
         ProcessId::all(n)
             .filter(|id| !faulty.contains(id))
             .enumerate()
             .map(|(slot, id)| {
-                (
-                    id,
-                    ResilientBa::new(id, n, t, Value(input(slot)), matrix.row(id).clone()),
-                )
+                let row = matrix.row(id).clone();
+                let p = Resilient::with_exchange(exchange(id), id, n, t, Value(input(slot)), row);
+                (id, p)
             })
             .collect()
     }
 
-    #[test]
-    fn perfect_predictions_decide_in_the_first_phase() {
+    fn perfect_predictions_decide_in_the_first_phase_with<X: Exchange>(
+        exchange: impl Fn(ProcessId) -> X,
+    ) {
         let n = 10;
         let f = faults(&[3, 7]);
         let m = PredictionMatrix::perfect(n, &f);
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, |_| 6), SilentAdversary);
-        let report = runner.run(ResilientBa::rounds(3));
+        let mut runner =
+            Runner::with_ids(n, system(n, 3, &f, &m, exchange, |_| 6), SilentAdversary);
+        let report = runner.run(Resilient::<X>::rounds(3));
         assert!(report.agreement());
         assert_eq!(report.decision(), Some(&Value(6)));
-        // Classify + phase 0 decides + phase 1 returns: well inside two
-        // phases' worth of rounds.
-        assert!(report.last_decision_round.expect("decided") <= 1 + 2 * 5 + 1);
+        // The exchange + phase 0 decides + phase 1 returns: well inside
+        // two phases' worth of rounds.
+        assert!(report.last_decision_round.expect("decided") <= X::PHASE_START + 2 * 5 + 1);
+    }
+
+    #[test]
+    fn perfect_predictions_decide_in_the_first_phase() {
+        perfect_predictions_decide_in_the_first_phase_with(plain);
+        perfect_predictions_decide_in_the_first_phase_with(signed(&Arc::new(Pki::new(10, 5))));
     }
 
     #[test]
@@ -514,7 +702,7 @@ mod tests {
             }
             let mut runner = Runner::with_ids(
                 n,
-                system(n, t, &f, &m, |slot| 1 + (slot % 2) as u64),
+                system(n, t, &f, &m, plain, |slot| 1 + (slot % 2) as u64),
                 SilentAdversary,
             );
             let report = runner.run(ResilientBa::rounds(t));
@@ -536,7 +724,7 @@ mod tests {
         let m = PredictionMatrix::from_rows(vec![BitVec::zeros(n); n]);
         let mut runner = Runner::with_ids(
             n,
-            system(n, 3, &f, &m, |slot| 1 + (slot % 2) as u64),
+            system(n, 3, &f, &m, plain, |slot| 1 + (slot % 2) as u64),
             SilentAdversary,
         );
         let report = runner.run(ResilientBa::rounds(3));
@@ -549,7 +737,7 @@ mod tests {
         let n = 10;
         let f = faults(&[2, 5]);
         let m = PredictionMatrix::all_honest(n);
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, |_| 4), SilentAdversary);
+        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, plain, |_| 4), SilentAdversary);
         let report = runner.run(ResilientBa::rounds(3));
         assert!(report.agreement());
         assert_eq!(report.decision(), Some(&Value(4)), "unanimity survives");
@@ -576,7 +764,11 @@ mod tests {
                 }
             }
         });
-        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, |slot| (slot % 2) as u64), adv);
+        let mut runner = Runner::with_ids(
+            n,
+            system(n, t, &f, &m, plain, |slot| (slot % 2) as u64),
+            adv,
+        );
         let report = runner.run(ResilientBa::rounds(t));
         assert!(report.agreement());
         assert!(report.all_decided(), "suffix rotation guarantees liveness");
@@ -591,7 +783,7 @@ mod tests {
         // stalls (nobody believes itself king), and the decision only
         // lands in the common identifier-rotation suffix. The signed
         // variant convicts the equivocator instead — see
-        // `signed::tests::equivocated_classifications_are_convicted_and_schedules_agree`.
+        // `signed::tests::per_recipient_equivocation_is_ignored_and_schedules_agree`.
         use ba_sim::FnAdversary;
         let n = 7;
         let t = 2;
@@ -606,7 +798,11 @@ mod tests {
                 }
             }
         });
-        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, |slot| (slot % 2) as u64), adv);
+        let mut runner = Runner::with_ids(
+            n,
+            system(n, t, &f, &m, plain, |slot| (slot % 2) as u64),
+            adv,
+        );
         let report = runner.run(ResilientBa::rounds(t));
         assert!(report.agreement());
         assert!(report.all_decided());
@@ -633,11 +829,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn disruptor_realizes_the_promoted_king_staircase() {
-        // Against the worst-case coalition, promoting both faulty
-        // identifiers to full trust costs two stalled phases even though
-        // the coalition also equivocates every quorum protocol.
+    fn disruptor_realizes_the_promoted_king_staircase_with<X: Exchange>(
+        exchange: impl Fn(ProcessId) -> X,
+    ) {
         let n = 13;
         let t = 4;
         let f = faults(&[0, 1]);
@@ -648,29 +842,52 @@ mod tests {
                     m.row_mut(row).set(target, true);
                 }
             }
+            let coalition = f.iter().map(|&id| (id, exchange(id))).collect();
             let mut runner = Runner::with_ids(
                 n,
-                system(n, t, &f, &m, |slot| 1 + (slot % 2) as u64),
-                ResilientDisruptor::new(n, t, vec![ProcessId(0), ProcessId(1)]),
+                system(n, t, &f, &m, &exchange, |slot| 1 + (slot % 2) as u64),
+                Disruptor::with_coalition(n, t, coalition),
             );
-            let report = runner.run(ResilientBa::rounds(t));
+            let report = runner.run(Resilient::<X>::rounds(t));
             assert!(report.agreement(), "promoted = {promoted}");
             report.last_decision_round.expect("decided")
         };
         let base = run(0);
         assert!(run(1) > base, "a promoted faulty king must cost rounds");
         assert!(run(2) > run(1), "and the cost must grow with the count");
+        assert!(
+            run(2) <= Resilient::<X>::rounds(t),
+            "even fully promoted, the budget suffices"
+        );
+    }
+
+    #[test]
+    fn disruptor_realizes_the_promoted_king_staircase() {
+        // Against the worst-case coalition, promoting both faulty
+        // identifiers to full trust costs two stalled phases even though
+        // the coalition also equivocates every quorum protocol.
+        disruptor_realizes_the_promoted_king_staircase_with(plain);
+        disruptor_realizes_the_promoted_king_staircase_with(signed(&Arc::new(Pki::new(13, 5))));
+    }
+
+    fn replayed_traffic_is_inert_with<X: Exchange>(exchange: impl Fn(ProcessId) -> X) {
+        let n = 10;
+        let f = faults(&[3, 7]);
+        let m = PredictionMatrix::perfect(n, &f);
+        let mut runner = Runner::with_ids(
+            n,
+            system(n, 3, &f, &m, exchange, |_| 6),
+            ReplayAdversary::new(1),
+        );
+        let report = runner.run(Resilient::<X>::rounds(3));
+        assert!(report.agreement());
+        assert_eq!(report.decision(), Some(&Value(6)));
     }
 
     #[test]
     fn replayed_traffic_is_inert() {
-        let n = 10;
-        let f = faults(&[3, 7]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, |_| 6), ReplayAdversary::new(1));
-        let report = runner.run(ResilientBa::rounds(3));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(6)));
+        replayed_traffic_is_inert_with(plain);
+        replayed_traffic_is_inert_with(signed(&Arc::new(Pki::new(10, 5))));
     }
 
     #[test]
@@ -684,7 +901,7 @@ mod tests {
         m.row_mut(ProcessId(2)).set(1, false);
         m.row_mut(ProcessId(0)).set(3, true);
         m.row_mut(ProcessId(2)).set(3, true);
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, |_| 6), SilentAdversary);
+        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, plain, |_| 6), SilentAdversary);
         let _ = runner.run(ResilientBa::rounds(3));
         let p = runner.process(ProcessId(1)).expect("honest");
         let c = p.classification().expect("aggregated");
@@ -720,6 +937,17 @@ mod tests {
     }
 
     #[test]
+    fn schedules_wrap_modulo_n_in_a_one_process_system() {
+        // n = 1, t = 0: the only size where 3t < n but t + 2 > n. Both
+        // schedules keep their documented lengths by wrapping to p0.
+        assert_eq!(king_schedule(1, 0, &[0]), vec![ProcessId(0); 3]);
+        assert_eq!(
+            signed_king_schedule(1, 0, &[0], &[false]),
+            vec![ProcessId(0); 2]
+        );
+    }
+
+    #[test]
     fn message_sizes_follow_the_wire_model() {
         let classify = ResilientMsg::Classify(Arc::new(BitVec::ones(16)));
         // 1 discriminant + 4 length prefix + 2 packed bytes.
@@ -733,8 +961,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "3t < n")]
     fn rejects_too_many_faults() {
-        let _ = ResilientBa::new(ProcessId(0), 9, 3, Value(0), BitVec::ones(9));
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pki = Arc::new(Pki::new(9, 1));
+        let key = pki.signing_key(0);
+        let bits = BitVec::ones(9);
+        let panics = [
+            catch_unwind(|| ResilientBa::new(ProcessId(0), 9, 3, Value(0), bits.clone())).err(),
+            catch_unwind(AssertUnwindSafe(|| {
+                ResilientSigned::new(ProcessId(0), 9, 3, Value(0), bits.clone(), pki, key)
+            }))
+            .err(),
+        ];
+        for panic in panics {
+            let panic = panic.expect("3t ≥ n must be rejected");
+            let message = panic.downcast_ref::<&str>().expect("a static message");
+            assert!(message.contains("3t < n"), "unexpected panic: {message}");
+        }
     }
 }

@@ -1,15 +1,11 @@
 //! The signed classification exchange: agreeing suspicion views, a
 //! `t + 2`-phase budget, and no rotation suffix.
 //!
-//! The unsigned resilient pipeline ([`crate::ResilientBa`]) broadcasts
-//! prediction strings unauthenticated, so a Byzantine classifier can
-//! send a *different* string to every recipient and split the honest
-//! suspicion views — which is exactly why the unsigned
-//! [`crate::king_schedule`] pays an unconditional `t + 2`-phase
-//! identifier-rotation suffix (worst case `2t + 3` phases; the split is
-//! pinned by `equivocated_classifications_split_the_unsigned_schedules`).
-//! Following Dallot et al.'s signed exchange, this module removes the
-//! suffix:
+//! [`Plain`](crate::Plain) broadcasts prediction strings
+//! unauthenticated, so a Byzantine classifier can split the honest
+//! suspicion views, and its schedule pays a rotation suffix for it (see
+//! the crate docs). Following Dallot et al.'s signed exchange, [`Signed`]
+//! makes the views agree instead:
 //!
 //! 1. **Signed classifications, verify-on-receive** — round 0
 //!    broadcasts each process's prediction string in a
@@ -36,16 +32,6 @@
 //!    ignored wholesale — either way the equivocator contributes
 //!    nothing, and the aggregated views agree.
 //!
-//! With agreeing schedules the suffix is dead weight: the schedule is
-//! just the `t + 2` least-suspected identifiers, which always include
-//! at least two honest ones (`f ≤ t`), so a common honest king reigns
-//! by phase `t + 1` and the run decides within `t + 2` phases — down
-//! from the unsigned variant's `2t + 3`. Every faulty identifier the
-//! error budget promotes still costs exactly one stalled phase, so the
-//! graceful staircase is preserved; only the equivocation insurance
-//! premium is gone. The price is the echo round's `O(n³)` signed-string
-//! bytes, charged faithfully by the wire model.
-//!
 //! *Scope.* One window remains: a string delivered in round 0 to
 //! `k ∈ [t + 1 − f, t]` honest processes sits at the attestation
 //! boundary, where selective faulty echoes can tip inclusion for some
@@ -56,19 +42,13 @@
 //! guarantee (pure injection and per-recipient equivocation defeated
 //! at n ∈ {16, 32, 64}).
 
-use crate::{suspicion_scores, ResilientDisruptor};
+use crate::{throne_order, Disruptor, Exchange, Resilient, View};
 use ba_core::BitVec;
-use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
-use ba_early::{PhaseKing, PhaseKingMsg};
-use ba_sim::{
-    step_sub, Adversary, AdversaryCtx, Envelope, Outbox, Process, ProcessId, Value, WireSize,
-};
+use ba_crypto::{Encodable, Encoder, Pki, SigningKey};
+use ba_early::PhaseKingMsg;
+use ba_sim::{Envelope, Outbox, ProcessId, Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// First phase-king round: classification occupies round 0, the echo
-/// round 1.
-const PHASE_START: u64 = 2;
 
 /// Signed body of a classification broadcast: the sender's `n`-bit
 /// prediction string. The leading tag byte domain-separates it from
@@ -99,14 +79,17 @@ impl WireSize for ClassifyBody {
     }
 }
 
+/// A signed classification.
+type Vote = ba_crypto::Signed<ClassifyBody>;
+
 /// Messages of the signed resilient pipeline.
 #[derive(Clone, Debug)]
 pub enum ResilientSignedMsg {
     /// Round 0 → all: the sender's signed prediction string.
-    Classify(Arc<Signed<ClassifyBody>>),
+    Classify(Arc<Vote>),
     /// Round 1 → all: every valid signed classification the sender
     /// received — the common-pool mechanism behind agreeing views.
-    Echo(Arc<Vec<Signed<ClassifyBody>>>),
+    Echo(Arc<Vec<Vote>>),
     /// Rounds 2+: wrapped trust-ordered phase-king traffic.
     Phase(Arc<PhaseKingMsg>),
 }
@@ -130,178 +113,57 @@ impl WireSize for ResilientSignedMsg {
 /// rotation suffix, because the signed exchange makes the honest
 /// suspicion views (and therefore the schedules) agree.
 ///
-/// The schedule always contains at least two honest identifiers (at
-/// most `f ≤ t` faulty ones exist), so under an agreeing view a common
-/// honest king reigns by phase `t + 1` and the early-stopping phase
-/// king decides within `t + 2` phases.
+/// The schedule always contains at least two honest identifiers when
+/// `t + 2 ≤ n` (at most `f ≤ t` faulty ones exist), so under an
+/// agreeing view a common honest king reigns by phase `t + 1` and the
+/// early-stopping phase king decides within `t + 2` phases.
 ///
 /// # Panics
 ///
 /// Panics unless `suspicion` and `convicted` have one entry per
-/// identifier and `t + 2 ≤ n`.
+/// identifier.
 pub fn signed_king_schedule(
     n: usize,
     t: usize,
     suspicion: &[usize],
     convicted: &[bool],
 ) -> Vec<ProcessId> {
-    assert_eq!(suspicion.len(), n, "one suspicion score per identifier");
-    assert_eq!(convicted.len(), n, "one conviction flag per identifier");
-    assert!(t + 2 <= n, "the schedule needs t + 2 identifiers");
-    let mut by_trust: Vec<usize> = (0..n).collect();
-    by_trust.sort_by_key(|&j| (convicted[j], suspicion[j], j));
-    by_trust
-        .into_iter()
-        .take(t + 2)
-        .map(|j| ProcessId(j as u32))
-        .collect()
+    throne_order(n, suspicion, convicted, t + 2, 0)
 }
 
-/// One process's state machine for the signed resilient pipeline.
-///
-/// # Examples
-///
-/// ```
-/// use ba_core::PredictionMatrix;
-/// use ba_crypto::Pki;
-/// use ba_resilient::ResilientSigned;
-/// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
-/// use std::collections::BTreeSet;
-/// use std::sync::Arc;
-///
-/// // n = 7, one silent fault (p6), perfect predictions.
-/// let n = 7;
-/// let faulty: BTreeSet<ProcessId> = [ProcessId(6)].into_iter().collect();
-/// let matrix = PredictionMatrix::perfect(n, &faulty);
-/// let pki = Arc::new(Pki::new(n, 1));
-/// let procs: Vec<ResilientSigned> = (0..6u32)
-///     .map(|i| {
-///         let id = ProcessId(i);
-///         let key = pki.signing_key(i);
-///         ResilientSigned::new(id, n, 2, Value(9), matrix.row(id).clone(), Arc::clone(&pki), key)
-///     })
-///     .collect();
-/// let mut runner = Runner::new(n, procs, SilentAdversary);
-/// let report = runner.run(ResilientSigned::rounds(2));
-/// assert_eq!(report.decision(), Some(&Value(9)));
-/// ```
-pub struct ResilientSigned {
-    me: ProcessId,
-    n: usize,
-    t: usize,
-    input: Value,
-    prediction: BitVec,
-    pki: Arc<Pki>,
-    key: SigningKey,
-    /// Valid signed classifications received directly in round 0
-    /// (possibly several distinct ones per equivocating sender).
-    /// Consumed by the round-1 echo; the round-2 aggregation reads
-    /// echoes only (its own echo included, via self-delivery).
-    received: Vec<Signed<ClassifyBody>>,
-    suspicion: Option<Vec<usize>>,
-    convicted: Option<Vec<bool>>,
-    classification: Option<BitVec>,
-    inner: Option<PhaseKing>,
-    out: Option<Value>,
+/// The signed exchange: one process's view of the PKI and its own
+/// signing key.
+#[derive(Clone, Debug)]
+pub struct Signed {
+    /// The public-key infrastructure every signature is checked against.
+    pub pki: Arc<Pki>,
+    /// The key this process signs its classification with.
+    pub key: SigningKey,
 }
 
-impl std::fmt::Debug for ResilientSigned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResilientSigned")
-            .field("me", &self.me)
-            .field("suspicion", &self.suspicion)
-            .field("convicted", &self.convicted)
-            .field("out", &self.out)
-            .finish_non_exhaustive()
-    }
-}
+impl Exchange for Signed {
+    type Msg = ResilientSignedMsg;
+    const PHASE_START: u64 = 2;
 
-impl ResilientSigned {
-    /// Phase budget: `t + 2` suspicion-ordered slots — no rotation
-    /// suffix (compare [`crate::ResilientBa::phases`]'s `2t + 3`).
-    pub fn phases(t: usize) -> usize {
+    /// `t + 2` suspicion-ordered slots — no rotation suffix.
+    fn phases(t: usize) -> usize {
         t + 2
     }
 
-    /// Total round budget: classification + echo + the phase-king
-    /// rounds of the suffix-free schedule.
-    pub fn rounds(t: usize) -> u64 {
-        PHASE_START + PhaseKing::rounds(Self::phases(t))
+    fn schedule(n: usize, t: usize, suspicion: &[usize], convicted: &[bool]) -> Vec<ProcessId> {
+        signed_king_schedule(n, t, suspicion, convicted)
     }
 
-    /// Creates the state machine for process `me`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `3t < n` and the prediction has `n` bits.
-    pub fn new(
-        me: ProcessId,
-        n: usize,
-        t: usize,
-        input: Value,
-        prediction: BitVec,
-        pki: Arc<Pki>,
-        key: SigningKey,
-    ) -> Self {
-        assert!(3 * t < n, "resilient BA needs 3t < n");
-        assert_eq!(prediction.len(), n, "prediction must have n bits");
-        ResilientSigned {
-            me,
-            n,
-            t,
-            input,
-            prediction,
-            pki,
-            key,
-            received: Vec::new(),
-            suspicion: None,
-            convicted: None,
-            classification: None,
-            inner: None,
-            out: None,
-        }
+    fn classify(&self, bits: BitVec) -> ResilientSignedMsg {
+        ResilientSignedMsg::Classify(Arc::new(Vote::new(ClassifyBody { bits }, &self.key)))
     }
 
-    /// The raw prediction string this process started from.
-    pub fn prediction(&self) -> &BitVec {
-        &self.prediction
-    }
-
-    /// The aggregated majority classification (the probe surface, as in
-    /// the unsigned variant); convicted equivocators are classified
-    /// faulty. `None` until round 2.
-    pub fn classification(&self) -> Option<&BitVec> {
-        self.classification.as_ref()
-    }
-
-    /// The per-identifier suspicion scores aggregated at round 2.
-    pub fn suspicion(&self) -> Option<&[usize]> {
-        self.suspicion.as_deref()
-    }
-
-    /// Which identifiers were convicted of classification equivocation
-    /// (`None` until round 2).
-    pub fn convicted(&self) -> Option<&[bool]> {
-        self.convicted.as_deref()
-    }
-
-    /// The suffix-free king schedule this process derived (`None` until
-    /// round 2).
-    pub fn schedule(&self) -> Option<Vec<ProcessId>> {
-        match (&self.suspicion, &self.convicted) {
-            (Some(s), Some(c)) => Some(signed_king_schedule(self.n, self.t, s, c)),
-            _ => None,
-        }
-    }
-
-    /// Collects the valid signed classifications of an inbox: signature
-    /// verified for the envelope sender, duplicates dropped, *distinct*
-    /// equivocated strings kept (they are conviction evidence).
-    fn valid_classifications(
-        &self,
-        inbox: &[Envelope<ResilientSignedMsg>],
-    ) -> Vec<Signed<ClassifyBody>> {
-        let mut valid: Vec<Signed<ClassifyBody>> = Vec::new();
+    /// Re-broadcasts the valid signed classifications of the round-0
+    /// inbox: signature verified for the envelope sender, duplicates
+    /// dropped, *distinct* equivocated strings kept (they are conviction
+    /// evidence).
+    fn echo(&self, inbox: &[Envelope<ResilientSignedMsg>], out: &mut Outbox<ResilientSignedMsg>) {
+        let mut valid: Vec<Vote> = Vec::new();
         for env in inbox {
             let ResilientSignedMsg::Classify(signed) = &*env.payload else {
                 continue;
@@ -313,11 +175,11 @@ impl ResilientSigned {
                 valid.push((**signed).clone());
             }
         }
-        valid
+        out.broadcast(ResilientSignedMsg::Echo(Arc::new(valid)));
     }
 
-    /// Aggregates the echoed common pool into suspicion scores,
-    /// convictions, and the seated phase king.
+    /// Aggregates the echoed common pool into suspicion scores and
+    /// convictions.
     ///
     /// Only strings carried by **at least `t + 1` distinct echoers**
     /// count (for scoring *and* conviction). Honest echoes are
@@ -331,7 +193,7 @@ impl ResilientSigned {
     /// to `≥ t + 1 − f` honest processes in round 0 first. Own direct
     /// receptions need no special case: a process's round-1 echo is
     /// broadcast, so it reaches its own round-2 inbox too.
-    fn ingest_pool(&mut self, inbox: &[Envelope<ResilientSignedMsg>]) {
+    fn aggregate(&self, n: usize, t: usize, inbox: &[Envelope<ResilientSignedMsg>]) -> View {
         // Per signer: each distinct validly-signed string with its set
         // of distinct echo carriers. Echoed entries verify on their own
         // signatures — the echoer needs no trust for *validity*, only
@@ -343,7 +205,7 @@ impl ResilientSigned {
                 continue;
             };
             for signed in entries.iter() {
-                if (signed.signer() as usize) >= self.n {
+                if (signed.signer() as usize) >= n {
                     continue;
                 }
                 let strings = per_signer.entry(signed.signer()).or_default();
@@ -361,12 +223,12 @@ impl ResilientSigned {
                 }
             }
         }
-        let mut convicted = vec![false; self.n];
+        let mut convicted = vec![false; n];
         let mut singles: Vec<&BitVec> = Vec::new();
         for (&signer, strings) in &per_signer {
             let attested: Vec<&BitVec> = strings
                 .iter()
-                .filter(|(_, carriers)| carriers.len() > self.t)
+                .filter(|(_, carriers)| carriers.len() > t)
                 .map(|(bits, _)| bits)
                 .collect();
             match attested[..] {
@@ -375,233 +237,110 @@ impl ResilientSigned {
                 _ => convicted[signer as usize] = true,
             }
         }
-        let voters = singles.iter().filter(|c| c.len() == self.n).count().max(1);
-        let suspicion = suspicion_scores(self.n, singles);
-        let mut classification = BitVec::zeros(self.n);
-        for (j, &s) in suspicion.iter().enumerate() {
-            classification.set(j, 2 * s < voters && !convicted[j]);
-        }
-        let schedule = signed_king_schedule(self.n, self.t, &suspicion, &convicted);
-        self.inner = Some(PhaseKing::with_kings(
-            self.me, self.n, self.t, self.input, schedule,
-        ));
-        self.suspicion = Some(suspicion);
-        self.convicted = Some(convicted);
-        self.classification = Some(classification);
+        View::new::<Self>(n, t, singles, convicted)
     }
-}
 
-impl Process for ResilientSigned {
-    type Msg = ResilientSignedMsg;
-    type Output = Value;
-
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<ResilientSignedMsg>],
-        out: &mut Outbox<ResilientSignedMsg>,
-    ) {
-        match round {
-            0 => {
-                out.broadcast(ResilientSignedMsg::Classify(Arc::new(Signed::new(
-                    ClassifyBody {
-                        bits: self.prediction.clone(),
-                    },
-                    &self.key,
-                ))));
-                return;
+    /// Verify-on-receive: a string counts for its envelope sender only
+    /// if the sender signed it. Identical strings from different senders
+    /// each count, exactly as in the honest aggregation; a
+    /// content-deduplicated count would rank identifiers differently.
+    fn classifications_by_sender<'a>(
+        &self,
+        envelopes: &'a [Envelope<ResilientSignedMsg>],
+    ) -> BTreeMap<ProcessId, &'a BitVec> {
+        let mut per_sender = BTreeMap::new();
+        for env in envelopes {
+            let ResilientSignedMsg::Classify(signed) = &*env.payload else {
+                continue;
+            };
+            if signed.verified_from(&self.pki, env.from.0).is_some() {
+                per_sender.entry(env.from).or_insert(&signed.body().bits);
             }
-            1 => {
-                self.received = self.valid_classifications(inbox);
-                out.broadcast(ResilientSignedMsg::Echo(Arc::new(self.received.clone())));
-                return;
-            }
-            2 => self.ingest_pool(inbox),
-            _ => {}
         }
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        step_sub(
-            inner,
-            round - PHASE_START,
-            inbox,
-            out,
-            |m| match m {
-                ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
-                _ => None,
-            },
-            ResilientSignedMsg::Phase,
-        );
-        if let Some(o) = inner.output() {
-            self.out = Some(o.decision.unwrap_or(o.value));
+        per_sender
+    }
+
+    fn phase(msg: &ResilientSignedMsg) -> Option<Arc<PhaseKingMsg>> {
+        match msg {
+            ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
+            _ => None,
         }
     }
 
-    fn output(&self) -> Option<Value> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        self.out.is_some()
+    fn wrap(inner: Arc<PhaseKingMsg>) -> ResilientSignedMsg {
+        ResilientSignedMsg::Phase(inner)
     }
 }
 
-/// The worst-case coalition against the signed resilient pipeline —
-/// [`ResilientDisruptor`]'s strategy adapted to the signed exchange:
-/// properly signed all-ones shield votes in the classification round
-/// (equivocating there would get the coalition convicted and demoted),
-/// silence in the echo round (honest echoes already spread the
-/// shields), then the same quorum-splitting equivocation and
-/// crown-splitting during every phase whose king it owns. Used by the
-/// bench sweeps to realize the signed family's (suffix-free) graceful
-/// degradation staircase.
-pub struct SignedResilientDisruptor {
-    n: usize,
-    t: usize,
-    faulty: Vec<ProcessId>,
-    keys: Vec<SigningKey>,
-    pki: Arc<Pki>,
-    schedule: Vec<ProcessId>,
+impl Resilient<Signed> {
+    /// Creates the state machine for process `me`, signing with `key`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ba_core::PredictionMatrix;
+    /// use ba_crypto::Pki;
+    /// use ba_resilient::ResilientSigned;
+    /// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
+    /// use std::collections::BTreeSet;
+    /// use std::sync::Arc;
+    ///
+    /// // n = 7, one silent fault (p6), perfect predictions.
+    /// let n = 7;
+    /// let faulty: BTreeSet<ProcessId> = [ProcessId(6)].into_iter().collect();
+    /// let matrix = PredictionMatrix::perfect(n, &faulty);
+    /// let pki = Arc::new(Pki::new(n, 1));
+    /// let procs: Vec<ResilientSigned> = (0..6u32)
+    ///     .map(|i| {
+    ///         let id = ProcessId(i);
+    ///         let key = pki.signing_key(i);
+    ///         ResilientSigned::new(id, n, 2, Value(9), matrix.row(id).clone(), Arc::clone(&pki), key)
+    ///     })
+    ///     .collect();
+    /// let mut runner = Runner::new(n, procs, SilentAdversary);
+    /// let report = runner.run(ResilientSigned::rounds(2));
+    /// assert_eq!(report.decision(), Some(&Value(9)));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `3t < n` and the prediction has `n` bits.
+    pub fn new(
+        me: ProcessId,
+        n: usize,
+        t: usize,
+        input: Value,
+        prediction: BitVec,
+        pki: Arc<Pki>,
+        key: SigningKey,
+    ) -> Self {
+        Self::with_exchange(Signed { pki, key }, me, n, t, input, prediction)
+    }
 }
 
-impl SignedResilientDisruptor {
+impl Disruptor<Signed> {
     /// Creates the disruptor for the given system parameters; `keys`
     /// are the corrupted identifiers' signing keys (the harness hands
     /// the adversary exactly those, never honest ones).
     pub fn new(n: usize, t: usize, keys: Vec<SigningKey>, pki: Arc<Pki>) -> Self {
-        let faulty = keys.iter().map(|k| ProcessId(k.id())).collect();
-        SignedResilientDisruptor {
-            n,
-            t,
-            faulty,
-            keys,
-            pki,
-            schedule: Vec::new(),
-        }
-    }
-
-    /// The suffix-free schedule the rushed honest round-0
-    /// classification traffic induces. Aggregation is one string *per
-    /// sender* — identical strings from different senders each count,
-    /// exactly as in the honest [`ResilientSigned`] aggregation (and
-    /// the unsigned disruptor's `classifications_by_sender` path); a
-    /// content-deduplicated count would rank identifiers differently
-    /// and desynchronize the coalition from the throne order it means
-    /// to disrupt.
-    fn reconstruct_schedule(
-        n: usize,
-        t: usize,
-        pki: &Pki,
-        traffic: &[Envelope<ResilientSignedMsg>],
-    ) -> Vec<ProcessId> {
-        let mut per_sender: BTreeMap<ProcessId, &BitVec> = BTreeMap::new();
-        for env in traffic {
-            let ResilientSignedMsg::Classify(signed) = &*env.payload else {
-                continue;
-            };
-            if signed.verified_from(pki, env.from.0).is_none() {
-                continue;
-            }
-            per_sender.entry(env.from).or_insert(&signed.body().bits);
-        }
-        let suspicion = suspicion_scores(n, per_sender.into_values());
-        signed_king_schedule(n, t, &suspicion, &vec![false; n])
-    }
-}
-
-impl Adversary<ResilientSignedMsg> for SignedResilientDisruptor {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientSignedMsg>) {
-        if ctx.round == 0 {
-            // Reconstruct the schedule the honest processes will derive
-            // at round 2: their signed classifications (rushed), no
-            // convictions (honest processes never equivocate and the
-            // coalition will not either), plus the coalition's all-ones
-            // shields — which add no suspicion.
-            self.schedule =
-                Self::reconstruct_schedule(self.n, self.t, &self.pki, ctx.honest_traffic);
-            for key in &self.keys {
-                let shield = ResilientSignedMsg::Classify(Arc::new(Signed::new(
-                    ClassifyBody {
-                        bits: BitVec::ones(self.n),
-                    },
-                    key,
-                )));
-                ctx.broadcast(ProcessId(key.id()), shield);
-            }
-            return;
-        }
-        if ctx.round == 1 {
-            return; // honest echoes already spread the shields
-        }
-        let local = ctx.round - PHASE_START;
-        let phase = (local / 5) as usize;
-        if phase >= self.schedule.len() {
-            return;
-        }
-        ResilientDisruptor::disrupt_phase(
-            ctx,
-            &self.faulty,
-            self.n,
-            self.schedule[phase],
-            phase as u16,
-            local % 5,
-            ResilientSignedMsg::Phase,
-        );
+        let member = |key: SigningKey| {
+            let pki = Arc::clone(&pki);
+            (ProcessId(key.id()), Signed { pki, key })
+        };
+        Self::with_coalition(n, t, keys.into_iter().map(member).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suspicion_scores;
+    use crate::tests::{faults, signed, system};
+    use crate::ResilientSigned;
     use ba_core::PredictionMatrix;
-    use ba_sim::{FnAdversary, ReplayAdversary, Runner, SilentAdversary};
+    use ba_crypto::Signed;
+    use ba_sim::{AdversaryCtx, FnAdversary, Runner};
     use std::collections::BTreeSet;
-
-    fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
-        ids.iter().copied().map(ProcessId).collect()
-    }
-
-    fn system(
-        n: usize,
-        t: usize,
-        faulty: &BTreeSet<ProcessId>,
-        matrix: &PredictionMatrix,
-        pki: &Arc<Pki>,
-        input: impl Fn(usize) -> u64,
-    ) -> BTreeMap<ProcessId, ResilientSigned> {
-        ProcessId::all(n)
-            .filter(|id| !faulty.contains(id))
-            .enumerate()
-            .map(|(slot, id)| {
-                (
-                    id,
-                    ResilientSigned::new(
-                        id,
-                        n,
-                        t,
-                        Value(input(slot)),
-                        matrix.row(id).clone(),
-                        Arc::clone(pki),
-                        pki.signing_key(id.0),
-                    ),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn perfect_predictions_decide_in_the_first_phase() {
-        let n = 10;
-        let f = faults(&[3, 7]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, &pki, |_| 6), SilentAdversary);
-        let report = runner.run(ResilientSigned::rounds(3));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(6)));
-        assert!(report.last_decision_round.expect("decided") <= 2 + 2 * 5 + 1);
-    }
 
     /// Extracts every honest schedule and asserts they are identical —
     /// the invariant the suffix removal rests on.
@@ -659,8 +398,11 @@ mod tests {
                 }
             }
         });
-        let mut runner =
-            Runner::with_ids(n, system(n, t, &f, &m, &pki, |slot| (slot % 2) as u64), adv);
+        let mut runner = Runner::with_ids(
+            n,
+            system(n, t, &f, &m, signed(&pki), |slot| (slot % 2) as u64),
+            adv,
+        );
         let report = runner.run(ResilientSigned::rounds(t));
         assert!(report.agreement());
         assert!(report.all_decided());
@@ -725,7 +467,7 @@ mod tests {
                 }
             }
         });
-        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, &pki, |_| 4), adv);
+        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, signed(&pki), |_| 4), adv);
         let report = runner.run(ResilientSigned::rounds(t));
         assert!(report.agreement());
         assert_eq!(report.decision(), Some(&Value(4)), "unanimity survives");
@@ -779,8 +521,11 @@ mod tests {
                 }
             }
         });
-        let mut runner =
-            Runner::with_ids(n, system(n, t, &f, &m, &pki, |slot| (slot % 2) as u64), adv);
+        let mut runner = Runner::with_ids(
+            n,
+            system(n, t, &f, &m, signed(&pki), |slot| (slot % 2) as u64),
+            adv,
+        );
         let report = runner.run(ResilientSigned::rounds(t));
         assert!(report.agreement());
         assert!(report.all_decided());
@@ -840,7 +585,7 @@ mod tests {
                 }
             }
         });
-        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, &pki, |_| 6), adv);
+        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, signed(&pki), |_| 6), adv);
         let report = runner.run(ResilientSigned::rounds(t));
         assert!(report.agreement());
         assert_eq!(report.decision(), Some(&Value(6)));
@@ -859,14 +604,14 @@ mod tests {
 
     #[test]
     fn disruptor_reconstruction_counts_strings_per_sender() {
-        // Regression: the reconstruction used to deduplicate strings by
+        // Regression: the coalition's reconstruction used to deduplicate strings by
         // *content*, so three senders sharing one string counted once —
         // here that would seat p3 (dedup score 1) in the last slot
         // instead of p5, desynchronizing the coalition from the honest
         // throne order it means to disrupt.
         let n = 7;
         let t = 2;
-        let pki = Pki::new(n, 3);
+        let pki = Arc::new(Pki::new(n, 3));
         let classify = |sender: u32, suspects: &[usize]| {
             let mut bits = BitVec::ones(7);
             for &j in suspects {
@@ -890,7 +635,11 @@ mod tests {
             classify(3, &[4, 5]),
             classify(4, &[4, 6]),
         ];
-        let schedule = SignedResilientDisruptor::reconstruct_schedule(n, t, &pki, &traffic);
+        let coalition = crate::Signed {
+            key: pki.signing_key(6),
+            pki,
+        };
+        let schedule = coalition.view_by_sender(n, t, &traffic).schedule;
         // Per-sender scores: p3 ← 3, p4 ← 2, p5 ← 1, p6 ← 1; the last
         // slot goes to p5 (tie with p6 broken by id).
         assert_eq!(
@@ -908,54 +657,6 @@ mod tests {
         let honest =
             signed_king_schedule(n, t, &suspicion_scores(n, strings.iter()), &vec![false; n]);
         assert_eq!(schedule, honest);
-    }
-
-    #[test]
-    fn signed_disruptor_realizes_the_suffix_free_staircase() {
-        let n = 13;
-        let t = 4;
-        let f = faults(&[0, 1]);
-        let pki = Arc::new(Pki::new(n, 5));
-        let run = |promoted: usize| {
-            let mut m = PredictionMatrix::perfect(n, &f);
-            for target in 0..promoted {
-                for row in ProcessId::all(n).filter(|p| !f.contains(p)) {
-                    m.row_mut(row).set(target, true);
-                }
-            }
-            let keys = vec![pki.signing_key(0), pki.signing_key(1)];
-            let mut runner = Runner::with_ids(
-                n,
-                system(n, t, &f, &m, &pki, |slot| 1 + (slot % 2) as u64),
-                SignedResilientDisruptor::new(n, t, keys, Arc::clone(&pki)),
-            );
-            let report = runner.run(ResilientSigned::rounds(t));
-            assert!(report.agreement(), "promoted = {promoted}");
-            report.last_decision_round.expect("decided")
-        };
-        let base = run(0);
-        assert!(run(1) > base, "a promoted faulty king must cost rounds");
-        assert!(run(2) > run(1), "and the cost must grow with the count");
-        assert!(
-            run(2) <= ResilientSigned::rounds(t),
-            "even fully promoted, the suffix-free budget suffices"
-        );
-    }
-
-    #[test]
-    fn replayed_traffic_is_inert() {
-        let n = 10;
-        let f = faults(&[3, 7]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(
-            n,
-            system(n, 3, &f, &m, &pki, |_| 6),
-            ReplayAdversary::new(1),
-        );
-        let report = runner.run(ResilientSigned::rounds(3));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(6)));
     }
 
     #[test]
@@ -998,13 +699,5 @@ mod tests {
             unsigned.wire_bytes() + 20,
             "signed classify = unsigned + the 20-byte signature"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "3t < n")]
-    fn rejects_too_many_faults() {
-        let pki = Arc::new(Pki::new(9, 1));
-        let key = pki.signing_key(0);
-        let _ = ResilientSigned::new(ProcessId(0), 9, 3, Value(0), BitVec::ones(9), pki, key);
     }
 }

@@ -18,6 +18,7 @@ use ba_commeff::signed::{AckBody, Certificate, CommEffSignedMsg, ReportBody};
 use ba_core::{BitVec, Kit, WrapperMsg};
 use ba_crypto::{Pki, Signed, SigningKey};
 use ba_resilient::signed::{ClassifyBody, ResilientSignedMsg};
+use ba_resilient::ResilientMsg;
 use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,10 +79,14 @@ impl ClassifyLiar {
         }
     }
 
-    fn emit<M>(&mut self, ctx: &mut AdversaryCtx<'_, M>, wrap: impl Fn(Arc<BitVec>) -> M)
-    where
-        M: Clone,
-    {
+    /// Sends the crafted vectors of round 0: one per broadcast, or one
+    /// per recipient under `RandomPerRecipient`, each wrapped by `wrap`
+    /// for its sending member.
+    fn emit<M: Clone>(
+        &mut self,
+        ctx: &mut AdversaryCtx<'_, M>,
+        wrap: impl Fn(ProcessId, BitVec) -> M,
+    ) {
         if ctx.round != 0 {
             return;
         }
@@ -89,11 +94,11 @@ impl ClassifyLiar {
         for from in self.faulty.clone() {
             if per_recipient {
                 for to in ProcessId::all(self.n) {
-                    let msg = wrap(Arc::new(self.vector()));
+                    let msg = wrap(from, self.vector());
                     ctx.send(from, to, msg);
                 }
             } else {
-                let msg = wrap(Arc::new(self.vector()));
+                let msg = wrap(from, self.vector());
                 ctx.broadcast(from, msg);
             }
         }
@@ -102,68 +107,43 @@ impl ClassifyLiar {
     /// Adapter for the Algorithm-1 wrapper's message type, over either
     /// component kit.
     pub fn wrapper<K: Kit>(self) -> impl Adversary<WrapperMsg<K>> {
-        Wrapped(self, WrapperMsg::Classify)
+        Wrapped(self, |_: ProcessId, bits| {
+            WrapperMsg::Classify(Arc::new(bits))
+        })
     }
 
     /// Adapter for the resilient pipeline's message type — the only
     /// non-wrapper family with a real classification round to lie in
     /// (`RandomPerRecipient` there splits the honest suspicion views,
     /// exercising the schedule's liveness suffix).
-    pub fn resilient(self) -> impl Adversary<ba_resilient::ResilientMsg> {
-        Wrapped(self, ba_resilient::ResilientMsg::Classify)
+    pub fn resilient(self) -> impl Adversary<ResilientMsg> {
+        Wrapped(self, |_: ProcessId, bits| {
+            ResilientMsg::Classify(Arc::new(bits))
+        })
     }
 
     /// Adapter for the *signed* resilient pipeline: the same crafted
     /// vectors, each signed with the emitting coalition member's own
-    /// corrupted key (the harness hands the adversary exactly those).
-    /// `RandomPerRecipient` becomes a *signature equivocator* — and the
-    /// signed exchange convicts it by its own signatures instead of
-    /// paying the rotation suffix.
+    /// corrupted key (the harness hands the adversary exactly those, one
+    /// per member). `RandomPerRecipient` becomes a *signature
+    /// equivocator* — and the signed exchange convicts it by its own
+    /// signatures instead of paying the rotation suffix.
     pub fn resilient_signed(self, keys: Vec<SigningKey>) -> impl Adversary<ResilientSignedMsg> {
-        let keys = keys
-            .into_iter()
-            .map(|k| (ProcessId(k.id()), k))
-            .collect::<BTreeMap<_, _>>();
-        SignedResilientLiar { base: self, keys }
+        let keys: BTreeMap<ProcessId, SigningKey> =
+            keys.into_iter().map(|k| (ProcessId(k.id()), k)).collect();
+        Wrapped(self, move |from: ProcessId, bits| {
+            let vote = Signed::new(ClassifyBody { bits }, &keys[&from]);
+            ResilientSignedMsg::Classify(Arc::new(vote))
+        })
     }
 }
 
 /// A liar whose vectors travel in the classification message its
-/// second field builds.
+/// second field builds for the sending member.
 struct Wrapped<F>(ClassifyLiar, F);
-impl<M: Clone, F: Fn(Arc<BitVec>) -> M> Adversary<M> for Wrapped<F> {
+impl<M: Clone, F: Fn(ProcessId, BitVec) -> M> Adversary<M> for Wrapped<F> {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
         self.0.emit(ctx, &self.1);
-    }
-}
-
-struct SignedResilientLiar {
-    base: ClassifyLiar,
-    keys: BTreeMap<ProcessId, SigningKey>,
-}
-
-impl Adversary<ResilientSignedMsg> for SignedResilientLiar {
-    fn act(&mut self, ctx: &mut AdversaryCtx<'_, ResilientSignedMsg>) {
-        if ctx.round != 0 {
-            return;
-        }
-        let per_recipient = matches!(self.base.style, LiarStyle::RandomPerRecipient);
-        for from in self.base.faulty.clone() {
-            let Some(key) = self.keys.get(&from) else {
-                continue;
-            };
-            let classify = |bits: BitVec| {
-                ResilientSignedMsg::Classify(Arc::new(Signed::new(ClassifyBody { bits }, key)))
-            };
-            if per_recipient {
-                for to in ProcessId::all(self.base.n) {
-                    let msg = classify(self.base.vector());
-                    ctx.send(from, to, msg);
-                }
-            } else {
-                ctx.broadcast(from, classify(self.base.vector()));
-            }
-        }
     }
 }
 

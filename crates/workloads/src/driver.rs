@@ -27,8 +27,9 @@
 //! baselines and both committee pipelines) degrade `ClassifyLiar` to
 //! silence: its lies have no audience. `Disruptor` maps to the strongest
 //! behaviour each family admits: the schedule-driven coalitions of
-//! [`crate::disruptor`] for the wrappers, the schedule-aware coalitions
-//! for the resilient pair ([`ResilientDisruptor`] /
+//! [`crate::disruptor`] for the wrappers, one schedule-aware coalition,
+//! [`ba_resilient::Disruptor`], over either classification exchange for
+//! the resilient pair ([`ResilientDisruptor`] /
 //! [`SignedResilientDisruptor`]), the full signature-equivocation menu
 //! for the signed committee pipeline ([`SignedCertEquivocator`]), and a
 //! 1-round replay coalition for the baselines and the unsigned committee
@@ -304,10 +305,10 @@ pub static FAMILIES: [Family; Pipeline::ALL.len()] = [
             session(spec, make, adversary, |p| Some(bits_of(p.prediction())))
         },
     },
-    // The resilient throne schedule over a signed, echoed classification
-    // exchange: equivocators are convicted by their own signatures, the
-    // honest suspicion views agree, and the phase budget shrinks from
-    // `2t + 3` to `t + 2` with no rotation suffix.
+    // The same resilient state machine over the signed, echoed
+    // classification exchange: equivocators are convicted by their own
+    // signatures, the honest suspicion views agree, and the phase budget
+    // shrinks from `2t + 3` to `t + 2` with no rotation suffix.
     Family {
         name: "resilient-signed",
         divisor: 3,

@@ -36,12 +36,17 @@ fn minimal_auth_system_n3_t1() {
 
 #[test]
 fn zero_tolerance_still_terminates() {
-    // t = 0: one phase, no faults allowed, trivial agreement.
-    for pipeline in [Pipeline::Unauth, Pipeline::Auth] {
-        let mut cfg = ExperimentConfig::new(5, 0, 0, 0, pipeline);
-        cfg.inputs = InputPattern::Unanimous(1);
-        let out = cfg.run();
-        assert!(out.validity_ok, "{pipeline:?} t=0");
+    // t = 0: one phase, no faults allowed, trivial agreement — for every
+    // family, down to n = 1, the only size where 3t < n but t + 2 > n
+    // (the resilient schedules must wrap identifiers there).
+    for pipeline in Pipeline::ALL {
+        for n in [1, 2, 5] {
+            let mut cfg = ExperimentConfig::new(n, 0, 0, 0, pipeline);
+            cfg.inputs = InputPattern::Unanimous(1);
+            let out = cfg.run();
+            assert!(out.agreement, "{pipeline:?} n={n} t=0");
+            assert!(out.validity_ok, "{pipeline:?} n={n} t=0");
+        }
     }
 }
 
