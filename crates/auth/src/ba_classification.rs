@@ -28,6 +28,7 @@ use crate::bb_committee::{BbBatch, CommitteeMode, ParallelBroadcast};
 use crate::chains::{committee_bytes, CommitteeCert};
 use ba_crypto::{Pki, Signature, SigningKey};
 use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Tally, Value, WireSize};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Messages of Algorithm 7.
@@ -36,7 +37,7 @@ pub enum Alg7Msg {
     /// Round-1 committee vote: a signature on `⟨committee, recipient⟩`.
     CommitteeVote(Signature),
     /// Batched chain traffic of the `n` parallel broadcasts.
-    Chains(Arc<BbBatch>),
+    Chains(Rc<BbBatch>),
     /// Final-round certified plurality report.
     Plurality {
         /// The reported value.
@@ -162,7 +163,7 @@ impl AuthBaWithClassification {
             inbox,
             out,
             |m| match m {
-                Alg7Msg::Chains(batch) => Some(Arc::clone(batch)),
+                Alg7Msg::Chains(batch) => Some(Rc::clone(batch)),
                 _ => None,
             },
             Alg7Msg::Chains,
@@ -409,14 +410,14 @@ mod tests {
                             ctx.send(
                                 ProcessId(0),
                                 ProcessId(to),
-                                Alg7Msg::Chains(Arc::new(vec![(0, a.clone())])),
+                                Alg7Msg::Chains(Rc::new(vec![(0, a.clone())])),
                             );
                         }
                         for to in 5..10u32 {
                             ctx.send(
                                 ProcessId(0),
                                 ProcessId(to),
-                                Alg7Msg::Chains(Arc::new(vec![(0, b.clone())])),
+                                Alg7Msg::Chains(Rc::new(vec![(0, b.clone())])),
                             );
                         }
                     }

@@ -7,6 +7,7 @@ use ba_crypto::Pki;
 use ba_sim::{AdversaryCtx, FnAdversary, ProcessId, Runner, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 proptest! {
@@ -79,7 +80,7 @@ proptest! {
                 // Chain with a certificate stolen from another member id.
                 let stolen = CommitteeCert { member: 0, sigs: fake.sigs.clone() };
                 let chain = MessageChain::start(session, bad.0, Value(junk_value), &key, Some(stolen));
-                ctx.broadcast(bad, ba_auth::Alg7Msg::Chains(Arc::new(vec![(bad.0, chain)])));
+                ctx.broadcast(bad, ba_auth::Alg7Msg::Chains(Rc::new(vec![(bad.0, chain)])));
             }
         });
         let honest: BTreeMap<ProcessId, AuthBaWithClassification> = ProcessId::all(n)

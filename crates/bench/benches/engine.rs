@@ -204,10 +204,21 @@ fn main() {
         format!("{best:.0}"),
     ]);
 
+    // The same 81 honest broadcasters with silent faults: one round of
+    // honest-only routing, about 7.8k envelopes, so the replay row below
+    // less this one is the cost of the replayed traffic.
+    let (n, f) = (96, 15);
+    let mut runner = Runner::new(n, (0..n - f).map(|_| Broadcaster), SilentAdversary);
+    let (mean, best) = measure(5, 8, || runner.step());
+    table.row([
+        "runner_step_broadcast_n96".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
     // One steady-state round of routing under replay: 81 honest
     // broadcasts, each replayed a round later to all 96 processes, so
     // about 7.8k honest and 750k faulty envelopes per round.
-    let (n, f) = (96, 15);
     let mut runner = Runner::new(n, (0..n - f).map(|_| Broadcaster), ReplayAdversary::new(1));
     let (mean, best) = measure(5, 8, || runner.step());
     table.row([

@@ -50,7 +50,7 @@ use ba_sim::{
     distinct_values_by_sender, plurality_smallest, step_sub, Envelope, Outbox, Process, ProcessId,
     Tally, Value, WireSize,
 };
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// First fallback round: the fast lane occupies steps `0..=4`.
 pub(crate) const FALLBACK_START: u64 = 5;
@@ -80,7 +80,7 @@ pub enum CommEffMsg {
     /// fallback lane everywhere.
     Retreat,
     /// Steps 5+: wrapped phase-king fallback traffic.
-    Fallback(Arc<PhaseKingMsg>),
+    Fallback(Rc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the variant's payload.
@@ -256,7 +256,7 @@ impl CommEff {
             inbox,
             out,
             |m| match m {
-                CommEffMsg::Fallback(x) => Some(Arc::clone(x)),
+                CommEffMsg::Fallback(x) => Some(Rc::clone(x)),
                 _ => None,
             },
             CommEffMsg::Fallback,

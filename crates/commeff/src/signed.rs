@@ -70,6 +70,7 @@ use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
 use ba_early::{PhaseKing, PhaseKingMsg};
 use ba_sim::{plurality_smallest, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// First fallback round: the signed fast lane occupies steps `0..=5`
@@ -195,12 +196,12 @@ pub enum CommEffSignedMsg {
     /// Step 2 → committee: the sender's signed acknowledgement.
     Ack(Signed<AckBody>),
     /// Step 3 → all: an aggregator's certify proof.
-    Commit(Arc<Certificate>),
+    Commit(Rc<Certificate>),
     /// Step 4 → all: a certificate re-broadcast by any process that
     /// holds one, making the lane decision uniform.
-    Echo(Arc<Certificate>),
+    Echo(Rc<Certificate>),
     /// Steps 6+: wrapped phase-king fallback traffic.
-    Fallback(Arc<PhaseKingMsg>),
+    Fallback(Rc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the variant's payload; each signed body
@@ -263,7 +264,7 @@ pub struct CommEffSigned {
     tentative: Value,
     /// The first valid certificate observed (held across the echo
     /// round).
-    cert: Option<Arc<Certificate>>,
+    cert: Option<Rc<Certificate>>,
     fallback: Option<PhaseKing>,
     out: Option<Value>,
 }
@@ -371,12 +372,12 @@ impl CommEffSigned {
     }
 
     /// The first valid certificate in the inbox, if any.
-    fn valid_cert(&self, inbox: &[Envelope<CommEffSignedMsg>]) -> Option<Arc<Certificate>> {
+    fn valid_cert(&self, inbox: &[Envelope<CommEffSignedMsg>]) -> Option<Rc<Certificate>> {
         inbox.iter().find_map(|env| match &*env.payload {
             CommEffSignedMsg::Commit(c) | CommEffSignedMsg::Echo(c)
                 if c.verify(&self.pki, self.n, self.t) =>
             {
-                Some(Arc::clone(c))
+                Some(Rc::clone(c))
             }
             _ => None,
         })
@@ -397,7 +398,7 @@ impl CommEffSigned {
             inbox,
             out,
             |m| match m {
-                CommEffSignedMsg::Fallback(x) => Some(Arc::clone(x)),
+                CommEffSignedMsg::Fallback(x) => Some(Rc::clone(x)),
                 _ => None,
             },
             CommEffSignedMsg::Fallback,
@@ -511,7 +512,7 @@ impl Process for CommEffSigned {
                     .into_iter()
                     .find(|(_, acks)| acks.len() >= self.n - self.t)
                 {
-                    out.broadcast(CommEffSignedMsg::Commit(Arc::new(Certificate {
+                    out.broadcast(CommEffSignedMsg::Commit(Rc::new(Certificate {
                         value,
                         acks,
                     })));
@@ -522,7 +523,7 @@ impl Process for CommEffSigned {
             // to make the whole honest population decide.
             4 => {
                 if let Some(cert) = self.valid_cert(inbox) {
-                    out.broadcast(CommEffSignedMsg::Echo(Arc::clone(&cert)));
+                    out.broadcast(CommEffSignedMsg::Echo(Rc::clone(&cert)));
                     self.cert = Some(cert);
                 }
             }
@@ -689,17 +690,13 @@ mod tests {
                             Signed::from_parts(body, sig)
                         })
                         .collect();
-                    let cert = Arc::new(Certificate {
+                    let cert = Rc::new(Certificate {
                         value: Value(7),
                         acks: forged,
                     });
                     assert!(!cert.verify(&adv_pki, 7, 2), "forgery must not verify");
                     for to in ProcessId::all(7).filter(|p| p.0.is_multiple_of(2)) {
-                        ctx.send(
-                            ProcessId(0),
-                            to,
-                            CommEffSignedMsg::Commit(Arc::clone(&cert)),
-                        );
+                        ctx.send(ProcessId(0), to, CommEffSignedMsg::Commit(Rc::clone(&cert)));
                     }
                 }
                 _ => {}
@@ -755,16 +752,12 @@ mod tests {
                 // Deliver the genuine certificate to the evens only.
                 3 => {
                     let store = acks_in.lock().expect("poisoned");
-                    let cert = Arc::new(Certificate {
+                    let cert = Rc::new(Certificate {
                         value: Value(7),
                         acks: store.clone(),
                     });
                     for to in ProcessId::all(7).filter(|p| p.0.is_multiple_of(2)) {
-                        ctx.send(
-                            ProcessId(0),
-                            to,
-                            CommEffSignedMsg::Commit(Arc::clone(&cert)),
-                        );
+                        ctx.send(ProcessId(0), to, CommEffSignedMsg::Commit(Rc::clone(&cert)));
                     }
                 }
                 _ => {}
@@ -801,15 +794,13 @@ mod tests {
         let key3 = pki.signing_key(3);
         let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, CommEffSignedMsg>| {
             // Replay every observed honest signed body from p3.
-            let observed: Vec<Arc<CommEffSignedMsg>> = ctx
+            let observed: Vec<Rc<CommEffSignedMsg>> = ctx
                 .honest_traffic
                 .iter()
-                .map(|e| Arc::clone(&e.payload))
+                .map(|e| Rc::clone(&e.payload))
                 .collect();
             for payload in observed {
-                for to in ProcessId::all(10) {
-                    ctx.replay(ProcessId(3), to, Arc::clone(&payload));
-                }
+                ctx.replay_broadcast(ProcessId(3), payload);
             }
             // Forge a submission claiming an honest signer.
             let body = SubmitBody { value: Value(99) };

@@ -48,6 +48,7 @@ use ba_graded::{AuthGcMsg, AuthGraded, Graded, UnauthGcMsg, UnauthGraded};
 use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use ba_unauth::{Alg5Msg, UnauthBaWithClassification};
 use std::fmt::Debug;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The component set one instantiation of Algorithm 1 plugs in.
@@ -217,27 +218,27 @@ impl Kit for Auth {
 #[derive(Clone, Debug)]
 pub enum WrapperMsg<K: Kit> {
     /// Algorithm 2 traffic.
-    Classify(Arc<BitVec>),
+    Classify(Rc<BitVec>),
     /// Graded-consensus traffic of one slot.
     Gc {
         /// Slot index (= session tag).
         slot: u16,
         /// Inner payload.
-        inner: Arc<K::GcMsg>,
+        inner: Rc<K::GcMsg>,
     },
     /// Early-stopping traffic of one slot.
     Es {
         /// Slot index (= session tag).
         slot: u16,
         /// Inner payload.
-        inner: Arc<K::EsMsg>,
+        inner: Rc<K::EsMsg>,
     },
     /// Conditional-BA traffic of one slot.
     Class {
         /// Slot index (= session tag).
         slot: u16,
         /// Inner payload.
-        inner: Arc<K::ClassMsg>,
+        inner: Rc<K::ClassMsg>,
     },
 }
 
@@ -392,7 +393,7 @@ impl<K: Kit> Wrapper<K> {
                 inbox,
                 out,
                 |m| match m {
-                    WrapperMsg::Classify(x) => Some(Arc::clone(x)),
+                    WrapperMsg::Classify(x) => Some(Rc::clone(x)),
                     _ => None,
                 },
                 WrapperMsg::Classify,
@@ -403,7 +404,7 @@ impl<K: Kit> Wrapper<K> {
                 inbox,
                 out,
                 |m| match m {
-                    WrapperMsg::Gc { slot, inner } if *slot == idx => Some(Arc::clone(inner)),
+                    WrapperMsg::Gc { slot, inner } if *slot == idx => Some(Rc::clone(inner)),
                     _ => None,
                 },
                 |inner| WrapperMsg::Gc { slot: idx, inner },
@@ -414,7 +415,7 @@ impl<K: Kit> Wrapper<K> {
                 inbox,
                 out,
                 |m| match m {
-                    WrapperMsg::Es { slot, inner } if *slot == idx => Some(Arc::clone(inner)),
+                    WrapperMsg::Es { slot, inner } if *slot == idx => Some(Rc::clone(inner)),
                     _ => None,
                 },
                 |inner| WrapperMsg::Es { slot: idx, inner },
@@ -425,7 +426,7 @@ impl<K: Kit> Wrapper<K> {
                 inbox,
                 out,
                 |m| match m {
-                    WrapperMsg::Class { slot, inner } if *slot == idx => Some(Arc::clone(inner)),
+                    WrapperMsg::Class { slot, inner } if *slot == idx => Some(Rc::clone(inner)),
                     _ => None,
                 },
                 |inner| WrapperMsg::Class { slot: idx, inner },

@@ -284,8 +284,10 @@ pub struct Pki {
 /// The id the next [`Pki`] gets.
 static NEXT_PKI_ID: AtomicU64 = AtomicU64::new(0);
 
-// Parallel sweeps move sessions, and with them their `Arc<Pki>`, across
-// threads: fail the build if the memo ever makes `Pki` thread-bound.
+// A session runs on one thread and shares its message payloads through
+// `Rc`, but a `Pki` is state handed to constructors: it stays an
+// `Arc<Pki>` on purpose, so one key set can serve sessions on several
+// threads. Fail the build if the memo ever makes `Pki` thread-bound.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pki>();

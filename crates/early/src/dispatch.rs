@@ -16,15 +16,16 @@
 use crate::phase_king::{PhaseKing, PhaseKingMsg};
 use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use ba_unauth::{Alg5Msg, UnauthBaWithClassification};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Messages of the unauthenticated early-stopping dispatcher.
 #[derive(Clone, Debug)]
 pub enum EsUnauthMsg {
     /// Algorithm-5-with-trivial-classification traffic.
-    Alg5(Arc<Alg5Msg>),
+    Alg5(Rc<Alg5Msg>),
     /// Phase-king traffic.
-    King(Arc<PhaseKingMsg>),
+    King(Rc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the inner payload.
@@ -104,7 +105,7 @@ impl Process for EsUnauth {
                 inbox,
                 out,
                 |m| match m {
-                    EsUnauthMsg::Alg5(x) => Some(Arc::clone(x)),
+                    EsUnauthMsg::Alg5(x) => Some(Rc::clone(x)),
                     EsUnauthMsg::King(_) => None,
                 },
                 EsUnauthMsg::Alg5,
@@ -115,7 +116,7 @@ impl Process for EsUnauth {
                 inbox,
                 out,
                 |m| match m {
-                    EsUnauthMsg::King(x) => Some(Arc::clone(x)),
+                    EsUnauthMsg::King(x) => Some(Rc::clone(x)),
                     EsUnauthMsg::Alg5(_) => None,
                 },
                 EsUnauthMsg::King,

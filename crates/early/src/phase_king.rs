@@ -37,6 +37,7 @@ use ba_graded::{UnauthGcMsg, UnauthGraded};
 use ba_sim::{
     distinct_values_by_sender, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize,
 };
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Messages of the phase-king protocol.
@@ -47,7 +48,7 @@ pub enum PhaseKingMsg {
         /// Phase number (0-based).
         phase: u16,
         /// Inner graded-consensus payload.
-        inner: Arc<UnauthGcMsg>,
+        inner: Rc<UnauthGcMsg>,
     },
     /// The king's value broadcast.
     King {
@@ -61,7 +62,7 @@ pub enum PhaseKingMsg {
         /// Phase number (0-based).
         phase: u16,
         /// Inner graded-consensus payload.
-        inner: Arc<UnauthGcMsg>,
+        inner: Rc<UnauthGcMsg>,
     },
 }
 
@@ -223,10 +224,10 @@ impl PhaseKing {
             out,
             |m| match (m, is_main) {
                 (PhaseKingMsg::Main { phase: p, inner }, true) if *p == phase => {
-                    Some(Arc::clone(inner))
+                    Some(Rc::clone(inner))
                 }
                 (PhaseKingMsg::Detect { phase: p, inner }, false) if *p == phase => {
-                    Some(Arc::clone(inner))
+                    Some(Rc::clone(inner))
                 }
                 _ => None,
             },
@@ -410,12 +411,12 @@ mod tests {
                             if ctx.round == 0 {
                                 PhaseKingMsg::Main {
                                     phase: 0,
-                                    inner: Arc::new(UnauthGcMsg::Vote(v)),
+                                    inner: Rc::new(UnauthGcMsg::Vote(v)),
                                 }
                             } else {
                                 PhaseKingMsg::Detect {
                                     phase: 0,
-                                    inner: Arc::new(UnauthGcMsg::Vote(v)),
+                                    inner: Rc::new(UnauthGcMsg::Vote(v)),
                                 }
                             },
                         );
@@ -501,16 +502,16 @@ mod tests {
                     let msg = match x % 4 {
                         0 => PhaseKingMsg::Main {
                             phase,
-                            inner: Arc::new(UnauthGcMsg::Vote(v)),
+                            inner: Rc::new(UnauthGcMsg::Vote(v)),
                         },
                         1 => PhaseKingMsg::Main {
                             phase,
-                            inner: Arc::new(UnauthGcMsg::Echo(v)),
+                            inner: Rc::new(UnauthGcMsg::Echo(v)),
                         },
                         2 => PhaseKingMsg::King { phase, value: v },
                         _ => PhaseKingMsg::Detect {
                             phase,
-                            inner: Arc::new(UnauthGcMsg::Vote(v)),
+                            inner: Rc::new(UnauthGcMsg::Vote(v)),
                         },
                     };
                     ctx.broadcast(from, msg);
@@ -534,7 +535,7 @@ mod tests {
                 ProcessId(6),
                 PhaseKingMsg::Main {
                     phase,
-                    inner: Arc::new(UnauthGcMsg::Vote(Value(9))),
+                    inner: Rc::new(UnauthGcMsg::Vote(Value(9))),
                 },
             );
         });

@@ -282,6 +282,7 @@ mod tests {
     use super::*;
     use crate::gradecast::{confirm_bytes, echo_bytes, value_bytes, CommitCert, EchoCert};
     use ba_sim::{AdversaryCtx, FnAdversary, ProcessId, Runner, SilentAdversary};
+    use std::rc::Rc;
 
     fn system(n: usize, t: usize, session: u64, inputs: &[u64], pki: &Arc<Pki>) -> Vec<AuthGraded> {
         inputs
@@ -408,7 +409,7 @@ mod tests {
                 ctx.broadcast(
                     ProcessId(3),
                     AuthGcMsg {
-                        items: vec![(3, GcastItem::Cert(Arc::new(cert)))],
+                        items: vec![(3, GcastItem::Cert(Rc::new(cert)))],
                     },
                 );
             }

@@ -55,7 +55,7 @@
 //!   [`ba_crypto::Statement`]); every later signature on them is checked
 //!   without encoding or hashing the statement again.
 //! * Certificates are shared, not copied: a formed or received echo
-//!   certificate is one `Arc<EchoCert>` allocation, held by the instance
+//!   certificate is one `Rc<EchoCert>` allocation, held by the instance
 //!   and by every round-3 to round-5 item that carries it.
 //! * Echo and confirm signatures travel as [`SealedSig`]s. A broadcast
 //!   item reaches every recipient as one shared payload, so the first
@@ -88,7 +88,7 @@
 use ba_crypto::{Encoder, Pki, SealedSig, Signature, SigningKey, Statement};
 use ba_sim::{Value, WireSize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Static parameters of one gradecast instance.
 #[derive(Clone, Copy, Debug)]
@@ -229,7 +229,7 @@ pub enum GcastItem {
     },
     /// Rounds 3–5: an echo certificate (fresh, conflict report, or
     /// spread).
-    Cert(Arc<EchoCert>),
+    Cert(Rc<EchoCert>),
     /// Round 4: a confirmation with its supporting certificate.
     Confirm {
         /// Confirmed value.
@@ -237,7 +237,7 @@ pub enum GcastItem {
         /// Confirmer's signature over [`confirm_bytes`].
         sig: SealedSig,
         /// Certificate justifying the confirmation.
-        cert: Arc<EchoCert>,
+        cert: Rc<EchoCert>,
     },
     /// Round 5: a commit certificate.
     Commit(CommitCert),
@@ -305,7 +305,7 @@ struct Input {
 /// A certified value's first valid certificate and verified confirms.
 #[derive(Debug)]
 struct Certified {
-    cert: Arc<EchoCert>,
+    cert: Rc<EchoCert>,
     confirms: Votes,
 }
 
@@ -402,12 +402,12 @@ impl GcastInstance {
     /// Round-3 send: certificates this process can assemble from echoes.
     pub fn make_certs(&mut self) -> Vec<GcastItem> {
         let q = self.cfg.quorum();
-        let formed: Vec<Arc<EchoCert>> = self
+        let formed: Vec<Rc<EchoCert>> = self
             .inputs
             .iter()
             .filter(|(_, input)| input.echoes.sigs.len() >= q)
             .map(|(value, input)| {
-                Arc::new(EchoCert {
+                Rc::new(EchoCert {
                     value,
                     sender_sig: input.sender_sig,
                     echo_sigs: input.echoes.sigs.clone(),
@@ -418,14 +418,14 @@ impl GcastInstance {
             // Locally formed, so already valid.
             if !self.certs.contains(cert.value) {
                 self.certs
-                    .insert(cert.value, Certified::new(Arc::clone(cert)));
+                    .insert(cert.value, Certified::new(Rc::clone(cert)));
             }
         }
         formed.into_iter().map(GcastItem::Cert).collect()
     }
 
     /// Ingests a received certificate (any round).
-    pub fn recv_cert(&mut self, pki: &Pki, cert: &Arc<EchoCert>) {
+    pub fn recv_cert(&mut self, pki: &Pki, cert: &Rc<EchoCert>) {
         if self.certs.contains(cert.value) {
             return; // one valid certificate per value suffices
         }
@@ -434,7 +434,7 @@ impl GcastInstance {
         }
         if cert.verify(&self.cfg, pki) {
             self.certs
-                .insert(cert.value, Certified::new(Arc::clone(cert)));
+                .insert(cert.value, Certified::new(Rc::clone(cert)));
         }
     }
 
@@ -449,7 +449,7 @@ impl GcastInstance {
                 vec![GcastItem::Confirm {
                     value,
                     sig: sig.into(),
-                    cert: Arc::clone(&certified.cert),
+                    cert: Rc::clone(&certified.cert),
                 }]
             }
             None => self.cert_items().collect(),
@@ -458,7 +458,7 @@ impl GcastInstance {
 
     /// Ingests a round-4 `Confirm` item (records the attached certificate
     /// first, then the confirm signature).
-    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &SealedSig, cert: &Arc<EchoCert>) {
+    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &SealedSig, cert: &Rc<EchoCert>) {
         if cert.value == value {
             self.recv_cert(pki, cert);
         }
@@ -504,7 +504,7 @@ impl GcastInstance {
     fn cert_items(&self) -> impl Iterator<Item = GcastItem> + '_ {
         self.certs
             .iter()
-            .map(|(_, certified)| GcastItem::Cert(Arc::clone(&certified.cert)))
+            .map(|(_, certified)| GcastItem::Cert(Rc::clone(&certified.cert)))
     }
 
     /// Ingests a round-5 `Commit` item.
@@ -556,7 +556,7 @@ impl Input {
 }
 
 impl Certified {
-    fn new(cert: Arc<EchoCert>) -> Self {
+    fn new(cert: Rc<EchoCert>) -> Self {
         Certified {
             cert,
             confirms: Votes::default(),
@@ -821,13 +821,13 @@ mod tests {
             formed.recv_echo(&pki, Value(6), &ssig, &esig.into());
         }
         let mut received = GcastInstance::new(cfg);
-        let cert = Arc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
+        let cert = Rc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
         received.recv_cert(&pki, &cert);
-        let certs = |items: &[GcastItem]| -> Vec<Arc<EchoCert>> {
+        let certs = |items: &[GcastItem]| -> Vec<Rc<EchoCert>> {
             items
                 .iter()
                 .map(|item| match item {
-                    GcastItem::Cert(cert) | GcastItem::Confirm { cert, .. } => Arc::clone(cert),
+                    GcastItem::Cert(cert) | GcastItem::Confirm { cert, .. } => Rc::clone(cert),
                     other => panic!("expected a certificate, got {other:?}"),
                 })
                 .collect()
@@ -837,7 +837,7 @@ mod tests {
             let key = pki.signing_key(3);
             for later in [certs(&inst.make_confirm(&key)), certs(&inst.make_spread())] {
                 assert!(
-                    Arc::ptr_eq(&first, &later[0]),
+                    Rc::ptr_eq(&first, &later[0]),
                     "one allocation per certificate"
                 );
             }

@@ -9,7 +9,7 @@ use ba_graded::gradecast::{
     GcastItem, GcastOutput,
 };
 use ba_sim::Value;
-use std::sync::Arc;
+use std::rc::Rc;
 
 fn cfg() -> GcastConfig {
     GcastConfig {
@@ -36,8 +36,8 @@ fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(11, 0, v))
 }
 
-fn cert(pki: &Pki, v: Value, echoers: &[u32]) -> Arc<EchoCert> {
-    Arc::new(EchoCert {
+fn cert(pki: &Pki, v: Value, echoers: &[u32]) -> Rc<EchoCert> {
+    Rc::new(EchoCert {
         value: v,
         sender_sig: sender_sig(pki, v),
         echo_sigs: echoers.iter().map(|&s| echo_sig(pki, s, v)).collect(),
@@ -150,7 +150,7 @@ fn confirms_without_certificates_do_not_count() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
     let v = Value(3);
-    let junk_cert = Arc::new(EchoCert {
+    let junk_cert = Rc::new(EchoCert {
         value: Value(4), // mismatched: attached cert is for another value
         sender_sig: sender_sig(&pki, Value(4)),
         echo_sigs: vec![echo_sig(&pki, 0, Value(4))],

@@ -8,7 +8,7 @@ use ba_graded::gradecast::{
     GcastItem,
 };
 use ba_sim::Value;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const SESSION: u64 = 3;
 
@@ -33,8 +33,8 @@ fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(SESSION, 0, v))
 }
 
-fn cert(pki: &Pki, v: Value) -> Arc<EchoCert> {
-    Arc::new(EchoCert {
+fn cert(pki: &Pki, v: Value) -> Rc<EchoCert> {
+    Rc::new(EchoCert {
         value: v,
         sender_sig: sender_sig(pki, v),
         echo_sigs: [0, 1, 2].iter().map(|&s| echo_sig(pki, s, v)).collect(),

@@ -81,7 +81,7 @@ use ba_sim::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A classification exchange: how prediction strings travel, which of
 /// them count, and which throne order they induce. Round 0 broadcasts
@@ -128,10 +128,10 @@ pub trait Exchange: Sized {
     }
 
     /// The phase-king payload `msg` carries, if any.
-    fn phase(msg: &Self::Msg) -> Option<Arc<PhaseKingMsg>>;
+    fn phase(msg: &Self::Msg) -> Option<Rc<PhaseKingMsg>>;
 
     /// Wraps phase-king traffic.
-    fn wrap(inner: Arc<PhaseKingMsg>) -> Self::Msg;
+    fn wrap(inner: Rc<PhaseKingMsg>) -> Self::Msg;
 }
 
 /// One process's aggregation of the classification exchange.
@@ -182,9 +182,9 @@ pub struct Plain;
 #[derive(Clone, Debug)]
 pub enum ResilientMsg {
     /// Round 0 → all: the sender's n-bit prediction string.
-    Classify(Arc<BitVec>),
+    Classify(Rc<BitVec>),
     /// Rounds 1+: wrapped trust-ordered phase-king traffic.
-    Phase(Arc<PhaseKingMsg>),
+    Phase(Rc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the variant's payload.
@@ -211,7 +211,7 @@ impl Exchange for Plain {
     }
 
     fn classify(&self, bits: BitVec) -> ResilientMsg {
-        ResilientMsg::Classify(Arc::new(bits))
+        ResilientMsg::Classify(Rc::new(bits))
     }
 
     fn aggregate(&self, n: usize, t: usize, inbox: &[Envelope<ResilientMsg>]) -> View {
@@ -231,14 +231,14 @@ impl Exchange for Plain {
         per_sender
     }
 
-    fn phase(msg: &ResilientMsg) -> Option<Arc<PhaseKingMsg>> {
+    fn phase(msg: &ResilientMsg) -> Option<Rc<PhaseKingMsg>> {
         match msg {
-            ResilientMsg::Phase(x) => Some(Arc::clone(x)),
+            ResilientMsg::Phase(x) => Some(Rc::clone(x)),
             _ => None,
         }
     }
 
-    fn wrap(inner: Arc<PhaseKingMsg>) -> ResilientMsg {
+    fn wrap(inner: Rc<PhaseKingMsg>) -> ResilientMsg {
         ResilientMsg::Phase(inner)
     }
 }
@@ -581,11 +581,11 @@ fn disrupt_phase<M: Clone>(
     king: ProcessId,
     tag: u16,
     slot: u64,
-    wrap: impl Fn(Arc<PhaseKingMsg>) -> M,
+    wrap: impl Fn(Rc<PhaseKingMsg>) -> M,
 ) {
     let gc = |inner: UnauthGcMsg, main: bool| {
-        let inner = Arc::new(inner);
-        wrap(Arc::new(if main {
+        let inner = Rc::new(inner);
+        wrap(Rc::new(if main {
             PhaseKingMsg::Main { phase: tag, inner }
         } else {
             PhaseKingMsg::Detect { phase: tag, inner }
@@ -605,7 +605,7 @@ fn disrupt_phase<M: Clone>(
             if faulty.contains(&king) {
                 for to in ProcessId::all(n) {
                     let value = Value(u64::from(to.0 % 2));
-                    let msg = wrap(Arc::new(PhaseKingMsg::King { phase: tag, value }));
+                    let msg = wrap(Rc::new(PhaseKingMsg::King { phase: tag, value }));
                     ctx.send(king, to, msg);
                 }
             }
@@ -623,6 +623,7 @@ pub(crate) mod tests {
     use ba_crypto::Pki;
     use ba_sim::{ReplayAdversary, Runner, SilentAdversary};
     use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     pub(crate) fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
         ids.iter().copied().map(ProcessId).collect()
@@ -760,7 +761,7 @@ pub(crate) mod tests {
                     // Suspect a different singleton per recipient.
                     let mut bits = BitVec::ones(7);
                     bits.set((to.0 as usize) % 7, false);
-                    ctx.send(ProcessId(6), to, ResilientMsg::Classify(Arc::new(bits)));
+                    ctx.send(ProcessId(6), to, ResilientMsg::Classify(Rc::new(bits)));
                 }
             }
         });
@@ -794,7 +795,7 @@ pub(crate) mod tests {
                 for to in ProcessId::all(7) {
                     let mut bits = BitVec::ones(7);
                     bits.set((to.0 as usize) % 7, false);
-                    ctx.send(ProcessId(6), to, ResilientMsg::Classify(Arc::new(bits)));
+                    ctx.send(ProcessId(6), to, ResilientMsg::Classify(Rc::new(bits)));
                 }
             }
         });
@@ -949,10 +950,10 @@ pub(crate) mod tests {
 
     #[test]
     fn message_sizes_follow_the_wire_model() {
-        let classify = ResilientMsg::Classify(Arc::new(BitVec::ones(16)));
+        let classify = ResilientMsg::Classify(Rc::new(BitVec::ones(16)));
         // 1 discriminant + 4 length prefix + 2 packed bytes.
         assert_eq!(classify.wire_bytes(), 7);
-        let king = ResilientMsg::Phase(Arc::new(PhaseKingMsg::King {
+        let king = ResilientMsg::Phase(Rc::new(PhaseKingMsg::King {
             phase: 0,
             value: Value(1),
         }));

@@ -48,6 +48,7 @@ use ba_crypto::{Encodable, Encoder, Pki, SigningKey};
 use ba_early::PhaseKingMsg;
 use ba_sim::{Envelope, Outbox, ProcessId, Value, WireSize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Signed body of a classification broadcast: the sender's `n`-bit
@@ -86,12 +87,12 @@ type Vote = ba_crypto::Signed<ClassifyBody>;
 #[derive(Clone, Debug)]
 pub enum ResilientSignedMsg {
     /// Round 0 → all: the sender's signed prediction string.
-    Classify(Arc<Vote>),
+    Classify(Rc<Vote>),
     /// Round 1 → all: every valid signed classification the sender
     /// received — the common-pool mechanism behind agreeing views.
-    Echo(Arc<Vec<Vote>>),
+    Echo(Rc<Vec<Vote>>),
     /// Rounds 2+: wrapped trust-ordered phase-king traffic.
-    Phase(Arc<PhaseKingMsg>),
+    Phase(Rc<PhaseKingMsg>),
 }
 
 /// A discriminant byte plus the variant's payload; a signed
@@ -155,7 +156,7 @@ impl Exchange for Signed {
     }
 
     fn classify(&self, bits: BitVec) -> ResilientSignedMsg {
-        ResilientSignedMsg::Classify(Arc::new(Vote::new(ClassifyBody { bits }, &self.key)))
+        ResilientSignedMsg::Classify(Rc::new(Vote::new(ClassifyBody { bits }, &self.key)))
     }
 
     /// Re-broadcasts the valid signed classifications of the round-0
@@ -175,7 +176,7 @@ impl Exchange for Signed {
                 valid.push((**signed).clone());
             }
         }
-        out.broadcast(ResilientSignedMsg::Echo(Arc::new(valid)));
+        out.broadcast(ResilientSignedMsg::Echo(Rc::new(valid)));
     }
 
     /// Aggregates the echoed common pool into suspicion scores and
@@ -260,14 +261,14 @@ impl Exchange for Signed {
         per_sender
     }
 
-    fn phase(msg: &ResilientSignedMsg) -> Option<Arc<PhaseKingMsg>> {
+    fn phase(msg: &ResilientSignedMsg) -> Option<Rc<PhaseKingMsg>> {
         match msg {
-            ResilientSignedMsg::Phase(x) => Some(Arc::clone(x)),
+            ResilientSignedMsg::Phase(x) => Some(Rc::clone(x)),
             _ => None,
         }
     }
 
-    fn wrap(inner: Arc<PhaseKingMsg>) -> ResilientSignedMsg {
+    fn wrap(inner: Rc<PhaseKingMsg>) -> ResilientSignedMsg {
         ResilientSignedMsg::Phase(inner)
     }
 }
@@ -390,7 +391,7 @@ mod tests {
                     // each string validly signed with p6's own key.
                     let mut bits = BitVec::ones(7);
                     bits.set((to.0 as usize) % 7, false);
-                    let msg = ResilientSignedMsg::Classify(Arc::new(Signed::new(
+                    let msg = ResilientSignedMsg::Classify(Rc::new(Signed::new(
                         ClassifyBody { bits },
                         &key6,
                     )));
@@ -459,7 +460,7 @@ mod tests {
                     } else {
                         BitVec::zeros(7)
                     };
-                    let msg = ResilientSignedMsg::Classify(Arc::new(Signed::new(
+                    let msg = ResilientSignedMsg::Classify(Rc::new(Signed::new(
                         ClassifyBody { bits },
                         &key6,
                     )));
@@ -516,7 +517,7 @@ mod tests {
                     ctx.send(
                         ProcessId(6),
                         to,
-                        ResilientSignedMsg::Echo(Arc::new(vec![smear.clone()])),
+                        ResilientSignedMsg::Echo(Rc::new(vec![smear.clone()])),
                     );
                 }
             }
@@ -570,19 +571,17 @@ mod tests {
             sig.signer = 0;
             ctx.broadcast(
                 ProcessId(3),
-                ResilientSignedMsg::Classify(Arc::new(Signed::from_parts(body, sig))),
+                ResilientSignedMsg::Classify(Rc::new(Signed::from_parts(body, sig))),
             );
             // Replay honest signed strings from the corrupted identity:
             // the signer no longer matches the envelope sender.
-            let observed: Vec<Arc<ResilientSignedMsg>> = ctx
+            let observed: Vec<Rc<ResilientSignedMsg>> = ctx
                 .honest_traffic
                 .iter()
-                .map(|e| Arc::clone(&e.payload))
+                .map(|e| Rc::clone(&e.payload))
                 .collect();
             for payload in observed {
-                for to in ProcessId::all(10) {
-                    ctx.replay(ProcessId(7), to, Arc::clone(&payload));
-                }
+                ctx.replay_broadcast(ProcessId(7), payload);
             }
         });
         let mut runner = Runner::with_ids(n, system(n, t, &f, &m, signed(&pki), |_| 6), adv);
@@ -620,7 +619,7 @@ mod tests {
             Envelope::new(
                 ProcessId(sender),
                 ProcessId(6),
-                ResilientSignedMsg::Classify(Arc::new(Signed::new(
+                ResilientSignedMsg::Classify(Rc::new(Signed::new(
                     ClassifyBody { bits },
                     &pki.signing_key(sender),
                 ))),
@@ -689,8 +688,8 @@ mod tests {
     fn message_sizes_follow_the_signature_model() {
         let pki = Pki::new(16, 1);
         let bits = BitVec::ones(16);
-        let unsigned = crate::ResilientMsg::Classify(Arc::new(bits.clone()));
-        let signed = ResilientSignedMsg::Classify(Arc::new(Signed::new(
+        let unsigned = crate::ResilientMsg::Classify(Rc::new(bits.clone()));
+        let signed = ResilientSignedMsg::Classify(Rc::new(Signed::new(
             ClassifyBody { bits },
             &pki.signing_key(0),
         )));

@@ -11,12 +11,12 @@
 //! …) live in `ba-workloads`; this module provides the trait plus the
 //! protocol-agnostic strategies used across the test suites.
 
-use crate::envelope::Envelope;
+use crate::envelope::{fan_out, Envelope};
 use crate::id::ProcessId;
 use crate::runner::Delivery;
 use std::collections::{BTreeSet, VecDeque};
 use std::ops::Index;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Everything the adversary can see and do in one round.
 pub struct AdversaryCtx<'a, M> {
@@ -57,26 +57,35 @@ impl<'a, M> AdversaryCtx<'a, M> {
     }
 
     /// Sends `msg` from corrupted `from` to every process.
-    pub fn broadcast(&mut self, from: ProcessId, msg: M)
-    where
-        M: Clone,
-    {
-        self.check_sender(from);
-        let payload = Arc::new(msg);
-        for to in ProcessId::all(self.n) {
-            self.outgoing.push(Envelope {
-                from,
-                to,
-                payload: Arc::clone(&payload),
-            });
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not corrupted.
+    pub fn broadcast(&mut self, from: ProcessId, msg: M) {
+        self.replay_broadcast(from, Rc::new(msg));
     }
 
     /// Re-sends an observed payload (e.g. an honest message body) from a
     /// corrupted identity — the strongest replay the model permits.
-    pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Arc<M>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not corrupted.
+    pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Rc<M>) {
         self.check_sender(from);
         self.outgoing.push(Envelope { from, to, payload });
+    }
+
+    /// Re-sends one payload from corrupted `from` to every process, in
+    /// recipient order `0..n`: the same envelopes as `n` calls of
+    /// [`replay`](Self::replay), for one sender check and one fan-out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not corrupted.
+    pub fn replay_broadcast(&mut self, from: ProcessId, payload: Rc<M>) {
+        self.check_sender(from);
+        fan_out(&mut self.outgoing, from, ProcessId::all(self.n), payload);
     }
 }
 
@@ -215,8 +224,8 @@ where
 #[derive(Debug)]
 pub struct ReplayAdversary<M> {
     delay: usize,
-    /// The honest payloads of the last `delay + 1` rounds, oldest first.
-    history: VecDeque<Vec<Arc<M>>>,
+    /// The honest payloads of the last `delay` rounds, oldest first.
+    history: VecDeque<Vec<Rc<M>>>,
 }
 
 impl<M> ReplayAdversary<M> {
@@ -230,29 +239,24 @@ impl<M> ReplayAdversary<M> {
     }
 }
 
-impl<M: Clone> Adversary<M> for ReplayAdversary<M> {
+impl<M> Adversary<M> for ReplayAdversary<M> {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        if self.history.len() > self.delay {
-            self.history.pop_front();
-        }
         self.history.push_back(
             ctx.honest_traffic
                 .iter()
-                .map(|e| Arc::clone(&e.payload))
+                .map(|e| Rc::clone(&e.payload))
                 .collect(),
         );
         if self.history.len() <= self.delay {
             return;
         }
+        let replayed = self.history.pop_front().expect("delay + 1 rounds held");
         let faulty: Vec<ProcessId> = ctx.corrupted.iter().copied().collect();
         if faulty.is_empty() {
             return;
         }
-        for (k, payload) in self.history[0].iter().enumerate() {
-            let from = faulty[k % faulty.len()];
-            for to in ProcessId::all(ctx.n) {
-                ctx.replay(from, to, Arc::clone(payload));
-            }
+        for (k, payload) in replayed.into_iter().enumerate() {
+            ctx.replay_broadcast(faulty[k % faulty.len()], payload);
         }
     }
 }
@@ -313,7 +317,45 @@ mod tests {
     fn spoofing_an_out_of_range_sender_panics() {
         let fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
-        ctx.replay(ProcessId(9), ProcessId(1), Arc::new(1));
+        ctx.replay(ProcessId(9), ProcessId(1), Rc::new(1));
+    }
+
+    #[test]
+    fn replay_broadcast_shares_one_payload_in_recipient_order() {
+        let fixture = Fixture::new(&[1, 3]);
+        let mut ctx = fixture.ctx(0, &[]);
+        let payload = Rc::new(7);
+        ctx.replay_broadcast(ProcessId(3), Rc::clone(&payload));
+        ctx.broadcast(ProcessId(1), 8);
+        assert_eq!(ctx.outgoing.len(), 8);
+        let (replayed, broadcast) = ctx.outgoing.split_at(4);
+        assert!(replayed
+            .iter()
+            .all(|e| e.from == ProcessId(3) && Rc::ptr_eq(&e.payload, &payload)));
+        assert_eq!(Rc::strong_count(&payload), 5);
+        assert!(broadcast
+            .iter()
+            .all(|e| e.from == ProcessId(1) && Rc::ptr_eq(&e.payload, &broadcast[0].payload)));
+        for envs in [replayed, broadcast] {
+            let to: Vec<u32> = envs.iter().map(|e| e.to.0).collect();
+            assert_eq!(to, [0, 1, 2, 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spoof")]
+    fn replay_broadcast_from_an_honest_sender_panics() {
+        let fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
+        ctx.replay_broadcast(ProcessId(0), Rc::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "spoof")]
+    fn replay_broadcast_from_an_out_of_range_sender_panics() {
+        let fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
+        ctx.replay_broadcast(ProcessId(4), Rc::new(1));
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! sub-protocol.
 //!
 //! [`step_sub`] keeps that routing cheap: inner payloads stay behind
-//! their `Arc`, and broadcast wrapping reuses one outer allocation per
+//! their `Rc`, and broadcast wrapping reuses one outer allocation per
 //! distinct inner payload.
 
 use crate::envelope::{Envelope, Outbox};
 use crate::process::Process;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Steps the embedded sub-protocol `sub` at its local round `local`.
 ///
@@ -29,8 +29,8 @@ pub fn step_sub<P: Process, M>(
     local: u64,
     inbox: &[Envelope<M>],
     out: &mut Outbox<M>,
-    mut extract: impl FnMut(&M) -> Option<Arc<P::Msg>>,
-    mut wrap: impl FnMut(Arc<P::Msg>) -> M,
+    mut extract: impl FnMut(&M) -> Option<Rc<P::Msg>>,
+    mut wrap: impl FnMut(Rc<P::Msg>) -> M,
 ) {
     let sub_inbox: Vec<Envelope<P::Msg>> = inbox
         .iter()
@@ -44,14 +44,14 @@ pub fn step_sub<P: Process, M>(
         .collect();
     let mut sub_out = Outbox::new(out.sender(), out.system_size());
     sub.step(local, &sub_inbox, &mut sub_out);
-    let mut cache: Vec<(*const P::Msg, Arc<M>)> = Vec::new();
+    let mut cache: Vec<(*const P::Msg, Rc<M>)> = Vec::new();
     for env in sub_out.into_envelopes() {
-        let key = Arc::as_ptr(&env.payload);
+        let key = Rc::as_ptr(&env.payload);
         let outer = match cache.iter().find(|(k, _)| *k == key) {
-            Some((_, outer)) => Arc::clone(outer),
+            Some((_, outer)) => Rc::clone(outer),
             None => {
-                let outer = Arc::new(wrap(Arc::clone(&env.payload)));
-                cache.push((key, Arc::clone(&outer)));
+                let outer = Rc::new(wrap(Rc::clone(&env.payload)));
+                cache.push((key, Rc::clone(&outer)));
                 outer
             }
         };
@@ -70,8 +70,8 @@ mod tests {
 
     #[derive(Clone, Debug, PartialEq)]
     enum Outer {
-        A(Arc<u32>),
-        B(Arc<u32>),
+        A(Rc<u32>),
+        B(Rc<u32>),
     }
 
     /// Records what it receives and, when stepped, sends its script:
@@ -103,9 +103,9 @@ mod tests {
         }
     }
 
-    fn only_a(m: &Outer) -> Option<Arc<u32>> {
+    fn only_a(m: &Outer) -> Option<Rc<u32>> {
         match m {
-            Outer::A(x) => Some(Arc::clone(x)),
+            Outer::A(x) => Some(Rc::clone(x)),
             Outer::B(_) => None,
         }
     }
@@ -113,8 +113,8 @@ mod tests {
     #[test]
     fn step_sub_filters_and_unwraps() {
         let inbox = vec![
-            Envelope::new(ProcessId(0), ProcessId(1), Outer::A(Arc::new(10))),
-            Envelope::new(ProcessId(2), ProcessId(1), Outer::B(Arc::new(20))),
+            Envelope::new(ProcessId(0), ProcessId(1), Outer::A(Rc::new(10))),
+            Envelope::new(ProcessId(2), ProcessId(1), Outer::B(Rc::new(20))),
         ];
         let mut sub = Scripted::default();
         let mut out: Outbox<Outer> = Outbox::new(ProcessId(1), 3);
@@ -137,7 +137,7 @@ mod tests {
         // One outer allocation shared by all three envelopes.
         assert!(envs
             .windows(2)
-            .all(|w| Arc::ptr_eq(&w[0].payload, &w[1].payload)));
+            .all(|w| Rc::ptr_eq(&w[0].payload, &w[1].payload)));
         assert!(matches!(&*envs[0].payload, Outer::A(x) if **x == 7));
     }
 
@@ -151,7 +151,7 @@ mod tests {
         step_sub(&mut sub, 0, &[], &mut out, only_a, Outer::B);
         let envs = out.into_envelopes();
         assert_eq!(envs.len(), 2);
-        assert!(!Arc::ptr_eq(&envs[0].payload, &envs[1].payload));
+        assert!(!Rc::ptr_eq(&envs[0].payload, &envs[1].payload));
         assert_eq!(envs[0].to, ProcessId(0));
         assert!(matches!(&*envs[0].payload, Outer::B(x) if **x == 1));
         assert!(matches!(&*envs[1].payload, Outer::B(x) if **x == 2));

@@ -1,7 +1,7 @@
-//! Message envelopes and per-round outboxes.
+//! Message envelopes, per-round outboxes and the fan-out both use.
 
 use crate::id::ProcessId;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A message in flight: `payload` sent from `from` to `to` during a round.
 ///
@@ -9,8 +9,16 @@ use std::sync::Arc;
 /// point-to-point authenticated-channel network) lets a receiver attribute
 /// a message to the link it arrived on. Byzantine processes may send
 /// arbitrary payloads, multiple messages per round, or nothing — but they
-/// cannot spoof `from`. Payloads are reference-counted so that broadcasting
-/// to `n` recipients does not copy the message body `n` times.
+/// cannot spoof `from`.
+///
+/// Payloads are reference-counted so that broadcasting to `n` recipients
+/// does not copy the message body `n` times. The count is an [`Rc`], not
+/// an `Arc`: a session runs on one thread from start to finish, so
+/// envelopes (and every message holding them) are `!Send`, and sharing a
+/// payload costs no atomic operation. Parallel sweeps move configs and
+/// outcomes between threads, never sessions. State handed to
+/// constructors, such as `Arc<Pki>`, stays `Arc` on purpose (see the
+/// [crate docs](crate)).
 #[derive(Clone, Debug)]
 pub struct Envelope<M> {
     /// Sender identifier (unforgeable).
@@ -18,7 +26,7 @@ pub struct Envelope<M> {
     /// Recipient identifier.
     pub to: ProcessId,
     /// Shared message body.
-    pub payload: Arc<M>,
+    pub payload: Rc<M>,
 }
 
 impl<M> Envelope<M> {
@@ -27,9 +35,29 @@ impl<M> Envelope<M> {
         Envelope {
             from,
             to,
-            payload: Arc::new(payload),
+            payload: Rc::new(payload),
         }
     }
+}
+
+/// Appends to `buf` one envelope from `from` to each recipient in `to`,
+/// in order, all sharing `payload`: the one fan-out behind every
+/// broadcast, multicast and replay. It reserves once for the recipients
+/// the iterator reports and extends, so a broadcast costs `n` reference
+/// increments and one growth check.
+pub(crate) fn fan_out<M>(
+    buf: &mut Vec<Envelope<M>>,
+    from: ProcessId,
+    to: impl IntoIterator<Item = ProcessId>,
+    payload: Rc<M>,
+) {
+    let to = to.into_iter();
+    buf.reserve(to.size_hint().0);
+    buf.extend(to.map(|to| Envelope {
+        from,
+        to,
+        payload: Rc::clone(&payload),
+    }));
 }
 
 /// Collects the messages a process sends during one round.
@@ -64,35 +92,20 @@ impl<M> Outbox<M> {
     /// The paper's pseudocode (`broadcast aᵢ`, "including from itself",
     /// Algorithm 2) assumes self-delivery; message *counting* excludes the
     /// self-copy (see [`crate::RunReport`]).
-    pub fn broadcast(&mut self, msg: M)
-    where
-        M: Clone,
-    {
-        let payload = Arc::new(msg);
-        for to in ProcessId::all(self.n) {
-            self.buf.push(Envelope {
-                from: self.me,
-                to,
-                payload: Arc::clone(&payload),
-            });
-        }
+    pub fn broadcast(&mut self, msg: M) {
+        fan_out(&mut self.buf, self.me, ProcessId::all(self.n), Rc::new(msg));
     }
 
     /// Sends `msg` to every process in `targets`.
     pub fn multicast<I>(&mut self, targets: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,
-        M: Clone,
     {
-        let payload = Arc::new(msg);
-        for to in targets {
-            debug_assert!(to.index() < self.n, "recipient {to} out of range");
-            self.buf.push(Envelope {
-                from: self.me,
-                to,
-                payload: Arc::clone(&payload),
-            });
-        }
+        let n = self.n;
+        let targets = targets.into_iter().inspect(|to| {
+            debug_assert!(to.index() < n, "recipient {to} out of range");
+        });
+        fan_out(&mut self.buf, self.me, targets, Rc::new(msg));
     }
 
     /// Number of envelopes buffered so far this round.
@@ -163,7 +176,7 @@ mod tests {
         out.broadcast("shared".to_string());
         let envs = out.into_envelopes();
         // All five envelopes point at the same allocation: 5 strong refs.
-        assert_eq!(Arc::strong_count(&envs[0].payload), 5);
+        assert_eq!(Rc::strong_count(&envs[0].payload), 5);
     }
 
     #[test]

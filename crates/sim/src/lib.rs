@@ -22,6 +22,18 @@
 //!    message types explicitly, which keeps Byzantine cross-instance replay
 //!    visible in the type system.
 //!
+//! ## One thread per session
+//!
+//! A session — its [`Runner`], processes and adversary — runs on one
+//! thread from start to finish. Message payloads are therefore shared
+//! through [`std::rc::Rc`] rather than `Arc`: an [`Envelope`] and every
+//! pointer inside a message are `!Send`, and handing one payload to `n`
+//! recipients costs `n` plain increments, with no atomic operation.
+//! Parallel sweeps move configurations and outcomes between threads,
+//! never sessions. State handed to constructors, such as the signature
+//! oracle `Arc<ba_crypto::Pki>` or a committee order, stays `Arc` on
+//! purpose, so one key set can still serve sessions on several threads.
+//!
 //! ## Round semantics
 //!
 //! `step(r, inbox, out)` is called once per round `r = 0, 1, 2, …`:

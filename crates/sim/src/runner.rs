@@ -6,7 +6,7 @@ use crate::id::ProcessId;
 use crate::process::Process;
 use crate::wire::WireSize;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-round accounting, retained for the whole run.
 #[derive(Clone, Debug, Default)]
@@ -37,7 +37,7 @@ fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
             continue;
         }
         messages += 1;
-        let key = Arc::as_ptr(&env.payload);
+        let key = Rc::as_ptr(&env.payload);
         if last.0 != key {
             let size = match sizes.iter().find(|(k, _)| *k == key) {
                 Some(&(_, s)) => s,

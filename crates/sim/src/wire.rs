@@ -28,12 +28,12 @@
 //! `O(n³)` bytes: `n` broadcasts to `n` recipients of an `(n − t)`-signature proof.
 
 use crate::id::{ProcessId, Value};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The serialized size of a message, in bytes.
 ///
 /// Sizes are a *model* of a canonical binary encoding, not of Rust's
-/// in-memory layout: `Arc<M>` costs what `M` costs (the network copies
+/// in-memory layout: `Rc<M>` costs what `M` costs (the network copies
 /// the body, not the pointer), a `Vec` adds a 4-byte length prefix, an
 /// enum adds a 1-byte discriminant.
 pub trait WireSize {
@@ -110,7 +110,7 @@ impl<T: WireSize> WireSize for Vec<T> {
 }
 
 /// Shared bodies serialize like owned ones.
-impl<T: WireSize> WireSize for Arc<T> {
+impl<T: WireSize> WireSize for Rc<T> {
     fn wire_bytes(&self) -> u64 {
         (**self).wire_bytes()
     }
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn smart_pointers_are_transparent() {
-        assert_eq!(Arc::new(Value(1)).wire_bytes(), 8);
+        assert_eq!(Rc::new(Value(1)).wire_bytes(), 8);
         assert_eq!(Box::new(vec![1u32]).wire_bytes(), 8);
     }
 

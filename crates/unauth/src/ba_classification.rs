@@ -32,6 +32,7 @@ use crate::conciliation::{ConcMsg, Conciliation};
 use crate::gc_core_set::{CoreSetGcMsg, CoreSetGraded};
 use crate::ListenSet;
 use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Tagged messages of Algorithm 5.
@@ -42,21 +43,21 @@ pub enum Alg5Msg {
         /// Phase number (0-based).
         phase: u16,
         /// Algorithm 3 payload.
-        inner: Arc<CoreSetGcMsg>,
+        inner: Rc<CoreSetGcMsg>,
     },
     /// Conciliation of a phase (line 7).
     Conc {
         /// Phase number (0-based).
         phase: u16,
         /// Algorithm 4 payload.
-        inner: Arc<ConcMsg>,
+        inner: Rc<ConcMsg>,
     },
     /// Second graded consensus of a phase (line 9).
     GcB {
         /// Phase number (0-based).
         phase: u16,
         /// Algorithm 3 payload.
-        inner: Arc<CoreSetGcMsg>,
+        inner: Rc<CoreSetGcMsg>,
     },
 }
 
@@ -202,8 +203,8 @@ impl UnauthBaWithClassification {
             inbox,
             out,
             |m| match (m, slot_is_a) {
-                (Alg5Msg::GcA { phase: p, inner }, true) if *p == phase => Some(Arc::clone(inner)),
-                (Alg5Msg::GcB { phase: p, inner }, false) if *p == phase => Some(Arc::clone(inner)),
+                (Alg5Msg::GcA { phase: p, inner }, true) if *p == phase => Some(Rc::clone(inner)),
+                (Alg5Msg::GcB { phase: p, inner }, false) if *p == phase => Some(Rc::clone(inner)),
                 _ => None,
             },
             |inner| {
@@ -229,7 +230,7 @@ impl UnauthBaWithClassification {
             inbox,
             out,
             |m| match m {
-                Alg5Msg::Conc { phase: p, inner } if *p == phase => Some(Arc::clone(inner)),
+                Alg5Msg::Conc { phase: p, inner } if *p == phase => Some(Rc::clone(inner)),
                 _ => None,
             },
             |inner| Alg5Msg::Conc { phase, inner },
@@ -442,7 +443,7 @@ mod tests {
                             ProcessId(to),
                             Alg5Msg::GcA {
                                 phase: 0,
-                                inner: Arc::new(CoreSetGcMsg::Input(v)),
+                                inner: Rc::new(CoreSetGcMsg::Input(v)),
                             },
                         );
                     }
@@ -539,7 +540,7 @@ mod tests {
                     ProcessId(14),
                     Alg5Msg::GcA {
                         phase: 0,
-                        inner: Arc::new(CoreSetGcMsg::Input(Value(999))),
+                        inner: Rc::new(CoreSetGcMsg::Input(Value(999))),
                     },
                 );
             }

@@ -8,6 +8,7 @@ use ba_unauth::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Random per-recipient chaos over Algorithm 5's message space.
@@ -24,26 +25,26 @@ fn alg5_chaos(seed: u64, n: usize, k: usize) -> impl FnMut(&mut AdversaryCtx<'_,
                 let msg = match x % 5 {
                     0 => Alg5Msg::GcA {
                         phase,
-                        inner: Arc::new(CoreSetGcMsg::Input(v)),
+                        inner: Rc::new(CoreSetGcMsg::Input(v)),
                     },
                     1 => Alg5Msg::GcA {
                         phase,
-                        inner: Arc::new(CoreSetGcMsg::Binding(v)),
+                        inner: Rc::new(CoreSetGcMsg::Binding(v)),
                     },
                     2 => Alg5Msg::Conc {
                         phase,
-                        inner: Arc::new(ConcMsg {
+                        inner: Rc::new(ConcMsg {
                             value: v,
                             listen: vec![from, ProcessId((x % n as u64) as u32)],
                         }),
                     },
                     3 => Alg5Msg::GcB {
                         phase,
-                        inner: Arc::new(CoreSetGcMsg::Input(v)),
+                        inner: Rc::new(CoreSetGcMsg::Input(v)),
                     },
                     _ => Alg5Msg::GcB {
                         phase,
-                        inner: Arc::new(CoreSetGcMsg::Binding(v)),
+                        inner: Rc::new(CoreSetGcMsg::Binding(v)),
                     },
                 };
                 if !x.is_multiple_of(7) {

@@ -23,6 +23,7 @@ use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What a lying voter claims during classification (Algorithm 2).
@@ -108,7 +109,7 @@ impl ClassifyLiar {
     /// component kit.
     pub fn wrapper<K: Kit>(self) -> impl Adversary<WrapperMsg<K>> {
         Wrapped(self, |_: ProcessId, bits| {
-            WrapperMsg::Classify(Arc::new(bits))
+            WrapperMsg::Classify(Rc::new(bits))
         })
     }
 
@@ -118,7 +119,7 @@ impl ClassifyLiar {
     /// exercising the schedule's liveness suffix).
     pub fn resilient(self) -> impl Adversary<ResilientMsg> {
         Wrapped(self, |_: ProcessId, bits| {
-            ResilientMsg::Classify(Arc::new(bits))
+            ResilientMsg::Classify(Rc::new(bits))
         })
     }
 
@@ -133,7 +134,7 @@ impl ClassifyLiar {
             keys.into_iter().map(|k| (ProcessId(k.id()), k)).collect();
         Wrapped(self, move |from: ProcessId, bits| {
             let vote = Signed::new(ClassifyBody { bits }, &keys[&from]);
-            ResilientSignedMsg::Classify(Arc::new(vote))
+            ResilientSignedMsg::Classify(Rc::new(vote))
         })
     }
 }
@@ -195,7 +196,7 @@ impl SignedCertEquivocator {
 
     /// A certificate stuffed with forged acknowledgements: self-signed
     /// tags re-attributed to honest signers. Must never verify.
-    fn bogus_certificate(&self, value: Value) -> Arc<Certificate> {
+    fn bogus_certificate(&self, value: Value) -> Rc<Certificate> {
         let key = &self.keys[0];
         let acks = (0..self.n as u32)
             .map(|claimed| {
@@ -205,12 +206,12 @@ impl SignedCertEquivocator {
                 Signed::from_parts(body, sig)
             })
             .collect();
-        Arc::new(Certificate { value, acks })
+        Rc::new(Certificate { value, acks })
     }
 
     /// The genuine certificate for `value`, if the harvested and own
     /// acknowledgements reach an `n − t` distinct-signer happy quorum.
-    fn genuine_certificate(&self, value: Value) -> Option<Arc<Certificate>> {
+    fn genuine_certificate(&self, value: Value) -> Option<Rc<Certificate>> {
         let mut signers = BTreeSet::new();
         let mut acks = Vec::new();
         let own = self
@@ -226,7 +227,7 @@ impl SignedCertEquivocator {
                 acks.push(ack);
             }
         }
-        (signers.len() >= self.n - self.t).then(|| Arc::new(Certificate { value, acks }))
+        (signers.len() >= self.n - self.t).then(|| Rc::new(Certificate { value, acks }))
     }
 }
 
@@ -242,16 +243,14 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                 // verify-on-receive.
                 if let Some(key) = self.keys.first() {
                     let from = ProcessId(key.id());
-                    let observed: Vec<Arc<CommEffSignedMsg>> = ctx
+                    let observed: Vec<Rc<CommEffSignedMsg>> = ctx
                         .honest_traffic
                         .iter()
                         .filter(|e| matches!(&*e.payload, CommEffSignedMsg::Submit(_)))
-                        .map(|e| Arc::clone(&e.payload))
+                        .map(|e| Rc::clone(&e.payload))
                         .collect();
                     for payload in observed {
-                        for to in ProcessId::all(self.n) {
-                            ctx.replay(from, to, Arc::clone(&payload));
-                        }
+                        ctx.replay_broadcast(from, payload);
                     }
                 }
             }
@@ -297,7 +296,7 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                 if let (Some(cert), Some(key)) = (genuine, self.keys.first()) {
                     let from = ProcessId(key.id());
                     for to in ProcessId::all(self.n).filter(|p| !p.0.is_multiple_of(2)) {
-                        ctx.send(from, to, CommEffSignedMsg::Commit(Arc::clone(&cert)));
+                        ctx.send(from, to, CommEffSignedMsg::Commit(Rc::clone(&cert)));
                     }
                 }
                 // …and unverifiable forged certificates to the evens.
@@ -305,7 +304,7 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                 for key in &self.keys {
                     let from = ProcessId(key.id());
                     for to in ProcessId::all(self.n).filter(|p| p.0.is_multiple_of(2)) {
-                        ctx.send(from, to, CommEffSignedMsg::Commit(Arc::clone(&bogus)));
+                        ctx.send(from, to, CommEffSignedMsg::Commit(Rc::clone(&bogus)));
                     }
                 }
             }

@@ -38,7 +38,7 @@ use ba_graded::gradecast::value_bytes;
 use ba_graded::{AuthGcMsg, UnauthGcMsg};
 use ba_sim::{Adversary, AdversaryCtx, ProcessId, Value};
 use ba_unauth::{Alg5Msg, ConcMsg, CoreSetGcMsg};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The disruptor's per-recipient value: `Some(0)` — strictly below every
 /// honest proposal in the bench workloads — for even identifiers,
@@ -92,26 +92,26 @@ impl UnauthDisruptor {
         Some(match local % 5 {
             0 if odd => Alg5Msg::GcA {
                 phase,
-                inner: Arc::new(CoreSetGcMsg::Input(high)),
+                inner: Rc::new(CoreSetGcMsg::Input(high)),
             },
             1 if odd => Alg5Msg::GcA {
                 phase,
-                inner: Arc::new(CoreSetGcMsg::Binding(high)),
+                inner: Rc::new(CoreSetGcMsg::Binding(high)),
             },
             2 if !odd => Alg5Msg::Conc {
                 phase,
-                inner: Arc::new(ConcMsg {
+                inner: Rc::new(ConcMsg {
                     value: split_value(to)?,
                     listen,
                 }),
             },
             3 if odd => Alg5Msg::GcB {
                 phase,
-                inner: Arc::new(CoreSetGcMsg::Input(high)),
+                inner: Rc::new(CoreSetGcMsg::Input(high)),
             },
             4 if odd => Alg5Msg::GcB {
                 phase,
-                inner: Arc::new(CoreSetGcMsg::Binding(high)),
+                inner: Rc::new(CoreSetGcMsg::Binding(high)),
             },
             _ => return None,
         })
@@ -123,20 +123,20 @@ impl UnauthDisruptor {
         Some(match local % 5 {
             0 => PhaseKingMsg::Main {
                 phase,
-                inner: Arc::new(UnauthGcMsg::Vote(v)),
+                inner: Rc::new(UnauthGcMsg::Vote(v)),
             },
             1 => PhaseKingMsg::Main {
                 phase,
-                inner: Arc::new(UnauthGcMsg::Echo(v)),
+                inner: Rc::new(UnauthGcMsg::Echo(v)),
             },
             2 => PhaseKingMsg::King { phase, value: v },
             3 => PhaseKingMsg::Detect {
                 phase,
-                inner: Arc::new(UnauthGcMsg::Vote(v)),
+                inner: Rc::new(UnauthGcMsg::Vote(v)),
             },
             _ => PhaseKingMsg::Detect {
                 phase,
-                inner: Arc::new(UnauthGcMsg::Echo(v)),
+                inner: Rc::new(UnauthGcMsg::Echo(v)),
             },
         })
     }
@@ -153,16 +153,16 @@ impl Adversary<UnauthWrapperMsg> for UnauthDisruptor {
             for to in ProcessId::all(self.n) {
                 let msg = match slot.kind {
                     SlotKind::Classify => (local == 0)
-                        .then(|| UnauthWrapperMsg::Classify(Arc::new(BitVec::ones(self.n)))),
+                        .then(|| UnauthWrapperMsg::Classify(Rc::new(BitVec::ones(self.n)))),
                     SlotKind::GcA { .. } | SlotKind::GcB { .. } | SlotKind::GcC { .. } => {
                         split_value(to).and_then(|v| match local {
                             0 => Some(UnauthWrapperMsg::Gc {
                                 slot: slot.idx,
-                                inner: Arc::new(UnauthGcMsg::Vote(v)),
+                                inner: Rc::new(UnauthGcMsg::Vote(v)),
                             }),
                             1 => Some(UnauthWrapperMsg::Gc {
                                 slot: slot.idx,
-                                inner: Arc::new(UnauthGcMsg::Echo(v)),
+                                inner: Rc::new(UnauthGcMsg::Echo(v)),
                             }),
                             _ => None,
                         })
@@ -170,21 +170,21 @@ impl Adversary<UnauthWrapperMsg> for UnauthDisruptor {
                     SlotKind::Es { k, .. } => {
                         let inner = if EsUnauth::uses_alg5(self.n, self.t, k) {
                             self.alg5_msg(k, local, to, from)
-                                .map(|m| EsUnauthMsg::Alg5(Arc::new(m)))
+                                .map(|m| EsUnauthMsg::Alg5(Rc::new(m)))
                         } else {
                             self.king_msg(local, to)
-                                .map(|m| EsUnauthMsg::King(Arc::new(m)))
+                                .map(|m| EsUnauthMsg::King(Rc::new(m)))
                         };
                         inner.map(|inner| UnauthWrapperMsg::Es {
                             slot: slot.idx,
-                            inner: Arc::new(inner),
+                            inner: Rc::new(inner),
                         })
                     }
                     SlotKind::Class { k, .. } => {
                         self.alg5_msg(k, local, to, from)
                             .map(|m| UnauthWrapperMsg::Class {
                                 slot: slot.idx,
-                                inner: Arc::new(m),
+                                inner: Rc::new(m),
                             })
                     }
                 };
@@ -259,7 +259,7 @@ impl Adversary<AuthWrapperMsg> for AuthDisruptor {
                     for from in self.faulty.clone() {
                         ctx.broadcast(
                             from,
-                            AuthWrapperMsg::Classify(Arc::new(BitVec::ones(self.n))),
+                            AuthWrapperMsg::Classify(Rc::new(BitVec::ones(self.n))),
                         );
                     }
                 }
@@ -281,7 +281,7 @@ impl Adversary<AuthWrapperMsg> for AuthDisruptor {
                                 to,
                                 AuthWrapperMsg::Gc {
                                     slot: slot.idx,
-                                    inner: Arc::new(AuthGcMsg {
+                                    inner: Rc::new(AuthGcMsg {
                                         items: vec![(from.0, item)],
                                     }),
                                 },
@@ -306,7 +306,7 @@ impl Adversary<AuthWrapperMsg> for AuthDisruptor {
                                     to,
                                     AuthWrapperMsg::Es {
                                         slot: slot.idx,
-                                        inner: Arc::new(vec![(from.0, chain.clone())]),
+                                        inner: Rc::new(vec![(from.0, chain.clone())]),
                                     },
                                 );
                             }
@@ -327,7 +327,7 @@ impl Adversary<AuthWrapperMsg> for AuthDisruptor {
                                 cand,
                                 AuthWrapperMsg::Class {
                                     slot: slot.idx,
-                                    inner: Arc::new(ba_auth::Alg7Msg::CommitteeVote(sig)),
+                                    inner: Rc::new(ba_auth::Alg7Msg::CommitteeVote(sig)),
                                 },
                             );
                         }
@@ -373,7 +373,7 @@ impl Adversary<AuthWrapperMsg> for AuthDisruptor {
                                     to,
                                     AuthWrapperMsg::Class {
                                         slot: slot.idx,
-                                        inner: Arc::new(ba_auth::Alg7Msg::Plurality {
+                                        inner: Rc::new(ba_auth::Alg7Msg::Plurality {
                                             value,
                                             cert: cert.clone(),
                                         }),

@@ -244,17 +244,21 @@ impl ExperimentConfig {
     /// Executes the experiment through the configured pipeline's family
     /// row — the single generic setup/measure path shared by every
     /// protocol family.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] message where
+    /// [`try_run`](Self::try_run) returns one.
     pub fn run(&self) -> ExperimentOutcome {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run`](Self::run), returning a [`ConfigError`] instead of
+    /// panicking when `f > t` or `t` exceeds the pipeline's resilience
+    /// bound at `n`.
+    pub fn try_run(&self) -> Result<ExperimentOutcome, ConfigError> {
         let family = self.pipeline.driver();
-        assert!(self.f <= self.t, "f ≤ t");
-        assert!(
-            self.t <= family.max_faults(self.n),
-            "{} tolerates at most t = {} at n = {} (got t = {})",
-            family.name,
-            family.max_faults(self.n),
-            self.n,
-            self.t
-        );
+        ConfigError::check(family, self.n, self.t, self.f)?;
         let faulty = generators::faults(self.n, self.f, self.fault_placement);
         let matrix = generators::predictions_with_budget(
             self.n,
@@ -280,7 +284,7 @@ impl ExperimentConfig {
         } else {
             0
         };
-        self.outcome(report, b_actual, k_a)
+        Ok(self.outcome(report, b_actual, k_a))
     }
 
     fn outcome(&self, report: RunReport<Value>, b_actual: usize, k_a: usize) -> ExperimentOutcome {
@@ -395,27 +399,21 @@ impl ExperimentBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the (explicit or derived) parameters violate `f ≤ t`
-    /// or the pipeline's resilience bound — the same contracts
-    /// [`ExperimentConfig::run`] enforces, surfaced at build time.
+    /// Panics with the [`ConfigError`] message where
+    /// [`try_build`](Self::try_build) returns one.
     pub fn build(self) -> ExperimentConfig {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Finalizes the configuration, or returns a [`ConfigError`] if the
+    /// (explicit or derived) parameters violate `f ≤ t` or the
+    /// pipeline's resilience bound — the contracts
+    /// [`ExperimentConfig::try_run`] enforces, surfaced at build time.
+    pub fn try_build(self) -> Result<ExperimentConfig, ConfigError> {
         let family = self.pipeline.driver();
-        let max_t = family.max_faults(self.n);
-        let t = self.t.unwrap_or(max_t);
-        assert!(
-            self.f <= t,
-            "f = {} exceeds t = {} (pipeline {})",
-            self.f,
-            t,
-            family.name
-        );
-        assert!(
-            t <= max_t,
-            "{} tolerates at most t = {max_t} at n = {} (got t = {t})",
-            family.name,
-            self.n,
-        );
-        ExperimentConfig {
+        let t = self.t.unwrap_or(family.max_faults(self.n));
+        ConfigError::check(family, self.n, t, self.f)?;
+        Ok(ExperimentConfig {
             n: self.n,
             t,
             f: self.f,
@@ -426,9 +424,80 @@ impl ExperimentBuilder {
             inputs: self.inputs,
             adversary: self.adversary,
             seed: self.seed,
+        })
+    }
+}
+
+/// A configuration no experiment can run, returned by
+/// [`ExperimentBuilder::try_build`] and [`ExperimentConfig::try_run`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// More actual faults than the fault bound: `f > t`.
+    FaultsAboveBound {
+        /// The pipeline's family name.
+        family: &'static str,
+        /// Actual fault count.
+        f: usize,
+        /// Fault bound.
+        t: usize,
+    },
+    /// A fault bound the pipeline does not tolerate at this size:
+    /// `t > max_faults(n)`.
+    BoundAboveResilience {
+        /// The pipeline's family name.
+        family: &'static str,
+        /// System size.
+        n: usize,
+        /// Requested fault bound.
+        t: usize,
+        /// The family's [`Family::max_faults`] at `n`.
+        max_t: usize,
+    },
+}
+
+impl ConfigError {
+    /// `f ≤ t`, then `t ≤ family.max_faults(n)`.
+    fn check(family: &Family, n: usize, t: usize, f: usize) -> Result<(), ConfigError> {
+        let max_t = family.max_faults(n);
+        if f > t {
+            Err(ConfigError::FaultsAboveBound {
+                family: family.name,
+                f,
+                t,
+            })
+        } else if t > max_t {
+            Err(ConfigError::BoundAboveResilience {
+                family: family.name,
+                n,
+                t,
+                max_t,
+            })
+        } else {
+            Ok(())
         }
     }
 }
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::FaultsAboveBound { family, f, t } => {
+                write!(out, "f = {f} exceeds t = {t} (pipeline {family}); f ≤ t")
+            }
+            ConfigError::BoundAboveResilience {
+                family,
+                n,
+                t,
+                max_t,
+            } => write!(
+                out,
+                "{family} tolerates at most t = {max_t} at n = {n} (got t = {t})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Measured results of one experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -716,6 +785,44 @@ mod tests {
     fn run_rejects_t_beyond_the_pipeline_bound() {
         // t = 5 needs signatures at n = 12; the unauth driver must refuse.
         let _ = ExperimentConfig::new(12, 5, 2, 0, Pipeline::Unauth).run();
+    }
+
+    #[test]
+    fn try_build_reports_f_above_t() {
+        let err = ExperimentConfig::builder()
+            .n(10)
+            .faults(4, FaultPlacement::Head)
+            .try_build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::FaultsAboveBound {
+                family: "unauth-wrapper",
+                f: 4,
+                t: 3
+            }
+        );
+        let cfg = ExperimentConfig::new(10, 3, 4, 0, Pipeline::Unauth);
+        assert_eq!(cfg.try_run(), Err(err));
+    }
+
+    #[test]
+    fn try_run_reports_t_beyond_the_pipeline_bound() {
+        let err = ExperimentConfig::new(12, 5, 2, 0, Pipeline::Unauth)
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::BoundAboveResilience {
+                family: "unauth-wrapper",
+                n: 12,
+                t: 5,
+                max_t: 3
+            }
+        );
+        let built = ExperimentConfig::builder().n(12).t(5).try_build();
+        assert_eq!(built.unwrap_err(), err);
+        assert!(ExperimentConfig::builder().n(12).t(3).try_build().is_ok());
     }
 
     #[test]

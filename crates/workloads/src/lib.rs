@@ -49,8 +49,8 @@ pub use adversaries::{ClassifyLiar, LiarStyle, SignedCertEquivocator};
 pub use disruptor::{AuthDisruptor, UnauthDisruptor};
 pub use driver::{k_a_from_probes, Family, SessionSpec, FAMILIES};
 pub use experiment::{
-    AdversaryKind, ExperimentBuilder, ExperimentConfig, ExperimentOutcome, FaultPlacement,
-    InputPattern, Pipeline,
+    AdversaryKind, ConfigError, ExperimentBuilder, ExperimentConfig, ExperimentOutcome,
+    FaultPlacement, InputPattern, Pipeline,
 };
 pub use generators::{faults, predictions_with_budget, ErrorPlacement};
 pub use json::{to_json_array, ToJson};

@@ -131,7 +131,7 @@ pub mod prelude {
     };
     pub use ba_workloads::{
         driver_table, faults, grid_to_json, message_lower_bound, predictions_with_budget,
-        round_lower_bound, sweep_grid, sweep_seeds, AdversaryKind, ErrorPlacement,
+        round_lower_bound, sweep_grid, sweep_seeds, AdversaryKind, ConfigError, ErrorPlacement,
         ExperimentBuilder, ExperimentConfig, ExperimentOutcome, Family, FaultPlacement, GridPoint,
         InputPattern, LiarStyle, Pipeline, SessionSpec, SweepGrid, SweepSummary, Table, ToJson,
     };

@@ -386,7 +386,7 @@ fn signed_pipelines_pay_exactly_the_per_message_signature_model() {
     use ba_predictions::ba_resilient::signed::ClassifyBody;
     use ba_predictions::ba_resilient::{ResilientMsg, ResilientSignedMsg};
     use ba_predictions::prelude::WireSize;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     let pki = Pki::new(16, 1);
     let key = pki.signing_key(0);
@@ -418,14 +418,14 @@ fn signed_pipelines_pay_exactly_the_per_message_signature_model() {
             .wire_bytes(),
         ),
         (
-            ResilientSignedMsg::Classify(Arc::new(Signed::new(
+            ResilientSignedMsg::Classify(Rc::new(Signed::new(
                 ClassifyBody {
                     bits: BitVec::ones(16),
                 },
                 &key,
             )))
             .wire_bytes(),
-            ResilientMsg::Classify(Arc::new(BitVec::ones(16))).wire_bytes(),
+            ResilientMsg::Classify(Rc::new(BitVec::ones(16))).wire_bytes(),
         ),
     ];
     for (signed_bytes, unsigned_bytes) in pairs {
