@@ -9,7 +9,8 @@
 use ba_crypto::{hmac_sha256, sha256, Pki, SealedSig, Signature};
 use ba_graded::{AuthGraded, UnauthGraded};
 use ba_sim::{
-    Envelope, Outbox, Process, ProcessId, ReplayAdversary, Runner, SilentAdversary, Value,
+    AdversaryCtx, Envelope, FnAdversary, Outbox, Process, ProcessId, ReplayAdversary, Runner,
+    SilentAdversary, Value,
 };
 use ba_workloads::Table;
 use std::hint::black_box;
@@ -212,6 +213,25 @@ fn main() {
     let (mean, best) = measure(5, 8, || runner.step());
     table.row([
         "runner_step_broadcast_n96".to_string(),
+        format!("{mean:.0}"),
+        format!("{best:.0}"),
+    ]);
+
+    // The same round with each faulty id splitting its vote: one
+    // point-to-point send per recipient, even ids told 0 and odd ids 1
+    // (the Disruptor's split-cast shape), so 15 × 96 one-recipient sends
+    // ride on the honest broadcasts.
+    let split_cast = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, Value>| {
+        for &from in ctx.corrupted {
+            for to in ProcessId::all(ctx.n) {
+                ctx.send(from, to, Value(u64::from(to.0 % 2)));
+            }
+        }
+    });
+    let mut runner = Runner::new(n, (0..n - f).map(|_| Broadcaster), split_cast);
+    let (mean, best) = measure(5, 8, || runner.step());
+    table.row([
+        "runner_step_split_cast_n96".to_string(),
         format!("{mean:.0}"),
         format!("{best:.0}"),
     ]);

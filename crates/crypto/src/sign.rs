@@ -79,10 +79,11 @@
 
 use crate::encode::Encoder;
 use crate::hmac::{tags_equal, HmacKey};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier type mirrored from `ba-sim` (kept as a raw `u32` here so the
 /// crypto substrate has no simulator dependency; protocol crates convert
@@ -137,15 +138,16 @@ impl crate::encode::Encodable for Signature {
 pub struct SealedSig {
     sig: Signature,
     /// The id of the `Pki` the signature verified in, and the memo slot
-    /// of the bytes it verified on.
-    seal: OnceLock<(u64, u32)>,
+    /// of the bytes it verified on. A `OnceCell` suffices: the messages
+    /// that carry sealed signatures stay on one thread.
+    seal: OnceCell<(u64, u32)>,
 }
 
 impl From<Signature> for SealedSig {
     fn from(sig: Signature) -> Self {
         SealedSig {
             sig,
-            seal: OnceLock::new(),
+            seal: OnceCell::new(),
         }
     }
 }

@@ -11,12 +11,34 @@
 //! …) live in `ba-workloads`; this module provides the trait plus the
 //! protocol-agnostic strategies used across the test suites.
 
-use crate::envelope::{fan_out, Envelope};
+use crate::envelope::Envelope;
 use crate::id::ProcessId;
 use crate::runner::Delivery;
+use crate::wire::WireSize;
 use std::collections::{BTreeSet, VecDeque};
-use std::ops::Index;
+use std::ops::{Index, Range};
 use std::rc::Rc;
+
+/// One adversary send, kept as one record until delivery: `payload` from
+/// `from` to every identifier in `to`. A broadcast is one record for
+/// recipients `0..n`, a send or replay a one-recipient record. The range
+/// is over `u64` so that a send to `ProcessId(u32::MAX)` has an end.
+pub(crate) struct FaultySend<M> {
+    pub(crate) from: ProcessId,
+    pub(crate) to: Range<u64>,
+    pub(crate) payload: Rc<M>,
+}
+
+impl<M: WireSize> FaultySend<M> {
+    /// `(messages, bytes)`: one message per recipient other than the
+    /// sender, identifiers outside the system included, each charged the
+    /// payload's [`WireSize`].
+    pub(crate) fn remote_cost(&self) -> (u64, u64) {
+        let self_copy = self.to.contains(&u64::from(self.from.0));
+        let messages = self.to.end - self.to.start - u64::from(self_copy);
+        (messages, messages * self.payload.wire_bytes())
+    }
+}
 
 /// Everything the adversary can see and do in one round.
 pub struct AdversaryCtx<'a, M> {
@@ -31,9 +53,10 @@ pub struct AdversaryCtx<'a, M> {
     pub honest_traffic: &'a [Envelope<M>],
     /// Messages delivered to each corrupted process at the start of this
     /// round (i.e. sent during the previous round), borrowed from the
-    /// runner's delivery buffer.
+    /// runner's inboxes.
     pub faulty_inboxes: FaultyInboxes<'a, M>,
-    pub(crate) outgoing: Vec<Envelope<M>>,
+    /// This round's faulty sends, in the order they were made.
+    pub(crate) outgoing: Vec<FaultySend<M>>,
 }
 
 impl<'a, M> AdversaryCtx<'a, M> {
@@ -52,8 +75,7 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Panics if `from` is not corrupted: the simulator enforces that the
     /// adversary cannot spoof honest senders.
     pub fn send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        self.check_sender(from);
-        self.outgoing.push(Envelope::new(from, to, msg));
+        self.replay(from, to, Rc::new(msg));
     }
 
     /// Sends `msg` from corrupted `from` to every process.
@@ -73,25 +95,35 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Panics if `from` is not corrupted.
     pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Rc<M>) {
         self.check_sender(from);
-        self.outgoing.push(Envelope { from, to, payload });
+        let to = u64::from(to.0);
+        self.outgoing.push(FaultySend {
+            from,
+            to: to..to + 1,
+            payload,
+        });
     }
 
     /// Re-sends one payload from corrupted `from` to every process, in
-    /// recipient order `0..n`: the same envelopes as `n` calls of
-    /// [`replay`](Self::replay), for one sender check and one fan-out.
+    /// recipient order `0..n`: the same deliveries as `n` calls of
+    /// [`replay`](Self::replay), for one sender check. The send stays one
+    /// record until the runner routes it, so it costs O(1) here, and its
+    /// message and byte counts are computed once from the record.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not corrupted.
     pub fn replay_broadcast(&mut self, from: ProcessId, payload: Rc<M>) {
         self.check_sender(from);
-        fan_out(&mut self.outgoing, from, ProcessId::all(self.n), payload);
+        self.outgoing.push(FaultySend {
+            from,
+            to: 0..self.n as u64,
+            payload,
+        });
     }
 }
 
 /// The inboxes of the corrupted processes for one round: a view of the
-/// runner's delivery buffer, which holds each recipient's envelopes as
-/// one contiguous slice ordered by sender.
+/// runner's per-process inboxes, each ordered by sender.
 ///
 /// Index it like the map it replaces: `get(&id)` is `Some` (possibly
 /// empty) exactly for corrupted `id`, and `inboxes[&id]` panics for an
@@ -189,8 +221,11 @@ impl<M, A: Adversary<M>> Adversary<M> for CrashAdversary<A> {
         }
         self.inner.act(ctx);
         if ctx.round == self.crash_round {
-            let cutoff = self.partial_cutoff;
-            ctx.outgoing.retain(|e| e.to.0 < cutoff);
+            let cutoff = u64::from(self.partial_cutoff);
+            ctx.outgoing.retain_mut(|send| {
+                send.to.end = send.to.end.min(cutoff);
+                !send.to.is_empty()
+            });
         }
     }
 }
@@ -296,12 +331,27 @@ mod tests {
         }
     }
 
+    /// The envelopes `ctx` has sent so far, in send order, taken out of
+    /// it: each record expanded over its recipients, in or out of range.
+    fn sent(ctx: &mut AdversaryCtx<'_, u32>) -> Vec<Envelope<u32>> {
+        ctx.outgoing
+            .drain(..)
+            .flat_map(|FaultySend { from, to, payload }| {
+                to.map(move |to| Envelope {
+                    from,
+                    to: ProcessId(to as u32),
+                    payload: Rc::clone(&payload),
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn adversary_can_send_only_from_corrupted_ids() {
         let fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.send(ProcessId(3), ProcessId(0), 99);
-        assert_eq!(ctx.outgoing.len(), 1);
+        assert_eq!(sent(&mut ctx).len(), 1);
     }
 
     #[test]
@@ -327,8 +377,9 @@ mod tests {
         let payload = Rc::new(7);
         ctx.replay_broadcast(ProcessId(3), Rc::clone(&payload));
         ctx.broadcast(ProcessId(1), 8);
-        assert_eq!(ctx.outgoing.len(), 8);
-        let (replayed, broadcast) = ctx.outgoing.split_at(4);
+        let outgoing = sent(&mut ctx);
+        assert_eq!(outgoing.len(), 8);
+        let (replayed, broadcast) = outgoing.split_at(4);
         assert!(replayed
             .iter()
             .all(|e| e.from == ProcessId(3) && Rc::ptr_eq(&e.payload, &payload)));
@@ -381,8 +432,9 @@ mod tests {
         let mut ctx = fixture.ctx(3, &[]);
         crash.act(&mut ctx);
         // Broadcast to n=4, truncated to recipients {0, 1}.
-        assert_eq!(ctx.outgoing.len(), 2);
-        assert!(ctx.outgoing.iter().all(|e| e.to.0 < 2));
+        let outgoing = sent(&mut ctx);
+        assert_eq!(outgoing.len(), 2);
+        assert!(outgoing.iter().all(|e| e.to.0 < 2));
     }
 
     #[test]
@@ -394,7 +446,7 @@ mod tests {
         let mut crash = CrashAdversary::new(inner, 2, 4);
         let mut ctx = fixture.ctx(3, &[]);
         crash.act(&mut ctx);
-        assert!(ctx.outgoing.is_empty());
+        assert!(sent(&mut ctx).is_empty());
     }
 
     #[test]
@@ -405,13 +457,14 @@ mod tests {
         let honest_r0 = vec![Envelope::new(ProcessId(0), ProcessId(1), 77u32)];
         let mut ctx0 = fixture.ctx(0, &honest_r0);
         replayer.act(&mut ctx0);
-        assert!(ctx0.outgoing.is_empty(), "nothing old to replay yet");
+        assert!(sent(&mut ctx0).is_empty(), "nothing old to replay yet");
 
         let mut ctx1 = fixture.ctx(1, &[]);
         replayer.act(&mut ctx1);
-        assert_eq!(ctx1.outgoing.len(), 4, "payload replayed to all n = 4");
-        assert!(ctx1.outgoing.iter().all(|e| *e.payload == 77));
-        assert!(ctx1.outgoing.iter().all(|e| e.from == ProcessId(3)));
+        let outgoing = sent(&mut ctx1);
+        assert_eq!(outgoing.len(), 4, "payload replayed to all n = 4");
+        assert!(outgoing.iter().all(|e| *e.payload == 77));
+        assert!(outgoing.iter().all(|e| e.from == ProcessId(3)));
     }
 
     #[test]
@@ -433,8 +486,7 @@ mod tests {
                 let mut ctx = fixture.ctx(u64::from(r), &traffic);
                 replayer.act(&mut ctx);
                 assert!(replayer.history.len() <= delay + 1);
-                let sent: Vec<(u32, u32, u32)> = ctx
-                    .outgoing
+                let sent: Vec<(u32, u32, u32)> = sent(&mut ctx)
                     .iter()
                     .map(|e| (e.from.0, e.to.0, *e.payload))
                     .collect();

@@ -1,4 +1,4 @@
-//! Message envelopes, per-round outboxes and the fan-out both use.
+//! Message envelopes and per-round outboxes.
 
 use crate::id::ProcessId;
 use std::rc::Rc;
@@ -40,26 +40,6 @@ impl<M> Envelope<M> {
     }
 }
 
-/// Appends to `buf` one envelope from `from` to each recipient in `to`,
-/// in order, all sharing `payload`: the one fan-out behind every
-/// broadcast, multicast and replay. It reserves once for the recipients
-/// the iterator reports and extends, so a broadcast costs `n` reference
-/// increments and one growth check.
-pub(crate) fn fan_out<M>(
-    buf: &mut Vec<Envelope<M>>,
-    from: ProcessId,
-    to: impl IntoIterator<Item = ProcessId>,
-    payload: Rc<M>,
-) {
-    let to = to.into_iter();
-    buf.reserve(to.size_hint().0);
-    buf.extend(to.map(|to| Envelope {
-        from,
-        to,
-        payload: Rc::clone(&payload),
-    }));
-}
-
 /// Collects the messages a process sends during one round.
 ///
 /// Obtained inside [`crate::Process::step`]; the runner routes the buffered
@@ -93,7 +73,7 @@ impl<M> Outbox<M> {
     /// Algorithm 2) assumes self-delivery; message *counting* excludes the
     /// self-copy (see [`crate::RunReport`]).
     pub fn broadcast(&mut self, msg: M) {
-        fan_out(&mut self.buf, self.me, ProcessId::all(self.n), Rc::new(msg));
+        self.fan_out(ProcessId::all(self.n), msg);
     }
 
     /// Sends `msg` to every process in `targets`.
@@ -105,7 +85,23 @@ impl<M> Outbox<M> {
         let targets = targets.into_iter().inspect(|to| {
             debug_assert!(to.index() < n, "recipient {to} out of range");
         });
-        fan_out(&mut self.buf, self.me, targets, Rc::new(msg));
+        self.fan_out(targets, msg);
+    }
+
+    /// Appends one envelope to each recipient in `to`, in order, all
+    /// sharing one payload: the fan-out behind broadcast and multicast.
+    /// It reserves once for the recipients the iterator reports and
+    /// extends, so a broadcast costs `n` reference increments and one
+    /// growth check.
+    fn fan_out(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M) {
+        let (from, payload) = (self.me, Rc::new(msg));
+        let to = to.into_iter();
+        self.buf.reserve(to.size_hint().0);
+        self.buf.extend(to.map(|to| Envelope {
+            from,
+            to,
+            payload: Rc::clone(&payload),
+        }));
     }
 
     /// Number of envelopes buffered so far this round.

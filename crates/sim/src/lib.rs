@@ -43,6 +43,18 @@
 //! delivered at step `r + 1`. A "`d`-round protocol" in the paper's counting sends
 //! messages during steps `0 … d−1` and produces its output at step `d`.
 //!
+//! ## Routing
+//!
+//! The [`Runner`] keeps one inbox per process and writes each envelope
+//! once, straight into its recipient's inbox, walking the senders in id
+//! order; inboxes keep their capacity from round to round. Honest traffic
+//! arrives as envelopes, because the adversary reads it as a slice
+//! ([`AdversaryCtx::honest_traffic`]). A faulty send is one record of
+//! sender, recipients and shared payload until that walk: a
+//! [`AdversaryCtx::broadcast`] or [`AdversaryCtx::replay_broadcast`]
+//! costs the adversary O(1), and its message and byte counts are read
+//! off the record.
+//!
 //! ## Example
 //!
 //! ```

@@ -1,6 +1,6 @@
 //! Lockstep execution engine with complexity instrumentation.
 
-use crate::adversary::{Adversary, AdversaryCtx, FaultyInboxes};
+use crate::adversary::{Adversary, AdversaryCtx, FaultyInboxes, FaultySend};
 use crate::envelope::{Envelope, Outbox};
 use crate::id::ProcessId;
 use crate::process::Process;
@@ -22,14 +22,14 @@ pub struct RoundTrace {
     pub faulty_bytes: u64,
 }
 
-/// Sums the remote envelopes of one sender's traffic as `(messages,
-/// bytes)`, memoizing sizes per shared payload so a broadcast's body is
-/// measured once rather than once per recipient.
+/// Sums the remote envelopes of one honest sender's traffic as
+/// `(messages, bytes)`, memoizing sizes per shared payload so a
+/// broadcast's body is measured once rather than once per recipient.
 fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
     let mut messages = 0;
     let mut bytes = 0;
     let mut sizes: Vec<(*const M, u64)> = Vec::new();
-    // Broadcasts and replays emit runs of envelopes sharing one payload,
+    // Broadcasts and multicasts emit runs of envelopes sharing one payload,
     // so most lookups stop at the last payload measured.
     let mut last: (*const M, u64) = (std::ptr::null(), 0);
     for env in envs {
@@ -54,80 +54,64 @@ fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
     (messages, bytes)
 }
 
-/// One round's traffic in delivery order. The envelopes addressed to
-/// process `i` are the contiguous slice `buf[start[i]..start[i + 1]]`,
-/// ordered by sender; one sender's envelopes keep the order they were
-/// sent in.
+/// One round's traffic in delivery order: one inbox per process, each
+/// ordered by sender, with one sender's envelopes in the order they were
+/// sent. Every inbox keeps its capacity from round to round.
 pub(crate) struct Delivery<M> {
-    buf: Vec<Envelope<M>>,
-    start: Vec<u32>,
-    /// Counting-sort counters, one per (recipient, sender) pair plus one.
-    counts: Vec<u32>,
+    inboxes: Vec<Vec<Envelope<M>>>,
 }
 
 impl<M> Delivery<M> {
     /// Nothing delivered, in a system of `n` processes.
     pub(crate) fn new(n: usize) -> Self {
         Delivery {
-            buf: Vec::new(),
-            start: vec![0; n + 1],
-            counts: Vec::new(),
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
     /// The envelopes delivered to `id`, ordered by sender.
     pub(crate) fn inbox(&self, id: ProcessId) -> &[Envelope<M>] {
-        let i = id.index();
-        &self.buf[self.start[i] as usize..self.start[i + 1] as usize]
+        &self.inboxes[id.index()]
     }
 
-    /// Replaces the delivered traffic with `first` followed by `then`,
-    /// both drained: one stable counting sort keyed by (recipient,
-    /// sender). An envelope addressed to an id outside the system is
-    /// dropped.
-    fn route(&mut self, first: &mut Vec<Envelope<M>>, then: &mut Vec<Envelope<M>>) {
-        let n = self.start.len() - 1;
-        assert!(
-            u32::try_from(first.len() + then.len()).is_ok(),
-            "more than u32::MAX envelopes in one round"
-        );
-        let key = |env: &Envelope<M>| {
-            debug_assert!(env.from.index() < n, "sender {} out of range", env.from);
-            (env.to.index() < n).then(|| env.to.index() * n + env.from.index())
-        };
-        // counts[k + 1] = envelopes with key k; after the prefix sum,
-        // counts[k] = the first slot of key k.
-        self.counts.clear();
-        self.counts.resize(n * n + 1, 0);
-        for env in first.iter().chain(then.iter()) {
-            if let Some(k) = key(env) {
-                self.counts[k + 1] += 1;
+    /// Replaces the delivered traffic with `honest` and `faulty`, both
+    /// drained, walking the senders in id order. `honest` arrives grouped
+    /// by sender in id order, because honest processes step in id order;
+    /// `faulty` is stably grouped by sender here. Each envelope is pushed
+    /// straight into its recipient's inbox, so inboxes come out ordered by
+    /// sender with each sender's send order kept. An envelope addressed to
+    /// an id outside the system is dropped.
+    fn route(&mut self, honest: &mut Vec<Envelope<M>>, faulty: &mut Vec<FaultySend<M>>) {
+        for inbox in &mut self.inboxes {
+            inbox.clear();
+        }
+        faulty.sort_by_key(|send| send.from);
+        let mut faulty = faulty.drain(..).peekable();
+        for env in honest.drain(..) {
+            while let Some(send) = faulty.next_if(|send| send.from < env.from) {
+                self.deliver(send);
+            }
+            if let Some(inbox) = self.inboxes.get_mut(env.to.index()) {
+                inbox.push(env);
             }
         }
-        for k in 1..self.counts.len() {
-            self.counts[k] += self.counts[k - 1];
+        for send in faulty {
+            self.deliver(send);
         }
-        for (i, start) in self.start.iter_mut().enumerate() {
-            *start = self.counts[i * n];
+    }
+
+    /// Writes one faulty send into the inboxes of its recipients below
+    /// `n`, in recipient order.
+    fn deliver(&mut self, send: FaultySend<M>) {
+        let n = self.inboxes.len() as u64;
+        let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
+        for (to, inbox) in (start..end).zip(&mut self.inboxes[start..end]) {
+            inbox.push(Envelope {
+                from: send.from,
+                to: ProcessId(to as u32),
+                payload: Rc::clone(&send.payload),
+            });
         }
-        // Reuse the buffer's allocation for the slots being filled.
-        self.buf.clear();
-        let mut slots: Vec<Option<Envelope<M>>> = std::mem::take(&mut self.buf)
-            .into_iter()
-            .map(Some)
-            .collect();
-        slots.resize_with(self.start[n] as usize, || None);
-        for env in first.drain(..).chain(then.drain(..)) {
-            if let Some(k) = key(&env) {
-                let slot = &mut self.counts[k];
-                slots[*slot as usize] = Some(env);
-                *slot += 1;
-            }
-        }
-        self.buf = slots
-            .into_iter()
-            .map(|slot| slot.expect("the counting sort fills every slot"))
-            .collect();
     }
 }
 
@@ -200,13 +184,16 @@ impl<O: Clone + Eq> RunReport<O> {
 /// Honest processes are stepped in identifier order; the adversary then
 /// acts with full visibility of the round's honest traffic (rushing).
 ///
-/// All round-`r` traffic is delivered at step `r + 1`. One stable
-/// counting sort keyed by (recipient, sender) puts it into a single
-/// delivery buffer, and each process's inbox is its contiguous slice of
-/// that buffer: ordered by sender, with one sender's envelopes in the
-/// order they were sent. The adversary reads the corrupted processes'
-/// slices through [`AdversaryCtx::faulty_inboxes`]. An envelope addressed
-/// to an identifier `≥ n` is counted but delivered to no one.
+/// All round-`r` traffic is delivered at step `r + 1`, into one inbox per
+/// process that keeps its capacity across rounds. Routing walks the
+/// senders in id order and pushes each envelope straight into its
+/// recipient's inbox, so an inbox is ordered by sender, with one sender's
+/// envelopes in the order they were sent. A faulty broadcast or replay
+/// stays one record (sender, recipients, shared payload) until this
+/// walk, and its message and byte counts come from the record. The
+/// adversary reads the corrupted processes' inboxes through
+/// [`AdversaryCtx::faulty_inboxes`]. An envelope addressed to an
+/// identifier `≥ n` is counted but delivered to no one.
 pub struct Runner<P: Process, A> {
     n: usize,
     honest: BTreeMap<ProcessId, P>,
@@ -217,10 +204,10 @@ pub struct Runner<P: Process, A> {
     is_corrupted: Vec<bool>,
     /// Last round's traffic, routed for delivery this round.
     delivery: Delivery<P::Msg>,
-    /// This round's honest and faulty traffic, drained into `delivery`;
-    /// the buffers are kept to reuse their allocations.
+    /// This round's honest envelopes and faulty sends, drained into
+    /// `delivery`; the buffers are kept to reuse their allocations.
     honest_sent: Vec<Envelope<P::Msg>>,
-    faulty_sent: Vec<Envelope<P::Msg>>,
+    faulty_sent: Vec<FaultySend<P::Msg>>,
     round: u64,
     report: RunReport<P::Output>,
 }
@@ -342,9 +329,11 @@ where
         };
         self.adversary.act(&mut ctx);
         self.faulty_sent = ctx.outgoing;
-        let (faulty_messages, faulty_bytes) = remote_cost(&self.faulty_sent);
-        trace.faulty_messages += faulty_messages;
-        trace.faulty_bytes += faulty_bytes;
+        for send in &self.faulty_sent {
+            let (messages, bytes) = send.remote_cost();
+            trace.faulty_messages += messages;
+            trace.faulty_bytes += bytes;
+        }
 
         self.report.honest_messages += trace.honest_messages;
         self.report.honest_bytes += trace.honest_bytes;
@@ -738,6 +727,33 @@ mod tests {
         assert_eq!(report.outputs[&ProcessId(0)], to_p0);
         assert_eq!(report.outputs[&ProcessId(1)], from_honest);
         assert_eq!(report.outputs[&ProcessId(2)], from_honest);
+        assert_eq!(*seen.borrow(), vec![(ProcessId(3), Some(from_honest))]);
+    }
+
+    #[test]
+    fn a_faulty_send_to_the_largest_id_is_counted_once_and_delivered_nowhere() {
+        let n = 4;
+        let seen: Seen = Rc::default();
+        let log = Rc::clone(&seen);
+        let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Value>| match ctx.round {
+            0 => {
+                ctx.send(ProcessId(3), ProcessId(u32::MAX), Value(7));
+                ctx.replay(ProcessId(3), ProcessId(u32::MAX), Rc::new(Value(8)));
+            }
+            1 => {
+                let inbox = ctx.faulty_inboxes.get(&ProcessId(3)).map(transcript);
+                log.borrow_mut().push((ProcessId(3), inbox));
+            }
+            _ => {}
+        });
+        let honest = (0..3).map(|i| Recorder::new(i, n));
+        let report = Runner::new(n, honest, adv).run(5);
+        assert_eq!(report.rounds[0].faulty_messages, 2);
+        assert_eq!(report.rounds[0].faulty_bytes, 16);
+        let from_honest: Transcript = (0..3)
+            .flat_map(|from| tags(from).map(move |v| (from, v.0)))
+            .collect();
+        assert!(report.outputs.values().all(|inbox| *inbox == from_honest));
         assert_eq!(*seen.borrow(), vec![(ProcessId(3), Some(from_honest))]);
     }
 
