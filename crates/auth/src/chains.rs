@@ -22,9 +22,15 @@ use std::collections::BTreeSet;
 /// Canonical bytes of the committee-membership statement
 /// `⟨committee, p_member⟩` within a session.
 pub fn committee_bytes(session: u64, member: u32) -> Vec<u8> {
+    committee_encoding(session, member).finish()
+}
+
+/// [`committee_bytes`] unfinished: short enough to stay inline, so
+/// resolving a statement from it allocates nothing.
+fn committee_encoding(session: u64, member: u32) -> Encoder {
     let mut e = Encoder::new("committee");
     e.u64(session).u32(member);
-    e.finish()
+    e
 }
 
 /// Canonical bytes a chain link signs: the session, the broadcast
@@ -75,7 +81,7 @@ impl CommitteeCert {
     /// Verifies the certificate: `t + 1` distinct valid signatures over
     /// the membership statement.
     pub fn verify(&self, session: u64, t: usize, pki: &Pki) -> bool {
-        let mut statement = pki.statement(committee_bytes(session, self.member));
+        let mut statement = pki.statement(committee_encoding(session, self.member));
         let mut signers = BTreeSet::new();
         for sig in &self.sigs {
             if !signers.insert(sig.signer) || !pki.verify_statement(&mut statement, sig) {

@@ -21,20 +21,87 @@
 /// ```
 #[derive(Clone, Debug)]
 pub struct Encoder {
-    buf: Vec<u8>,
+    buf: Bytes,
 }
 
-/// Initial buffer size: room for the fixed-size statements the protocols
-/// sign most (gradecast value, echo and confirm at 34–37 bytes, committee
-/// membership at 25), so that encoding one allocates exactly once.
-const INITIAL_CAPACITY: usize = 48;
+/// The longest encoding kept inline, in an [`Encoder`] and in a
+/// [`Statement`](crate::Statement): room for the fixed-size statements
+/// the protocols sign most (gradecast value, echo and confirm at 34–37
+/// bytes, committee membership at 25), so that encoding or resolving one
+/// allocates nothing.
+pub(crate) const INLINE: usize = 48;
+
+/// Bytes kept inline up to [`INLINE`] long, and on the heap beyond.
+#[derive(Clone)]
+pub(crate) enum Bytes {
+    /// The first `len` bytes of `buf`.
+    Inline { len: u8, buf: [u8; INLINE] },
+    /// Bytes that outgrew the inline buffer.
+    Heap(Vec<u8>),
+}
+
+impl Bytes {
+    /// Empty, and inline.
+    pub(crate) fn new() -> Self {
+        Bytes::Inline {
+            len: 0,
+            buf: [0; INLINE],
+        }
+    }
+
+    /// Appends `more`, moving to the heap once the bytes outgrow the
+    /// inline buffer.
+    pub(crate) fn extend_from_slice(&mut self, more: &[u8]) {
+        match self {
+            Bytes::Inline { len, buf } => {
+                let (start, end) = (usize::from(*len), usize::from(*len) + more.len());
+                if end <= INLINE {
+                    buf[start..end].copy_from_slice(more);
+                    *len = end as u8;
+                } else {
+                    let mut heap = Vec::with_capacity(end.max(2 * INLINE));
+                    heap.extend_from_slice(&buf[..start]);
+                    heap.extend_from_slice(more);
+                    *self = Bytes::Heap(heap);
+                }
+            }
+            Bytes::Heap(heap) => heap.extend_from_slice(more),
+        }
+    }
+
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            Bytes::Inline { len, buf } => &buf[..usize::from(*len)],
+            Bytes::Heap(heap) => heap,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u8] {
+        match self {
+            Bytes::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Bytes::Heap(heap) => heap,
+        }
+    }
+}
+
+impl From<&[u8]> for Bytes {
+    fn from(bytes: &[u8]) -> Self {
+        let mut copy = Bytes::new();
+        copy.extend_from_slice(bytes);
+        copy
+    }
+}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
 
 impl Encoder {
     /// Starts an encoding under the given domain tag.
     pub fn new(domain: &str) -> Self {
-        let mut enc = Encoder {
-            buf: Vec::with_capacity(INITIAL_CAPACITY),
-        };
+        let mut enc = Encoder { buf: Bytes::new() };
         enc.domain(domain);
         enc
     }
@@ -43,12 +110,12 @@ impl Encoder {
     fn domain(&mut self, domain: &str) {
         self.buf.extend_from_slice(b"ba/");
         self.buf.extend_from_slice(domain.as_bytes());
-        self.buf.push(0);
+        self.buf.extend_from_slice(&[0]);
     }
 
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
+        self.buf.extend_from_slice(&[v]);
         self
     }
 
@@ -78,13 +145,13 @@ impl Encoder {
     /// The value is encoded straight into this buffer, and the length
     /// prefix is filled in afterwards.
     pub fn nested<E: Encodable>(&mut self, v: &E) -> &mut Self {
-        let prefix = self.buf.len();
+        let prefix = self.len();
         self.u64(0);
-        let start = self.buf.len();
+        let start = self.len();
         self.domain("nested");
         v.encode(self);
-        let len = (self.buf.len() - start) as u64;
-        self.buf[prefix..start].copy_from_slice(&len.to_be_bytes());
+        let len = (self.len() - start) as u64;
+        self.buf.as_mut_slice()[prefix..start].copy_from_slice(&len.to_be_bytes());
         self
     }
 
@@ -97,9 +164,24 @@ impl Encoder {
         self
     }
 
+    fn len(&self) -> usize {
+        self.as_ref().len()
+    }
+
     /// Finishes, returning the canonical bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.buf
+        match self.buf {
+            Bytes::Inline { .. } => self.as_ref().to_vec(),
+            Bytes::Heap(heap) => heap,
+        }
+    }
+}
+
+/// The bytes encoded so far, without finishing: a short encoding is read
+/// in place, with no allocation.
+impl AsRef<[u8]> for Encoder {
+    fn as_ref(&self) -> &[u8] {
+        self.buf.as_slice()
     }
 }
 
@@ -167,6 +249,36 @@ mod tests {
         b.seq(&[1u64]);
         b.u64(2);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn long_encodings_move_to_the_heap_unchanged() {
+        // Cross the inline limit inside one write, and inside a nested
+        // value whose length prefix is filled in after the move.
+        let mut e = Encoder::new("spill");
+        e.bytes(&[7; INLINE]).seq(&[1u64, 2, 3]).u8(9);
+        let mut expected = b"ba/spill\0".to_vec();
+        expected.extend_from_slice(&(INLINE as u64).to_be_bytes());
+        expected.extend_from_slice(&[7; INLINE]);
+        expected.extend_from_slice(&3u64.to_be_bytes());
+        for v in 1u64..=3 {
+            expected.extend_from_slice(&(10 + 8u64).to_be_bytes());
+            expected.extend_from_slice(b"ba/nested\0");
+            expected.extend_from_slice(&v.to_be_bytes());
+        }
+        expected.push(9);
+        assert_eq!(e.as_ref(), expected.as_slice());
+        assert!(matches!(e.buf, Bytes::Heap(_)));
+        assert_eq!(e.finish(), expected);
+
+        let mut short = Encoder::new("gcast-echo");
+        short.u64(1).u32(2).u64(3);
+        assert_eq!(short.as_ref().len(), 34);
+        assert!(matches!(short.buf, Bytes::Inline { .. }), "fits inline");
+        let mut full = Encoder::new("x");
+        full.bytes(&[0; INLINE - 13]);
+        assert_eq!(full.as_ref().len(), INLINE);
+        assert!(matches!(full.buf, Bytes::Inline { .. }), "exactly full");
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //!   bytes. A statement is bound to the `Pki` that resolved it; any
 //!   other `Pki` checks it through its bytes. A [`sign::SealedSig`]
 //!   shared by the recipients of one broadcast records where it verified
-//!   ([`sign::Pki::verify_sealed`]), so only its first recipient pays
-//!   for the check;
+//!   ([`sign::SealedChecks::verify`]), so only its first recipient pays
+//!   for the check; one signed through [`sign::Pki::sign_statement`] is
+//!   sealed as it is signed, so not even the first recipient pays;
 //! * [`encode`] — a small deterministic, domain-separated byte encoder so
 //!   that every signed protocol message has a canonical serialization.
 //! * [`signed`] — the reusable [`signed::Signed`] envelope (canonical
@@ -57,5 +58,7 @@ pub mod signed;
 pub use encode::{Encodable, Encoder};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use sha256::{sha256, Sha256};
-pub use sign::{Pki, SealedSig, Signature, SignerId, SigningKey, Statement, VerifyCounts};
+pub use sign::{
+    Pki, SealedChecks, SealedSig, Signature, SignerId, SigningKey, Statement, VerifyCounts,
+};
 pub use signed::Signed;

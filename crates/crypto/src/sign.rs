@@ -61,23 +61,51 @@
 //! A broadcast payload is shared by all its recipients, and each of them
 //! checks the same signature in it on the same statement. Even a slot hit
 //! takes the memo's lock and scans the slot. A [`SealedSig`] carries the
-//! answer instead: [`Pki::verify_sealed`] records on the signature itself
-//! the `Pki` and the memo slot it verified on, and a later check of the
-//! same signature on a statement that knows the same slot in the same
-//! `Pki` is answered from that record without locking the memo.
+//! answer instead: a [`SealedChecks::verify`] that accepts it records on
+//! the signature itself the `Pki` and the memo slot it verified on, and a
+//! later check of the same signature on a statement that knows the same
+//! slot in the same `Pki` is answered from that record without locking the
+//! memo.
 //!
 //! * The seal is exact. A slot names one message's bytes in one `Pki`,
-//!   the seal is set only after the signature verified on that slot, and
-//!   a sealed signature cannot be changed: its fields are private and it
-//!   dereferences to a [`Signature`] only immutably.
+//!   the seal is set only once the signature is known to be valid on that
+//!   slot, and a sealed signature cannot be changed: its fields are
+//!   private and it dereferences to a [`Signature`] only immutably.
 //! * A seal is set once and never read by another `Pki`, even one with
 //!   the same keys, nor for a statement whose slot differs or is not
 //!   known yet. Those checks take the statement path; a forgery never
 //!   gets a seal, so it is recomputed and rejected on every call.
-//! * [`VerifyCounts::calls`] still counts every check;
-//!   [`VerifyCounts::sealed`] counts those a seal answered.
+//!
+//! ### Sealing at signing
+//!
+//! An honest signer's own `Pki` need not check what it just signed.
+//! [`Pki::sign_statement`] computes the tag, records `(signer, tag)` in
+//! the statement's memo slot, creating the slot if the bytes have none,
+//! and returns the signature already sealed on that slot, so even its
+//! first recipient pays no MAC.
+//!
+//! * The memo now also holds signatures this `Pki` produced, and it stays
+//!   exact: such a tag is the MAC this `Pki` computes under its own key
+//!   for the signer on exactly the slot's bytes, which is the one tag a
+//!   check of that signer on those bytes accepts. Recording it records a
+//!   signature that verifies.
+//! * It seals only when the key was issued by this `Pki` and the statement
+//!   was resolved by it. A key from another `Pki`, even a twin with the
+//!   same seed, or a statement from another `Pki`, gets a plain unsealed
+//!   signature and leaves the memo untouched.
+//! * Signing probes the index by bytes only while the statement does not
+//!   know its slot, and counts that probe in [`VerifyCounts::lookups`]; it
+//!   is no check, so it adds to no other count.
+//!
+//! ### Counting seal hits
+//!
+//! [`VerifyCounts::calls`] still counts every check, and
+//! [`VerifyCounts::sealed`] counts those a seal answered. A seal hit
+//! touches no shared state: [`SealedChecks`] tallies the hits of one pass
+//! of checks and adds them to both counts once, when the pass is dropped,
+//! so the counts are exact whenever no pass is open.
 
-use crate::encode::Encoder;
+use crate::encode::{Bytes, Encoder};
 use crate::hmac::{tags_equal, HmacKey};
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -129,9 +157,10 @@ impl crate::encode::Encodable for Signature {
     }
 }
 
-/// A [`Signature`] that remembers where it verified, so that the
-/// recipients of one shared payload pay for its check once (see the
-/// [module docs](self#seals)).
+/// A [`Signature`] that remembers where it is valid, so that the
+/// recipients of one shared payload pay for its check at most once (see
+/// the [module docs](self#seals)): sealed by its first successful check,
+/// or by [`Pki::sign_statement`] as it is signed.
 ///
 /// It reads as the signature it wraps, and goes on the wire as one.
 #[derive(Clone)]
@@ -182,6 +211,8 @@ impl ba_sim::WireSize for SealedSig {
 #[derive(Clone)]
 pub struct SigningKey {
     id: SignerId,
+    /// The id of the [`Pki`] that issued the key.
+    pki: u64,
     key: HmacKey,
 }
 
@@ -214,7 +245,7 @@ fn truncate(full: &[u8; 32]) -> [u8; 16] {
 }
 
 /// How much work [`Pki::verify`], [`Pki::verify_statement`] and
-/// [`Pki::verify_sealed`] have done.
+/// [`SealedChecks::verify`] have done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyCounts {
     /// Signature checks, through any method.
@@ -223,10 +254,11 @@ pub struct VerifyCounts {
     /// a seal, or named an unknown signer.
     pub macs: u64,
     /// Memo probes keyed by message bytes: one per [`Pki::verify`] call,
-    /// and one per statement check on a statement whose slot is not yet
-    /// known.
+    /// and one per statement check or [`Pki::sign_statement`] on a
+    /// statement whose slot is not yet known.
     pub lookups: u64,
-    /// Checks answered from a [`SealedSig`]'s seal, without the memo.
+    /// Checks answered from a [`SealedSig`]'s seal, without the memo,
+    /// by [`SealedChecks`] passes that have ended.
     pub sealed: u64,
 }
 
@@ -251,15 +283,41 @@ impl Memo {
         self.counts.lookups += 1;
         self.index.get(message).copied()
     }
+
+    /// Whether `sig` is recorded in `slot`.
+    fn holds(&self, slot: Option<u32>, sig: &Signature) -> bool {
+        slot.is_some_and(|slot| self.valid[slot as usize].contains(sig))
+    }
+
+    /// Records `sig`, which must be valid on `message` and not yet
+    /// recorded, in `message`'s slot, creating the slot if `message` has
+    /// none. Returns the slot.
+    fn record(&mut self, message: &[u8], slot: Option<u32>, sig: &Signature) -> u32 {
+        let slot = slot.unwrap_or_else(|| {
+            let slot = u32::try_from(self.valid.len()).expect("fewer than 2^32 messages");
+            self.valid.push(Vec::new());
+            self.index.insert(message.into(), slot);
+            slot
+        });
+        // Grow one entry at a time: a message gathers at most a quorum of
+        // signatures, and doubling would leave up to half of each
+        // allocation empty.
+        let seen = &mut self.valid[slot as usize];
+        seen.reserve_exact(1);
+        seen.push(*sig);
+        slot
+    }
 }
 
 /// Canonical message bytes resolved against one [`Pki`], for checking
 /// many signatures on them (see the [module docs](self#statements)).
 ///
-/// Made by [`Pki::statement`]; checked with [`Pki::verify_statement`].
+/// Made by [`Pki::statement`]; checked with [`Pki::verify_statement`] or
+/// [`SealedChecks::verify`], and signed with [`Pki::sign_statement`].
 #[derive(Clone, Debug)]
 pub struct Statement {
-    bytes: Vec<u8>,
+    /// Inline when short, as every gradecast and committee statement is.
+    bytes: Bytes,
     /// The id of the `Pki` that resolved these bytes.
     pki: u64,
     /// The bytes' memo slot in that `Pki`, once it has one.
@@ -279,8 +337,6 @@ pub struct Pki {
     /// a [`Statement`]'s slot is only ever read by the `Pki` that set it.
     id: u64,
     memo: Mutex<Memo>,
-    /// [`VerifyCounts::sealed`], kept outside the lock that seals avoid.
-    sealed: AtomicU64,
 }
 
 /// The id the next [`Pki`] gets.
@@ -321,7 +377,6 @@ impl Pki {
             keys,
             id: NEXT_PKI_ID.fetch_add(1, Ordering::Relaxed),
             memo: Mutex::default(),
-            sealed: AtomicU64::new(0),
         }
     }
 
@@ -347,6 +402,7 @@ impl Pki {
     pub fn signing_key(&self, id: SignerId) -> SigningKey {
         SigningKey {
             id,
+            pki: self.id,
             key: self.keys[id as usize].clone(),
         }
     }
@@ -362,16 +418,55 @@ impl Pki {
         self.check(&mut memo, message, slot, sig).0
     }
 
-    /// Resolves canonical message bytes for [`Pki::verify_statement`].
+    /// Resolves canonical message bytes for [`Pki::verify_statement`],
+    /// [`SealedChecks::verify`] and [`Pki::sign_statement`]. Bytes as
+    /// short as the protocols' statements are kept inline, so an
+    /// [`Encoder`] passed here allocates nothing.
     ///
     /// This neither locks nor fills the memo: the statement finds its slot
-    /// on its first check.
-    pub fn statement(&self, bytes: Vec<u8>) -> Statement {
+    /// on its first check or signature.
+    pub fn statement(&self, bytes: impl AsRef<[u8]>) -> Statement {
         Statement {
-            bytes,
+            bytes: Bytes::from(bytes.as_ref()),
             pki: self.id,
             slot: None,
         }
+    }
+
+    /// Signs the statement's bytes as `key`'s signer, sealed on their memo
+    /// slot (see [sealing at signing](self#sealing-at-signing)).
+    ///
+    /// If this `Pki` issued `key` and resolved `statement`, the signature
+    /// is recorded in the statement's slot, created if needed, and comes
+    /// back sealed on it. Otherwise it is a plain signature, as
+    /// [`SigningKey::sign`] gives, and the memo is left untouched.
+    pub fn sign_statement(&self, key: &SigningKey, statement: &mut Statement) -> SealedSig {
+        let bytes = statement.bytes.as_slice();
+        if key.pki != self.id || statement.pki != self.id {
+            return key.sign(bytes).into();
+        }
+        let sig = Signature {
+            signer: key.id,
+            tag: truncate(&self.keys[key.id as usize].mac(bytes)),
+        };
+        let mut memo = self.memo();
+        let slot = statement.slot.or_else(|| memo.lookup(bytes));
+        let slot = match slot {
+            Some(slot) if memo.holds(Some(slot), &sig) => slot,
+            slot => memo.record(bytes, slot, &sig),
+        };
+        statement.slot = Some(slot);
+        SealedSig {
+            sig,
+            seal: OnceCell::from((self.id, slot)),
+        }
+    }
+
+    /// Opens a pass of [`SealedSig`] checks: the seal hits it answers are
+    /// counted once, when it is dropped (see
+    /// [counting seal hits](self#counting-seal-hits)).
+    pub fn sealed_checks(&self) -> SealedChecks<'_> {
+        SealedChecks { pki: self, hits: 0 }
     }
 
     /// Verifies that `sig` is a valid signature by `sig.signer` over the
@@ -382,37 +477,14 @@ impl Pki {
     /// the slot without hashing the bytes. A statement resolved by another
     /// `Pki` is checked through its bytes alone.
     pub fn verify_statement(&self, statement: &mut Statement, sig: &Signature) -> bool {
+        let bytes = statement.bytes.as_slice();
         if statement.pki != self.id {
-            return self.verify(&statement.bytes, sig);
+            return self.verify(bytes, sig);
         }
         let mut memo = self.memo();
-        let slot = statement.slot.or_else(|| memo.lookup(&statement.bytes));
-        let (valid, slot) = self.check(&mut memo, &statement.bytes, slot, sig);
+        let slot = statement.slot.or_else(|| memo.lookup(bytes));
+        let (valid, slot) = self.check(&mut memo, bytes, slot, sig);
         statement.slot = slot;
-        valid
-    }
-
-    /// Verifies `sig` on the statement's bytes like
-    /// [`Pki::verify_statement`], and seals it once it verified on the
-    /// statement's slot (see the [module docs](self#seals)).
-    ///
-    /// A signature sealed by this `Pki` on the slot the statement knows
-    /// is accepted without touching the memo; any other seal is ignored.
-    pub fn verify_sealed(&self, statement: &mut Statement, sig: &SealedSig) -> bool {
-        let ours = statement.pki == self.id;
-        if ours
-            && statement
-                .slot
-                .is_some_and(|slot| sig.seal.get() == Some(&(self.id, slot)))
-        {
-            self.sealed.fetch_add(1, Ordering::Relaxed);
-            return true;
-        }
-        let valid = self.verify_statement(statement, sig);
-        if let (true, true, Some(slot)) = (valid, ours, statement.slot) {
-            // A signature already sealed elsewhere keeps that seal.
-            let _ = sig.seal.set((self.id, slot));
-        }
         valid
     }
 
@@ -428,7 +500,7 @@ impl Pki {
         sig: &Signature,
     ) -> (bool, Option<u32>) {
         memo.counts.calls += 1;
-        if slot.is_some_and(|slot| memo.valid[slot as usize].contains(sig)) {
+        if memo.holds(slot, sig) {
             return (true, slot);
         }
         let Some(key) = self.keys.get(sig.signer as usize) else {
@@ -438,34 +510,73 @@ impl Pki {
         if !tags_equal(&truncate(&key.mac(message)), &sig.tag) {
             return (false, slot);
         }
-        let slot = slot.unwrap_or_else(|| {
-            let slot = u32::try_from(memo.valid.len()).expect("fewer than 2^32 messages");
-            memo.valid.push(Vec::new());
-            memo.index.insert(message.into(), slot);
-            slot
-        });
-        // Grow one entry at a time: a message gathers at most a quorum of
-        // signatures, and doubling would leave up to half of each
-        // allocation empty.
-        let seen = &mut memo.valid[slot as usize];
-        seen.reserve_exact(1);
-        seen.push(*sig);
-        (true, Some(slot))
+        (true, Some(memo.record(message, slot, sig)))
     }
 
     /// Verify calls so far, the MACs they computed, the memo probes they
-    /// made and the calls a seal answered.
+    /// and signing made, and the calls a seal answered in passes that have
+    /// ended.
     pub fn verify_counts(&self) -> VerifyCounts {
-        let mut counts = self.memo().counts;
-        counts.sealed = self.sealed.load(Ordering::Relaxed);
-        counts.calls += counts.sealed;
-        counts
+        self.memo().counts
     }
 
     fn memo(&self) -> MutexGuard<'_, Memo> {
         // Every update leaves each stored signature a verified one, so a
         // memo whose lock a panicking thread poisoned is still sound.
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One pass of [`SealedSig`] checks against a [`Pki`], opened by
+/// [`Pki::sealed_checks`].
+///
+/// A seal hit is tallied here and touches nothing shared; the tally is
+/// added to [`VerifyCounts::calls`] and [`VerifyCounts::sealed`] once,
+/// when the pass is dropped.
+pub struct SealedChecks<'a> {
+    pki: &'a Pki,
+    hits: u64,
+}
+
+impl<'a> SealedChecks<'a> {
+    /// The `Pki` this pass checks against.
+    pub fn pki(&self) -> &'a Pki {
+        self.pki
+    }
+
+    /// Verifies `sig` on the statement's bytes like
+    /// [`Pki::verify_statement`], and seals it once it verified on the
+    /// statement's slot (see the [module docs](self#seals)).
+    ///
+    /// A signature sealed by this `Pki` on the slot the statement knows
+    /// is accepted without touching the memo; any other seal is ignored.
+    pub fn verify(&mut self, statement: &mut Statement, sig: &SealedSig) -> bool {
+        let pki = self.pki;
+        let ours = statement.pki == pki.id;
+        if ours
+            && statement
+                .slot
+                .is_some_and(|slot| sig.seal.get() == Some(&(pki.id, slot)))
+        {
+            self.hits += 1;
+            return true;
+        }
+        let valid = pki.verify_statement(statement, sig);
+        if let (true, true, Some(slot)) = (valid, ours, statement.slot) {
+            // A signature already sealed elsewhere keeps that seal.
+            let _ = sig.seal.set((pki.id, slot));
+        }
+        valid
+    }
+}
+
+impl Drop for SealedChecks<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            let counts = &mut self.pki.memo().counts;
+            counts.calls += self.hits;
+            counts.sealed += self.hits;
+        }
     }
 }
 
@@ -563,7 +674,7 @@ mod tests {
     fn statements_reject_every_flipped_bit() {
         let pki = Pki::new(4, 7);
         let sig = pki.signing_key(1).sign(b"m");
-        let mut statement = pki.statement(b"m".to_vec());
+        let mut statement = pki.statement(b"m");
         assert!(pki.verify_statement(&mut statement, &sig));
         for bit in 0..128 {
             let mut forged = sig;
@@ -591,7 +702,7 @@ mod tests {
     fn statements_that_never_verify_leave_no_memo_entry() {
         let pki = Pki::new(4, 7);
         let sig = pki.signing_key(1).sign(b"m");
-        let mut statement = pki.statement(b"other".to_vec());
+        let mut statement = pki.statement(b"other");
         assert_eq!(pki.verify_counts(), VerifyCounts::default());
         for _ in 0..2 {
             assert!(!pki.verify_statement(&mut statement, &sig));
@@ -618,7 +729,7 @@ mod tests {
         let (pki, twin) = (Pki::new(4, 7), Pki::new(4, 7));
         let sig_a = pki.signing_key(1).sign(b"a");
         let sig_b = twin.signing_key(1).sign(b"b");
-        let mut statement = pki.statement(b"a".to_vec());
+        let mut statement = pki.statement(b"a");
         assert!(pki.verify_statement(&mut statement, &sig_a));
         assert!(twin.verify(b"b", &sig_b));
         assert_eq!(statement.slot, Some(0));
@@ -653,8 +764,8 @@ mod tests {
     fn sealed_signatures_reject_every_flipped_bit() {
         let pki = Pki::new(4, 7);
         let sig = SealedSig::from(pki.signing_key(1).sign(b"m"));
-        let mut statement = pki.statement(b"m".to_vec());
-        assert!(pki.verify_sealed(&mut statement, &sig));
+        let mut statement = pki.statement(b"m");
+        assert!(pki.sealed_checks().verify(&mut statement, &sig));
         assert_eq!(sig.seal.get(), Some(&(pki.id, 0)));
         for bit in 0..128 {
             let mut forged = *sig;
@@ -662,13 +773,13 @@ mod tests {
             let forged = SealedSig::from(forged);
             for _ in 0..2 {
                 assert!(
-                    !pki.verify_sealed(&mut statement, &forged),
+                    !pki.sealed_checks().verify(&mut statement, &forged),
                     "tag bit {bit} flipped"
                 );
             }
             assert_eq!(forged.seal.get(), None, "a forgery is never sealed");
         }
-        assert!(pki.verify_sealed(&mut statement, &sig), "seal hit");
+        assert!(pki.sealed_checks().verify(&mut statement, &sig), "seal hit");
         assert_eq!(
             pki.verify_counts(),
             VerifyCounts {
@@ -687,20 +798,20 @@ mod tests {
         // `sig_a` on bytes `a` was never signed over.
         let (pki, twin) = (Pki::new(4, 7), Pki::new(4, 7));
         let sig_a = SealedSig::from(pki.signing_key(1).sign(b"a"));
-        let mut on_a = pki.statement(b"a".to_vec());
-        assert!(pki.verify_sealed(&mut on_a, &sig_a));
+        let mut on_a = pki.statement(b"a");
+        assert!(pki.sealed_checks().verify(&mut on_a, &sig_a));
         assert_eq!(sig_a.seal.get(), Some(&(pki.id, 0)));
-        let mut twin_on_b = twin.statement(b"b".to_vec());
+        let mut twin_on_b = twin.statement(b"b");
         assert!(twin.verify_statement(&mut twin_on_b, &twin.signing_key(2).sign(b"b")));
         assert_eq!(twin_on_b.slot, Some(0));
         for _ in 0..2 {
-            assert!(!twin.verify_sealed(&mut twin_on_b, &sig_a));
+            assert!(!twin.sealed_checks().verify(&mut twin_on_b, &sig_a));
         }
         // On its own bytes the twin accepts `sig_a` by its MAC, and keeps
         // `pki`'s seal.
-        let mut twin_on_a = twin.statement(b"a".to_vec());
+        let mut twin_on_a = twin.statement(b"a");
         for _ in 0..2 {
-            assert!(twin.verify_sealed(&mut twin_on_a, &sig_a));
+            assert!(twin.sealed_checks().verify(&mut twin_on_a, &sig_a));
         }
         assert_eq!(sig_a.seal.get(), Some(&(pki.id, 0)));
         assert_eq!(
@@ -718,20 +829,20 @@ mod tests {
     fn a_seal_never_accepts_its_signature_on_other_bytes() {
         let pki = Pki::new(4, 7);
         let sig = SealedSig::from(pki.signing_key(1).sign(b"a"));
-        let mut on_a = pki.statement(b"a".to_vec());
-        assert!(pki.verify_sealed(&mut on_a, &sig));
+        let mut on_a = pki.statement(b"a");
+        assert!(pki.sealed_checks().verify(&mut on_a, &sig));
         // `b` gets its own slot from another signer's signature; `c` has
         // none yet.
-        let mut on_b = pki.statement(b"b".to_vec());
+        let mut on_b = pki.statement(b"b");
         assert!(pki.verify_statement(&mut on_b, &pki.signing_key(2).sign(b"b")));
         assert_eq!((on_a.slot, on_b.slot), (Some(0), Some(1)));
-        let mut on_c = pki.statement(b"c".to_vec());
+        let mut on_c = pki.statement(b"c");
         for _ in 0..2 {
-            assert!(!pki.verify_sealed(&mut on_b, &sig));
-            assert!(!pki.verify_sealed(&mut on_c, &sig));
+            assert!(!pki.sealed_checks().verify(&mut on_b, &sig));
+            assert!(!pki.sealed_checks().verify(&mut on_c, &sig));
         }
         assert_eq!(sig.seal.get(), Some(&(pki.id, 0)), "the seal stays on `a`");
-        assert!(pki.verify_sealed(&mut on_a, &sig));
+        assert!(pki.sealed_checks().verify(&mut on_a, &sig));
         assert_eq!(
             pki.verify_counts(),
             VerifyCounts {
@@ -741,6 +852,130 @@ mod tests {
                 sealed: 1
             }
         );
+    }
+
+    #[test]
+    fn signatures_sealed_at_signing_are_recorded_and_sealed() {
+        let pki = Pki::new(4, 7);
+        let key = pki.signing_key(1);
+        let mut statement = pki.statement(b"m");
+        let sig = pki.sign_statement(&key, &mut statement);
+        assert_eq!(*sig, key.sign(b"m"), "the same signature as plain signing");
+        assert_eq!(statement.slot, Some(0));
+        assert_eq!(sig.seal.get(), Some(&(pki.id, 0)));
+        assert_eq!(pki.memo().valid, [vec![*sig]]);
+        // Signing again records nothing new and probes nothing.
+        let again = pki.sign_statement(&key, &mut statement);
+        assert_eq!((*again, again.seal.get()), (*sig, Some(&(pki.id, 0))));
+        assert_eq!(pki.memo().valid, [vec![*sig]]);
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                lookups: 1,
+                ..VerifyCounts::default()
+            },
+            "signing is no check"
+        );
+    }
+
+    #[test]
+    fn keys_from_a_twin_pki_get_no_seal_and_leave_no_memo_entry() {
+        let (pki, twin) = (Pki::new(4, 7), Pki::new(4, 7));
+        let key = twin.signing_key(1);
+        let mut statement = pki.statement(b"m");
+        let sig = pki.sign_statement(&key, &mut statement);
+        assert_eq!(*sig, key.sign(b"m"));
+        assert_eq!(sig.seal.get(), None);
+        assert_eq!(statement.slot, None);
+        let memo = pki.memo();
+        assert!(memo.index.is_empty() && memo.valid.is_empty());
+        assert_eq!(memo.counts, VerifyCounts::default());
+    }
+
+    #[test]
+    fn statements_from_another_pki_get_a_plain_signature() {
+        let (pki, other) = (Pki::new(4, 7), Pki::new(4, 7));
+        let key = pki.signing_key(2);
+        let mut foreign = other.statement(b"m");
+        let sig = pki.sign_statement(&key, &mut foreign);
+        assert_eq!(*sig, key.sign(b"m"));
+        assert_eq!((sig.seal.get(), foreign.slot), (None, None));
+        for p in [&pki, &other] {
+            let memo = p.memo();
+            assert!(memo.index.is_empty() && memo.valid.is_empty());
+            assert_eq!(memo.counts, VerifyCounts::default());
+        }
+        // Its first check pays the MAC.
+        assert!(other.sealed_checks().verify(&mut foreign, &sig));
+        assert_eq!(other.verify_counts().macs, 1);
+    }
+
+    #[test]
+    fn signatures_sealed_at_signing_reject_every_flipped_bit() {
+        let pki = Pki::new(4, 7);
+        let mut signed_on = pki.statement(b"m");
+        let sig = pki.sign_statement(&pki.signing_key(1), &mut signed_on);
+        let mut statement = pki.statement(b"m");
+        for bit in 0..128 {
+            let mut forged = *sig;
+            forged.tag[bit / 8] ^= 1 << (bit % 8);
+            let forged = SealedSig::from(forged);
+            for checked_on in [&mut signed_on, &mut statement] {
+                assert!(
+                    !pki.sealed_checks().verify(checked_on, &forged),
+                    "tag bit {bit} flipped"
+                );
+            }
+            assert_eq!(forged.seal.get(), None, "a forgery is never sealed");
+        }
+        assert!(pki.sealed_checks().verify(&mut statement, &sig));
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 257,
+                macs: 256,
+                lookups: 2,
+                sealed: 1
+            },
+            "one MAC per forgery check, none for the genuine signature"
+        );
+    }
+
+    #[test]
+    fn signatures_sealed_at_signing_verify_on_a_fresh_statement_without_a_mac() {
+        let pki = Pki::new(4, 7);
+        let mut signed_on = pki.statement(b"m");
+        let sig = pki.sign_statement(&pki.signing_key(3), &mut signed_on);
+        let mut fresh = pki.statement(b"m");
+        let mut checks = pki.sealed_checks();
+        assert!(checks.verify(&mut fresh, &sig), "a memo hit finds the slot");
+        assert!(checks.verify(&mut fresh, &sig), "then a seal hit");
+        assert!(pki.verify(b"m", &sig), "the bytes path hits the memo too");
+        drop(checks);
+        assert_eq!(
+            pki.verify_counts(),
+            VerifyCounts {
+                calls: 3,
+                macs: 0,
+                lookups: 3,
+                sealed: 1
+            }
+        );
+    }
+
+    #[test]
+    fn seal_hits_are_counted_when_their_pass_ends() {
+        let pki = Pki::new(4, 7);
+        let mut statement = pki.statement(b"m");
+        let sig = pki.sign_statement(&pki.signing_key(0), &mut statement);
+        let mut checks = pki.sealed_checks();
+        for _ in 0..3 {
+            assert!(checks.verify(&mut statement, &sig));
+        }
+        assert_eq!(pki.verify_counts().sealed, 0, "the pass is still open");
+        drop(checks);
+        let counts = pki.verify_counts();
+        assert_eq!((counts.calls, counts.sealed, counts.macs), (3, 3, 0));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! equivalence for SHA-256, precomputed HMAC keys against the textbook
 //! construction, signature binding under random inputs (also once the
 //! verification memo holds the genuine signature, through resolved
-//! statements, and once the genuine signature is sealed), encoder injectivity on structured inputs, and in-place
-//! nesting against the two-step encoding.
+//! statements, once the genuine signature is sealed, and once the PKI
+//! sealed it as it signed), encoder injectivity on structured inputs, and
+//! in-place nesting against the two-step encoding.
 
 use ba_crypto::{
     hmac_sha256, sha256, Encodable, Encoder, HmacKey, Pki, SealedSig, Sha256, Signature,
+    VerifyCounts,
 };
 use proptest::prelude::*;
 
@@ -120,7 +122,7 @@ proptest! {
         let pki = Pki::new(8, seed);
         let (signer, shift) = ids;
         let sig = pki.signing_key(signer).sign(&msg);
-        let mut statement = pki.statement(msg.clone());
+        let mut statement = pki.statement(&msg);
         prop_assert!(pki.verify_statement(&mut statement, &sig));
         prop_assert!(pki.verify_statement(&mut statement, &sig), "slot hit");
         prop_assert!(pki.verify(&msg, &sig), "the bytes path finds the same entry");
@@ -133,7 +135,7 @@ proptest! {
             other_bytes.push(other);
         }
         for bytes in &other_bytes {
-            let mut forged = pki.statement(bytes.clone());
+            let mut forged = pki.statement(bytes);
             for _ in 0..2 {
                 prop_assert!(
                     !pki.verify_statement(&mut forged, &sig),
@@ -157,7 +159,7 @@ proptest! {
         }
 
         let stranger = Pki::new(8, seed + 1000);
-        let mut foreign = stranger.statement(msg.clone());
+        let mut foreign = stranger.statement(&msg);
         for _ in 0..2 {
             prop_assert!(!stranger.verify_statement(&mut foreign, &sig), "cross-seed statement");
             prop_assert!(!stranger.verify_statement(&mut statement, &sig), "cross-seed slot");
@@ -193,10 +195,10 @@ proptest! {
         let pki = Pki::new(8, seed);
         let (signer, shift) = ids;
         let sig = SealedSig::from(pki.signing_key(signer).sign(&msg));
-        let mut statement = pki.statement(msg.clone());
-        prop_assert!(pki.verify_sealed(&mut statement, &sig));
-        prop_assert!(pki.verify_sealed(&mut statement, &sig), "seal hit");
-        prop_assert!(pki.verify_sealed(&mut statement, &sig.clone()), "a clone keeps the seal");
+        let mut statement = pki.statement(&msg);
+        prop_assert!(pki.sealed_checks().verify(&mut statement, &sig));
+        prop_assert!(pki.sealed_checks().verify(&mut statement, &sig), "seal hit");
+        prop_assert!(pki.sealed_checks().verify(&mut statement, &sig.clone()), "a clone keeps the seal");
 
         let mut other_bytes = vec![
             [msg.as_slice(), &extra].concat(),
@@ -207,11 +209,11 @@ proptest! {
         }
         let witness = pki.signing_key((signer + shift) % 8);
         for bytes in &other_bytes {
-            let mut forged = pki.statement(bytes.clone());
+            let mut forged = pki.statement(bytes);
             prop_assert!(pki.verify_statement(&mut forged, &witness.sign(bytes)), "give the bytes a slot");
             for _ in 0..2 {
                 prop_assert!(
-                    !pki.verify_sealed(&mut forged, &sig),
+                    !pki.sealed_checks().verify(&mut forged, &sig),
                     "{:?} accepted over {:?}", sig, bytes
                 );
             }
@@ -225,24 +227,24 @@ proptest! {
         for forged in &forged_sigs {
             for _ in 0..2 {
                 prop_assert!(
-                    !pki.verify_sealed(&mut statement, forged),
+                    !pki.sealed_checks().verify(&mut statement, forged),
                     "{:?} accepted", forged
                 );
             }
         }
 
         let stranger = Pki::new(8, seed + 1000);
-        let mut foreign = stranger.statement(msg.clone());
+        let mut foreign = stranger.statement(&msg);
         for _ in 0..2 {
-            prop_assert!(!stranger.verify_sealed(&mut foreign, &sig), "cross-seed statement");
-            prop_assert!(!stranger.verify_sealed(&mut statement, &sig), "cross-seed slot");
+            prop_assert!(!stranger.sealed_checks().verify(&mut foreign, &sig), "cross-seed statement");
+            prop_assert!(!stranger.sealed_checks().verify(&mut statement, &sig), "cross-seed slot");
         }
         let twin = Pki::new(8, seed);
-        let mut twin_statement = twin.statement(msg.clone());
+        let mut twin_statement = twin.statement(&msg);
         for _ in 0..2 {
-            prop_assert!(twin.verify_sealed(&mut twin_statement, &sig), "same keys, own memo");
+            prop_assert!(twin.sealed_checks().verify(&mut twin_statement, &sig), "same keys, own memo");
         }
-        prop_assert!(pki.verify_sealed(&mut statement, &sig), "the genuine signature still verifies");
+        prop_assert!(pki.sealed_checks().verify(&mut statement, &sig), "the genuine signature still verifies");
 
         // Seals answer the three repeats of the genuine signature. One MAC
         // for it, one per witness, and one per rejection of an in-range
@@ -257,6 +259,70 @@ proptest! {
         prop_assert_eq!((counts.calls, counts.macs, counts.lookups, counts.sealed), (4, 4, 4, 0));
         let counts = twin.verify_counts();
         prop_assert_eq!((counts.calls, counts.macs, counts.lookups, counts.sealed), (2, 1, 1, 0));
+    }
+
+    /// Sealing at signing. A signature the PKI seals as it signs is the
+    /// plain signature, and it verifies on a fresh statement of its bytes,
+    /// and through the bytes path, with no MAC. A key from a same-seed
+    /// twin PKI, or a statement from another PKI, gets a plain signature
+    /// and leaves no memo entry. Every variation of a signature sealed at
+    /// signing is still rejected, twice each, with its MAC recomputed:
+    /// the signature on other bytes that have a slot of their own, and
+    /// another signer. (The `sign` unit tests flip each tag bit.)
+    #[test]
+    fn signatures_sealed_at_signing_admit_no_forgery(
+        msg in proptest::collection::vec(any::<u8>(), 1..64),
+        extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ids in (0u32..8, 1u32..8),
+        seed in 0u64..1000,
+    ) {
+        let pki = Pki::new(8, seed);
+        let (signer, shift) = ids;
+        let key = pki.signing_key(signer);
+        let mut signed_on = pki.statement(&msg);
+        let sig = pki.sign_statement(&key, &mut signed_on);
+        prop_assert_eq!(*sig, key.sign(&msg));
+        let mut fresh = pki.statement(&msg);
+        let mut checks = pki.sealed_checks();
+        prop_assert!(checks.verify(&mut fresh, &sig), "memo hit");
+        prop_assert!(checks.verify(&mut fresh, &sig), "seal hit");
+        prop_assert!(checks.verify(&mut signed_on, &sig), "seal hit on the signed statement");
+        prop_assert!(pki.verify(&msg, &sig), "bytes path");
+        drop(checks);
+        let counts = pki.verify_counts();
+        prop_assert_eq!((counts.calls, counts.macs, counts.lookups, counts.sealed), (4, 0, 3, 2));
+
+        let twin = Pki::new(8, seed);
+        let mut twin_statement = pki.statement([msg.as_slice(), &extra].concat());
+        let plain = pki.sign_statement(&twin.signing_key(signer), &mut twin_statement);
+        let other = Pki::new(8, seed);
+        let mut foreign = other.statement([msg.as_slice(), &extra, &extra].concat());
+        let foreign_sig = pki.sign_statement(&key, &mut foreign);
+        prop_assert_eq!(pki.verify_counts(), counts, "neither touched the memo");
+        prop_assert_eq!(other.verify_counts(), VerifyCounts::default());
+        let mut checks = pki.sealed_checks();
+        prop_assert!(checks.verify(&mut twin_statement, &plain), "a valid, unsealed signature");
+        drop(checks);
+        prop_assert!(other.sealed_checks().verify(&mut foreign, &foreign_sig));
+        prop_assert_eq!(pki.verify_counts().macs, 1, "the twin key's signature pays its MAC");
+        prop_assert_eq!(other.verify_counts().macs, 1, "so does the foreign statement's");
+
+        let mut forged_sigs = vec![(twin_statement, sig.clone())];
+        let mut claimed = *sig;
+        claimed.signer = (signer + shift) % 8;
+        forged_sigs.push((pki.statement(&msg), SealedSig::from(claimed)));
+        let before = pki.verify_counts();
+        for (statement, forged) in &mut forged_sigs {
+            for _ in 0..2 {
+                prop_assert!(
+                    !pki.sealed_checks().verify(statement, forged),
+                    "{:?} accepted", forged
+                );
+            }
+        }
+        let after = pki.verify_counts();
+        prop_assert_eq!(after.macs - before.macs, 4, "every rejection is recomputed");
+        prop_assert_eq!(after.sealed, before.sealed, "no seal answers a forgery");
     }
 
     /// `nested` and `seq` encode in place exactly what the two-step

@@ -30,7 +30,7 @@
 //! supporting instances; within one instance, honest grade-≥1 values
 //! never split (gradecast property (d)).
 
-use crate::gradecast::{GcastConfig, GcastInstance, GcastItem};
+use crate::gradecast::{GcastConfig, GcastInstance, GcastItem, Items};
 use crate::Graded;
 use ba_crypto::{Pki, SigningKey};
 use ba_sim::{Envelope, Outbox, Process, Tally, Value, WireSize};
@@ -40,7 +40,7 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct AuthGcMsg {
     /// Per-instance payloads carried by this physical message.
-    pub items: Vec<(u32, GcastItem)>,
+    pub items: Items,
 }
 
 impl WireSize for AuthGcMsg {
@@ -145,7 +145,10 @@ impl AuthGraded {
         self.input
     }
 
+    /// Hands every received item to its instance, in one pass of sealed
+    /// checks: the step's seal hits are counted once, at its end.
     fn route_inbox(&mut self, inbox: &[Envelope<AuthGcMsg>]) {
+        let mut checks = self.pki.sealed_checks();
         for env in inbox {
             for (inst, item) in &env.payload.items {
                 let Some(instance) = self.instances.get_mut(*inst as usize) else {
@@ -157,10 +160,10 @@ impl AuthGraded {
                         value,
                         sender_sig,
                         sig,
-                    } => instance.recv_echo(&self.pki, *value, sender_sig, sig),
+                    } => instance.recv_echo(&mut checks, *value, sender_sig, sig),
                     GcastItem::Cert(cert) => instance.recv_cert(&self.pki, cert),
                     GcastItem::Confirm { value, sig, cert } => {
-                        instance.recv_confirm(&self.pki, *value, sig, cert)
+                        instance.recv_confirm(&mut checks, *value, sig, cert)
                     }
                     GcastItem::Commit(cc) => instance.recv_commit(&self.pki, cc),
                 }
@@ -207,53 +210,23 @@ impl Process for AuthGraded {
                     items: vec![(self.me.0, item)],
                 });
             }
-            1 => {
-                // Round 2: echo every instance's unique value.
+            1..=4 => {
+                // Every instance pushes its items into the round's one
+                // batch.
                 self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter().enumerate() {
-                    if let Some(echo) = instance.make_echo(&self.key) {
-                        items.push((i as u32, echo));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            2 => {
-                // Round 3: broadcast assembled certificates.
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for cert in instance.make_certs() {
-                        items.push((i as u32, cert));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            3 => {
-                // Round 4: confirm unique certified values (or report
-                // conflicts).
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for item in instance.make_confirm(&self.key) {
-                        items.push((i as u32, item));
-                    }
-                }
-                if !items.is_empty() {
-                    out.broadcast(AuthGcMsg { items });
-                }
-            }
-            4 => {
-                // Round 5: spread commit certificates and known certs.
-                self.route_inbox(inbox);
-                let mut items = Vec::new();
-                for (i, instance) in self.instances.iter_mut().enumerate() {
-                    for item in instance.make_spread() {
-                        items.push((i as u32, item));
+                let mut items = Vec::with_capacity(self.n);
+                for instance in &mut self.instances {
+                    match round {
+                        // Round 2: echo every instance's unique value.
+                        1 => instance.make_echo(&self.pki, &self.key, &mut items),
+                        // Round 3: broadcast assembled certificates.
+                        2 => instance.make_certs(&mut items),
+                        // Round 4: confirm unique certified values (or
+                        // report conflicts).
+                        3 => instance.make_confirm(&self.pki, &self.key, &mut items),
+                        // Round 5: spread commit certificates and known
+                        // certificates.
+                        _ => instance.make_spread(&mut items),
                     }
                 }
                 if !items.is_empty() {

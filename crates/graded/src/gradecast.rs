@@ -51,16 +51,24 @@
 //!   signatures; each certified value holds its first valid certificate
 //!   and its direct confirm signatures.
 //! * A value's echo and confirm statements are resolved against the
-//!   [`Pki`] on the first signature to check on them (see
-//!   [`ba_crypto::Statement`]); every later signature on them is checked
-//!   without encoding or hashing the statement again.
+//!   [`Pki`] on the first signature to sign or check on them (see
+//!   [`ba_crypto::Statement`]); every later signature on them is signed
+//!   or checked without encoding or hashing the statement again. Their
+//!   bytes are short enough to be kept inline.
+//! * Quorum lists move, they are not copied: when a value's echoes or
+//!   confirms fill a quorum, the instance moves the list into the echo or
+//!   commit certificate it forms. The vote entry is then *spent*, and
+//!   takes no more signatures, exactly as a full entry takes none.
 //! * Certificates are shared, not copied: a formed or received echo
 //!   certificate is one `Rc<EchoCert>` allocation, held by the instance
 //!   and by every round-3 to round-5 item that carries it.
-//! * Echo and confirm signatures travel as [`SealedSig`]s. A broadcast
-//!   item reaches every recipient as one shared payload, so the first
-//!   recipient to verify one seals it, and the rest accept it from the
-//!   seal without the memo (see [`Pki::verify_sealed`]).
+//! * Echo and confirm signatures travel as [`SealedSig`]s. The signer
+//!   signs on the instance's own vote statement through
+//!   [`Pki::sign_statement`], so each arrives already sealed, and every
+//!   recipient accepts it from the seal without the memo (see
+//!   [`SealedChecks::verify`]).
+//! * Each round's `make_*` calls push their items into the one list the
+//!   round broadcasts; no instance allocates a list of its own.
 //!
 //! ## Proof sketch
 //!
@@ -85,7 +93,7 @@
 //! holders on different values would each violate the other's
 //! "exactly one certificate value by end of round 4" condition.
 
-use ba_crypto::{Encoder, Pki, SealedSig, Signature, SigningKey, Statement};
+use ba_crypto::{Encoder, Pki, SealedChecks, SealedSig, Signature, SigningKey, Statement};
 use ba_sim::{Value, WireSize};
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -107,27 +115,46 @@ impl GcastConfig {
     fn quorum(&self) -> usize {
         self.n - self.t
     }
+
+    fn encoding(&self, domain: &str, value: Value) -> Encoder {
+        encoding(domain, self.session, self.inst, value)
+    }
+
+    /// Whether `sig` is the instance sender's signature on `value`.
+    fn sender_signed(&self, pki: &Pki, value: Value, sig: &Signature) -> bool {
+        sig.signer == self.inst && pki.verify(self.encoding(VALUE, value).as_ref(), sig)
+    }
+}
+
+/// One round's outgoing items, each tagged with its instance.
+pub type Items = Vec<(u32, GcastItem)>;
+
+/// The domains of the three signed statements.
+const VALUE: &str = "gcast-val";
+const ECHO: &str = "gcast-echo";
+const CONFIRM: &str = "gcast-confirm";
+
+/// The canonical encoding of a statement in `domain` about `value` in
+/// instance `inst`: short enough to stay inline, so it allocates nothing.
+fn encoding(domain: &str, session: u64, inst: u32, value: Value) -> Encoder {
+    let mut e = Encoder::new(domain);
+    e.u64(session).u32(inst).u64(value.0);
+    e
 }
 
 /// Canonical bytes of the sender's value message.
 pub fn value_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-val");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    encoding(VALUE, session, inst, value).finish()
 }
 
 /// Canonical bytes of an echo.
 pub fn echo_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-echo");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    encoding(ECHO, session, inst, value).finish()
 }
 
 /// Canonical bytes of a confirmation.
 pub fn confirm_bytes(session: u64, inst: u32, value: Value) -> Vec<u8> {
-    let mut e = Encoder::new("gcast-confirm");
-    e.u64(session).u32(inst).u64(value.0);
-    e.finish()
+    encoding(CONFIRM, session, inst, value).finish()
 }
 
 /// An echo certificate: `q` distinct echo signatures over one `s`-signed
@@ -152,16 +179,10 @@ impl WireSize for EchoCert {
 impl EchoCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
-        if self.sender_sig.signer != cfg.inst {
+        if !cfg.sender_signed(pki, self.value, &self.sender_sig) {
             return false;
         }
-        if !pki.verify(
-            &value_bytes(cfg.session, cfg.inst, self.value),
-            &self.sender_sig,
-        ) {
-            return false;
-        }
-        let mut statement = pki.statement(echo_bytes(cfg.session, cfg.inst, self.value));
+        let mut statement = pki.statement(cfg.encoding(ECHO, self.value));
         let mut signers = BTreeSet::new();
         for sig in &self.echo_sigs {
             if !signers.insert(sig.signer) {
@@ -193,7 +214,7 @@ impl WireSize for CommitCert {
 impl CommitCert {
     /// Verifies structure and signatures against `cfg`.
     pub fn verify(&self, cfg: &GcastConfig, pki: &Pki) -> bool {
-        let mut statement = pki.statement(confirm_bytes(cfg.session, cfg.inst, self.value));
+        let mut statement = pki.statement(cfg.encoding(CONFIRM, self.value));
         let mut signers = BTreeSet::new();
         for sig in &self.confirm_sigs {
             if !signers.insert(sig.signer) {
@@ -311,11 +332,13 @@ struct Certified {
 
 /// Verified signatures on one statement: distinct signers in signer
 /// order, at most a quorum, plus the statement once a signature on it
-/// has been checked.
+/// has been signed or checked.
 #[derive(Debug, Default)]
 struct Votes {
     statement: Option<Statement>,
     sigs: Vec<Signature>,
+    /// Whether `sigs` has moved into a certificate.
+    spent: bool,
 }
 
 impl GcastInstance {
@@ -340,7 +363,7 @@ impl GcastInstance {
     /// Round-1 send: the designated sender signs its value.
     pub fn make_input(cfg: &GcastConfig, key: &SigningKey, value: Value) -> GcastItem {
         debug_assert_eq!(key.id(), cfg.inst, "only the sender starts an instance");
-        let sig = key.sign(&value_bytes(cfg.session, cfg.inst, value));
+        let sig = key.sign(cfg.encoding(VALUE, value).as_ref());
         GcastItem::Input { value, sig }
     }
 
@@ -352,36 +375,45 @@ impl GcastInstance {
         if self.inputs.is_full() {
             return; // equivocation already proven; more values add nothing
         }
-        if sig.signer != self.cfg.inst {
-            return;
-        }
-        if pki.verify(&value_bytes(self.cfg.session, self.cfg.inst, value), sig) {
+        if self.cfg.sender_signed(pki, value, sig) {
             self.inputs.insert(value, Input::new(*sig));
         }
     }
 
-    /// Round-2 send: echo the unique sender-signed value, if any.
-    pub fn make_echo(&self, key: &SigningKey) -> Option<GcastItem> {
-        self.inputs.sole().map(|(value, input)| GcastItem::Echo {
-            value,
-            sender_sig: input.sender_sig,
-            sig: key
-                .sign(&echo_bytes(self.cfg.session, self.cfg.inst, value))
-                .into(),
-        })
+    /// Round-2 send: echo the unique sender-signed value, if any, signed
+    /// and sealed on the value's echo statement.
+    pub fn make_echo(&mut self, pki: &Pki, key: &SigningKey, items: &mut Items) {
+        let cfg = &self.cfg;
+        if let Some((value, input)) = self.inputs.sole_mut() {
+            let statement = input.echoes.statement(pki, || cfg.encoding(ECHO, value));
+            let sig = pki.sign_statement(key, statement);
+            let sender_sig = input.sender_sig;
+            items.push((
+                cfg.inst,
+                GcastItem::Echo {
+                    value,
+                    sender_sig,
+                    sig,
+                },
+            ));
+        }
     }
 
     /// Ingests a round-2 `Echo` item.
-    pub fn recv_echo(&mut self, pki: &Pki, value: Value, sender_sig: &Signature, sig: &SealedSig) {
+    pub fn recv_echo(
+        &mut self,
+        checks: &mut SealedChecks<'_>,
+        value: Value,
+        sender_sig: &Signature,
+        sig: &SealedSig,
+    ) {
         let cfg = &self.cfg;
         let input = match self.inputs.get_mut(value) {
             Some(input) => input,
             // The embedded sender signature proves the value originated
             // from the sender; it is verified once per value.
             None => {
-                if sender_sig.signer != cfg.inst
-                    || !pki.verify(&value_bytes(cfg.session, cfg.inst, value), sender_sig)
-                {
+                if !cfg.sender_signed(checks.pki(), value, sender_sig) {
                     return;
                 }
                 match self.inputs.insert(value, Input::new(*sender_sig)) {
@@ -394,34 +426,30 @@ impl GcastInstance {
                 }
             }
         };
-        add_verified(&mut input.echoes, cfg, pki, sig, || {
-            echo_bytes(cfg.session, cfg.inst, value)
-        });
+        input
+            .echoes
+            .add(cfg, checks, sig, || cfg.encoding(ECHO, value));
     }
 
-    /// Round-3 send: certificates this process can assemble from echoes.
-    pub fn make_certs(&mut self) -> Vec<GcastItem> {
+    /// Round-3 send: the certificates this process can assemble from
+    /// echoes, each taking its quorum list.
+    pub fn make_certs(&mut self, items: &mut Items) {
         let q = self.cfg.quorum();
-        let formed: Vec<Rc<EchoCert>> = self
-            .inputs
-            .iter()
-            .filter(|(_, input)| input.echoes.sigs.len() >= q)
-            .map(|(value, input)| {
-                Rc::new(EchoCert {
-                    value,
-                    sender_sig: input.sender_sig,
-                    echo_sigs: input.echoes.sigs.clone(),
-                })
-            })
-            .collect();
-        for cert in &formed {
+        for (value, input) in self.inputs.iter_mut() {
+            let Some(echo_sigs) = input.echoes.take_quorum(q) else {
+                continue;
+            };
+            let cert = Rc::new(EchoCert {
+                value,
+                sender_sig: input.sender_sig,
+                echo_sigs,
+            });
             // Locally formed, so already valid.
-            if !self.certs.contains(cert.value) {
-                self.certs
-                    .insert(cert.value, Certified::new(Rc::clone(cert)));
+            if !self.certs.contains(value) {
+                self.certs.insert(value, Certified::new(Rc::clone(&cert)));
             }
+            items.push((self.cfg.inst, GcastItem::Cert(cert)));
         }
-        formed.into_iter().map(GcastItem::Cert).collect()
     }
 
     /// Ingests a received certificate (any round).
@@ -438,29 +466,43 @@ impl GcastInstance {
         }
     }
 
-    /// Round-4 send: confirm the unique certified value, or report the
-    /// conflict by spreading certificates.
+    /// Round-4 send: confirm the unique certified value, signed and sealed
+    /// on its confirm statement, or report the conflict by spreading
+    /// certificates.
     ///
     /// Call after all round-3 receives.
-    pub fn make_confirm(&mut self, key: &SigningKey) -> Vec<GcastItem> {
-        match self.certs.sole() {
+    pub fn make_confirm(&mut self, pki: &Pki, key: &SigningKey, items: &mut Items) {
+        let cfg = &self.cfg;
+        match self.certs.sole_mut() {
             Some((value, certified)) => {
-                let sig = key.sign(&confirm_bytes(self.cfg.session, self.cfg.inst, value));
-                vec![GcastItem::Confirm {
-                    value,
-                    sig: sig.into(),
-                    cert: Rc::clone(&certified.cert),
-                }]
+                let statement = certified
+                    .confirms
+                    .statement(pki, || cfg.encoding(CONFIRM, value));
+                let sig = pki.sign_statement(key, statement);
+                items.push((
+                    cfg.inst,
+                    GcastItem::Confirm {
+                        value,
+                        sig,
+                        cert: Rc::clone(&certified.cert),
+                    },
+                ));
             }
-            None => self.cert_items().collect(),
+            None => self.push_certs(items),
         }
     }
 
     /// Ingests a round-4 `Confirm` item (records the attached certificate
     /// first, then the confirm signature).
-    pub fn recv_confirm(&mut self, pki: &Pki, value: Value, sig: &SealedSig, cert: &Rc<EchoCert>) {
+    pub fn recv_confirm(
+        &mut self,
+        checks: &mut SealedChecks<'_>,
+        value: Value,
+        sig: &SealedSig,
+        cert: &Rc<EchoCert>,
+    ) {
         if cert.value == value {
-            self.recv_cert(pki, cert);
+            self.recv_cert(checks.pki(), cert);
         }
         // Count only confirms whose certificate checks out (a confirm for
         // an uncertifiable value is noise).
@@ -468,27 +510,30 @@ impl GcastInstance {
             return;
         };
         let cfg = &self.cfg;
-        add_verified(&mut certified.confirms, cfg, pki, sig, || {
-            confirm_bytes(cfg.session, cfg.inst, value)
-        });
+        certified
+            .confirms
+            .add(cfg, checks, sig, || cfg.encoding(CONFIRM, value));
     }
 
     /// Round-5 send: spread any commit certificate formed from direct
-    /// confirms, plus every certificate value known at the end of round 4.
-    pub fn make_spread(&mut self) -> Vec<GcastItem> {
+    /// confirms, taking their quorum list, plus every certificate value
+    /// known at the end of round 4.
+    pub fn make_spread(&mut self, items: &mut Items) {
         self.sole_cert_at_r4 = self.certs.sole().map(|(value, _)| value);
         let q = self.cfg.quorum();
-        let mut items = Vec::new();
-        if let Some((value, certified)) = self
+        if let Some((value, confirm_sigs)) = self
             .certs
-            .iter()
-            .find(|(_, certified)| certified.confirms.sigs.len() >= q)
+            .iter_mut()
+            .find_map(|(value, certified)| Some((value, certified.confirms.take_quorum(q)?)))
         {
             self.self_commit = Some(value);
-            items.push(GcastItem::Commit(CommitCert {
-                value,
-                confirm_sigs: certified.confirms.sigs.clone(),
-            }));
+            items.push((
+                self.cfg.inst,
+                GcastItem::Commit(CommitCert {
+                    value,
+                    confirm_sigs,
+                }),
+            ));
             // Two other commit values may already be known, and then this
             // one does not fit; either way more than one is known, which is
             // all `finish` asks.
@@ -496,15 +541,16 @@ impl GcastInstance {
                 self.commits.insert(value, ());
             }
         }
-        items.extend(self.cert_items());
-        items
+        self.push_certs(items);
     }
 
-    /// Every known certificate, in ascending value order.
-    fn cert_items(&self) -> impl Iterator<Item = GcastItem> + '_ {
-        self.certs
-            .iter()
-            .map(|(_, certified)| GcastItem::Cert(Rc::clone(&certified.cert)))
+    /// Pushes every known certificate, in ascending value order.
+    fn push_certs(&self, items: &mut Items) {
+        items.extend(
+            self.certs
+                .iter()
+                .map(|(_, certified)| (self.cfg.inst, GcastItem::Cert(Rc::clone(&certified.cert)))),
+        );
     }
 
     /// Ingests a round-5 `Commit` item.
@@ -564,31 +610,54 @@ impl Certified {
     }
 }
 
-/// Adds `sig` to `votes` if its signer is new, the quorum is not yet
-/// reached, and it verifies (or is sealed) on the statement, which
-/// `msg()` gives the bytes of on first use. Duplicates and signatures
-/// past the quorum are skipped unverified.
-///
-/// A sorted `Vec` sized to the quorum holds these few signatures in
-/// less memory than a `BTreeMap`, whose nodes have room for eleven.
-fn add_verified(
-    votes: &mut Votes,
-    cfg: &GcastConfig,
-    pki: &Pki,
-    sig: &SealedSig,
-    msg: impl FnOnce() -> Vec<u8>,
-) {
-    let sigs = &mut votes.sigs;
-    if sigs.len() >= cfg.quorum() {
-        return;
+impl Votes {
+    /// Whether the entry takes no more signatures: it holds a quorum, or
+    /// its list has moved into a certificate. Signatures it does not take
+    /// are skipped unverified.
+    fn closed(&self, quorum: usize) -> bool {
+        self.spent || self.sigs.len() >= quorum
     }
-    let Err(at) = sigs.binary_search_by_key(&sig.signer, |s| s.signer) else {
-        return;
-    };
-    let statement = votes.statement.get_or_insert_with(|| pki.statement(msg()));
-    if pki.verify_sealed(statement, sig) {
-        sigs.reserve_exact(cfg.quorum() - sigs.len());
-        sigs.insert(at, **sig);
+
+    /// Moves out a full quorum list for a certificate, leaving the entry
+    /// spent; `None` if the entry holds no quorum or is already spent.
+    fn take_quorum(&mut self, quorum: usize) -> Option<Vec<Signature>> {
+        if self.spent || self.sigs.len() < quorum {
+            return None;
+        }
+        self.spent = true;
+        Some(std::mem::take(&mut self.sigs))
+    }
+
+    /// The statement, resolved from `encoding()` on first use.
+    fn statement(&mut self, pki: &Pki, encoding: impl FnOnce() -> Encoder) -> &mut Statement {
+        self.statement
+            .get_or_insert_with(|| pki.statement(encoding()))
+    }
+
+    /// Adds `sig` if the entry is not closed, its signer is new, and it
+    /// verifies (or is sealed) on the statement.
+    ///
+    /// A sorted `Vec` sized to the quorum holds these few signatures in
+    /// less memory than a `BTreeMap`, whose nodes have room for eleven.
+    fn add(
+        &mut self,
+        cfg: &GcastConfig,
+        checks: &mut SealedChecks<'_>,
+        sig: &SealedSig,
+        encoding: impl FnOnce() -> Encoder,
+    ) {
+        let quorum = cfg.quorum();
+        if self.closed(quorum) {
+            return;
+        }
+        let Err(at) = self.sigs.binary_search_by_key(&sig.signer, |s| s.signer) else {
+            return;
+        };
+        let statement = self.statement(checks.pki(), encoding);
+        if checks.verify(statement, sig) {
+            self.sigs.reserve_exact(quorum - self.sigs.len());
+            self.sigs.insert(at, **sig);
+        }
     }
 }
 
@@ -617,11 +686,7 @@ impl<T> Two<T> {
     }
 
     fn get_mut(&mut self, value: Value) -> Option<&mut T> {
-        self.slots
-            .iter_mut()
-            .flatten()
-            .find(|(v, _)| *v == value)
-            .map(|(_, t)| t)
+        self.iter_mut().find(|(v, _)| *v == value).map(|(_, t)| t)
     }
 
     /// The entry, if there is exactly one.
@@ -632,9 +697,25 @@ impl<T> Two<T> {
         }
     }
 
+    /// [`sole`](Self::sole), mutably.
+    fn sole_mut(&mut self) -> Option<(Value, &mut T)> {
+        match &mut self.slots {
+            [Some((value, t)), None] => Some((*value, t)),
+            _ => None,
+        }
+    }
+
     /// Entries in ascending value order.
     fn iter(&self) -> impl Iterator<Item = (Value, &T)> {
         self.slots.iter().flatten().map(|(value, t)| (*value, t))
+    }
+
+    /// [`iter`](Self::iter), mutably.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (Value, &mut T)> {
+        self.slots
+            .iter_mut()
+            .flatten()
+            .map(|(value, t)| (*value, t))
     }
 
     /// Inserts `value`, which must be absent, and returns its entry, or
@@ -670,6 +751,13 @@ mod tests {
 
     fn pki() -> Pki {
         Pki::new(5, 1234)
+    }
+
+    /// The items one `make_*` call pushes, without their instance tags.
+    fn made(make: impl FnOnce(&mut Items)) -> Vec<GcastItem> {
+        let mut items = Vec::new();
+        make(&mut items);
+        items.into_iter().map(|(_, item)| item).collect()
     }
 
     fn valid_cert(pki: &Pki, cfg: &GcastConfig, value: Value, echoers: &[u32]) -> EchoCert {
@@ -767,7 +855,7 @@ mod tests {
             .signing_key(2)
             .sign(&value_bytes(cfg.session, cfg.inst, Value(3)));
         inst.recv_input(&pki, Value(3), &bad_sig);
-        assert!(inst.make_echo(&pki.signing_key(1)).is_none());
+        assert!(made(|items| inst.make_echo(&pki, &pki.signing_key(1), items)).is_empty());
     }
 
     #[test]
@@ -777,11 +865,11 @@ mod tests {
         let mut inst = GcastInstance::new(cfg);
         let s1 = sender.sign(&value_bytes(cfg.session, 0, Value(1)));
         inst.recv_input(&pki, Value(1), &s1);
-        assert!(inst.make_echo(&pki.signing_key(1)).is_some());
+        assert!(!made(|items| inst.make_echo(&pki, &pki.signing_key(1), items)).is_empty());
         // A second sender-signed value arrives: equivocation, echo nothing.
         let s2 = sender.sign(&value_bytes(cfg.session, 0, Value(2)));
         inst.recv_input(&pki, Value(2), &s2);
-        assert!(inst.make_echo(&pki.signing_key(1)).is_none());
+        assert!(made(|items| inst.make_echo(&pki, &pki.signing_key(1), items)).is_empty());
     }
 
     #[test]
@@ -795,9 +883,9 @@ mod tests {
             let esig = pki
                 .signing_key(i)
                 .sign(&echo_bytes(cfg.session, 0, Value(6)));
-            inst.recv_echo(&pki, Value(6), &ssig, &esig.into());
+            inst.recv_echo(&mut pki.sealed_checks(), Value(6), &ssig, &esig.into());
         }
-        let certs = inst.make_certs();
+        let certs = made(|items| inst.make_certs(items));
         assert_eq!(certs.len(), 1);
         match &certs[0] {
             GcastItem::Cert(c) => {
@@ -818,7 +906,7 @@ mod tests {
             let esig = pki
                 .signing_key(i)
                 .sign(&echo_bytes(cfg.session, 0, Value(6)));
-            formed.recv_echo(&pki, Value(6), &ssig, &esig.into());
+            formed.recv_echo(&mut pki.sealed_checks(), Value(6), &ssig, &esig.into());
         }
         let mut received = GcastInstance::new(cfg);
         let cert = Rc::new(valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]));
@@ -833,9 +921,13 @@ mod tests {
                 .collect()
         };
         for (inst, first) in [(&mut formed, None), (&mut received, Some(cert))] {
-            let first = first.unwrap_or_else(|| certs(&inst.make_certs())[0].clone());
+            let first =
+                first.unwrap_or_else(|| certs(&made(|items| inst.make_certs(items)))[0].clone());
             let key = pki.signing_key(3);
-            for later in [certs(&inst.make_confirm(&key)), certs(&inst.make_spread())] {
+            for later in [
+                certs(&made(|items| inst.make_confirm(&pki, &key, items))),
+                certs(&made(|items| inst.make_spread(items))),
+            ] {
                 assert!(
                     Rc::ptr_eq(&first, &later[0]),
                     "one allocation per certificate"
@@ -855,9 +947,9 @@ mod tests {
             let esig = pki
                 .signing_key(i)
                 .sign(&echo_bytes(cfg.session, 0, Value(6)));
-            inst.recv_echo(&pki, Value(6), &ssig, &esig.into());
+            inst.recv_echo(&mut pki.sealed_checks(), Value(6), &ssig, &esig.into());
         }
-        assert!(inst.make_certs().is_empty());
+        assert!(made(|items| inst.make_certs(items)).is_empty());
     }
 
     #[test]
@@ -865,7 +957,7 @@ mod tests {
         let (pki, cfg) = (pki(), cfg());
         let mut inst = GcastInstance::new(cfg);
         inst.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]).into());
-        let items = inst.make_confirm(&pki.signing_key(3));
+        let items = made(|items| inst.make_confirm(&pki, &pki.signing_key(3), items));
         assert!(
             matches!(items.as_slice(), [GcastItem::Confirm { value, .. }] if *value == Value(1))
         );
@@ -874,17 +966,17 @@ mod tests {
         let mut inst2 = GcastInstance::new(cfg);
         inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(1), &[0, 1, 2]).into());
         inst2.recv_cert(&pki, &valid_cert(&pki, &cfg, Value(2), &[0, 3, 4]).into());
-        let items2 = inst2.make_confirm(&pki.signing_key(3));
+        let items2 = made(|items| inst2.make_confirm(&pki, &pki.signing_key(3), items));
         assert_eq!(items2.len(), 2);
         assert!(items2.iter().all(|i| matches!(i, GcastItem::Cert(_))));
     }
 
     #[test]
     fn grade0_when_nothing_happens() {
-        let (_pki, cfg) = (pki(), cfg());
+        let (pki, cfg) = (pki(), cfg());
         let mut inst = GcastInstance::new(cfg);
-        let _ = inst.make_confirm(&pki().signing_key(1));
-        let _ = inst.make_spread();
+        let _ = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
+        let _ = made(|items| inst.make_spread(items));
         assert_eq!(
             inst.finish(),
             GcastOutput {
@@ -904,4 +996,16 @@ mod tests {
             inst: 0,
         });
     }
+}
+#[test]
+fn zz_sizes() {
+    eprintln!(
+        "inst {} votes {} stmt {} item {} input {} certified {}",
+        std::mem::size_of::<GcastInstance>(),
+        std::mem::size_of::<Votes>(),
+        std::mem::size_of::<Statement>(),
+        std::mem::size_of::<GcastItem>(),
+        std::mem::size_of::<Input>(),
+        std::mem::size_of::<Certified>()
+    );
 }

@@ -6,7 +6,7 @@
 use ba_crypto::{Pki, Signature};
 use ba_graded::gradecast::{
     confirm_bytes, echo_bytes, value_bytes, CommitCert, EchoCert, GcastConfig, GcastInstance,
-    GcastItem, GcastOutput,
+    GcastItem, GcastOutput, Items,
 };
 use ba_sim::Value;
 use std::rc::Rc;
@@ -36,6 +36,13 @@ fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(11, 0, v))
 }
 
+/// The items one `make_*` call pushes, without their instance tags.
+fn made(make: impl FnOnce(&mut Items)) -> Vec<GcastItem> {
+    let mut items = Vec::new();
+    make(&mut items);
+    items.into_iter().map(|(_, item)| item).collect()
+}
+
 fn cert(pki: &Pki, v: Value, echoers: &[u32]) -> Rc<EchoCert> {
     Rc::new(EchoCert {
         value: v,
@@ -55,26 +62,36 @@ fn honest_happy_path_reaches_grade_2() {
 
     // R1: sender input.
     inst.recv_input(&pki, v, &sender_sig(&pki, v));
-    assert!(inst.make_echo(&pki.signing_key(1)).is_some());
+    assert!(!made(|items| inst.make_echo(&pki, &pki.signing_key(1), items)).is_empty());
 
     // R2: quorum (n − t = 3) of echoes.
     let ssig = sender_sig(&pki, v);
     for s in [0u32, 1, 2] {
-        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, s, v).into());
+        inst.recv_echo(
+            &mut pki.sealed_checks(),
+            v,
+            &ssig,
+            &echo_sig(&pki, s, v).into(),
+        );
     }
-    let certs = inst.make_certs();
+    let certs = made(|items| inst.make_certs(items));
     assert_eq!(certs.len(), 1);
 
     // R3 → R4: unique certificate ⇒ confirm.
-    let confirm = inst.make_confirm(&pki.signing_key(1));
+    let confirm = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
     assert!(matches!(confirm.as_slice(), [GcastItem::Confirm { value, .. }] if *value == v));
 
     // R4: quorum of direct confirms.
     let own_cert = cert(&pki, v, &[0, 1, 2]);
     for s in [0u32, 1, 2] {
-        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &own_cert);
+        inst.recv_confirm(
+            &mut pki.sealed_checks(),
+            v,
+            &confirm_sig(&pki, s, v).into(),
+            &own_cert,
+        );
     }
-    let spread = inst.make_spread();
+    let spread = made(|items| inst.make_spread(items));
     assert!(
         spread.iter().any(|i| matches!(i, GcastItem::Commit(_))),
         "commit certificate must form from a direct confirm quorum"
@@ -97,10 +114,10 @@ fn conflicting_certs_suppress_confirmation_and_grade() {
     let mut inst = GcastInstance::new(cfg());
     inst.recv_cert(&pki, &cert(&pki, Value(1), &[0, 1, 2]));
     inst.recv_cert(&pki, &cert(&pki, Value(2), &[0, 3, 4]));
-    let items = inst.make_confirm(&pki.signing_key(1));
+    let items = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
     assert_eq!(items.len(), 2, "conflict report carries both certs");
     assert!(items.iter().all(|i| matches!(i, GcastItem::Cert(_))));
-    let _ = inst.make_spread();
+    let _ = made(|items| inst.make_spread(items));
     assert_eq!(inst.finish().grade, 0);
 }
 
@@ -115,8 +132,8 @@ fn grade_1_requires_pure_round_4_view() {
     // received commit certificate.
     let mut pure = GcastInstance::new(cfg());
     pure.recv_cert(&pki, &cert(&pki, v, &[0, 1, 2]));
-    let _ = pure.make_confirm(&pki.signing_key(1));
-    let _ = pure.make_spread();
+    let _ = made(|items| pure.make_confirm(&pki, &pki.signing_key(1), items));
+    let _ = made(|items| pure.make_spread(items));
     let cc = CommitCert {
         value: v,
         confirm_sigs: [0u32, 1, 2]
@@ -138,8 +155,8 @@ fn grade_1_requires_pure_round_4_view() {
     let mut impure = GcastInstance::new(cfg());
     impure.recv_cert(&pki, &cert(&pki, v, &[0, 1, 2]));
     impure.recv_cert(&pki, &cert(&pki, Value(8), &[0, 3, 4]));
-    let _ = impure.make_confirm(&pki.signing_key(1));
-    let _ = impure.make_spread();
+    let _ = made(|items| impure.make_confirm(&pki, &pki.signing_key(1), items));
+    let _ = made(|items| impure.make_spread(items));
     impure.recv_commit(&pki, &cc);
     assert_eq!(impure.finish().grade, 0);
 }
@@ -156,10 +173,15 @@ fn confirms_without_certificates_do_not_count() {
         echo_sigs: vec![echo_sig(&pki, 0, Value(4))],
     });
     for s in [0u32, 1, 2] {
-        inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &junk_cert);
+        inst.recv_confirm(
+            &mut pki.sealed_checks(),
+            v,
+            &confirm_sig(&pki, s, v).into(),
+            &junk_cert,
+        );
     }
-    let _ = inst.make_confirm(&pki.signing_key(1));
-    let spread = inst.make_spread();
+    let _ = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
+    let spread = made(|items| inst.make_spread(items));
     assert!(
         !spread.iter().any(|i| matches!(i, GcastItem::Commit(_))),
         "no certificate, no commit"
@@ -176,9 +198,17 @@ fn duplicate_echoers_do_not_reach_quorum() {
     let ssig = sender_sig(&pki, v);
     inst.recv_input(&pki, v, &ssig);
     for _ in 0..5 {
-        inst.recv_echo(&pki, v, &ssig, &echo_sig(&pki, 1, v).into());
+        inst.recv_echo(
+            &mut pki.sealed_checks(),
+            v,
+            &ssig,
+            &echo_sig(&pki, 1, v).into(),
+        );
     }
-    assert!(inst.make_certs().is_empty(), "one signer echoed five times");
+    assert!(
+        made(|items| inst.make_certs(items)).is_empty(),
+        "one signer echoed five times"
+    );
 }
 
 /// A commit certificate below the confirm quorum is rejected.
@@ -187,8 +217,8 @@ fn short_commit_certificates_rejected() {
     let pki = pki();
     let mut inst = GcastInstance::new(cfg());
     inst.recv_cert(&pki, &cert(&pki, Value(2), &[0, 1, 2]));
-    let _ = inst.make_confirm(&pki.signing_key(1));
-    let _ = inst.make_spread();
+    let _ = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
+    let _ = made(|items| inst.make_spread(items));
     let short = CommitCert {
         value: Value(2),
         confirm_sigs: vec![

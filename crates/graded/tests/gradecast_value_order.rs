@@ -5,7 +5,7 @@
 use ba_crypto::{Pki, Signature};
 use ba_graded::gradecast::{
     confirm_bytes, echo_bytes, value_bytes, CommitCert, EchoCert, GcastConfig, GcastInstance,
-    GcastItem,
+    GcastItem, Items,
 };
 use ba_sim::Value;
 use std::rc::Rc;
@@ -31,6 +31,13 @@ fn echo_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
 
 fn confirm_sig(pki: &Pki, signer: u32, v: Value) -> Signature {
     pki.signing_key(signer).sign(&confirm_bytes(SESSION, 0, v))
+}
+
+/// The items one `make_*` call pushes, without their instance tags.
+fn made(make: impl FnOnce(&mut Items)) -> Vec<GcastItem> {
+    let mut items = Vec::new();
+    make(&mut items);
+    items.into_iter().map(|(_, item)| item).collect()
 }
 
 fn cert(pki: &Pki, v: Value) -> Rc<EchoCert> {
@@ -67,15 +74,20 @@ fn two_values_arriving_in_descending_order_are_emitted_ascending() {
         inst.recv_input(&pki, v, &sender_sig(&pki, v));
     }
     assert!(
-        inst.make_echo(&pki.signing_key(1)).is_none(),
+        made(|items| inst.make_echo(&pki, &pki.signing_key(1), items)).is_empty(),
         "equivocation"
     );
     for v in [high, low, third] {
         for s in [0, 1, 2] {
-            inst.recv_echo(&pki, v, &sender_sig(&pki, v), &echo_sig(&pki, s, v).into());
+            inst.recv_echo(
+                &mut pki.sealed_checks(),
+                v,
+                &sender_sig(&pki, v),
+                &echo_sig(&pki, s, v).into(),
+            );
         }
     }
-    let certs = inst.make_certs();
+    let certs = made(|items| inst.make_certs(items));
     assert_eq!(shape(&certs), [('C', 4), ('C', 9)]);
     for item in &certs {
         let GcastItem::Cert(cert) = item else {
@@ -86,7 +98,7 @@ fn two_values_arriving_in_descending_order_are_emitted_ascending() {
 
     // Round 3: a valid certificate for the third value is refused.
     inst.recv_cert(&pki, &cert(&pki, third));
-    let report = inst.make_confirm(&pki.signing_key(1));
+    let report = made(|items| inst.make_confirm(&pki, &pki.signing_key(1), items));
     assert_eq!(shape(&report), [('C', 4), ('C', 9)], "conflict report");
 
     // Round 4: confirm quorums arrive larger value first; confirms for
@@ -94,10 +106,15 @@ fn two_values_arriving_in_descending_order_are_emitted_ascending() {
     // the smaller value, then both certificates follow in order.
     for v in [high, low, third] {
         for s in [0, 1, 2] {
-            inst.recv_confirm(&pki, v, &confirm_sig(&pki, s, v).into(), &cert(&pki, v));
+            inst.recv_confirm(
+                &mut pki.sealed_checks(),
+                v,
+                &confirm_sig(&pki, s, v).into(),
+                &cert(&pki, v),
+            );
         }
     }
-    let spread = inst.make_spread();
+    let spread = made(|items| inst.make_spread(items));
     assert_eq!(shape(&spread), [('K', 4), ('C', 4), ('C', 9)]);
 
     // Round 5: a commit certificate for the other value is accepted, and
@@ -120,10 +137,20 @@ fn received_certificates_are_kept_in_ascending_order_and_capped_at_two() {
     for v in [8, 5, 2, 9] {
         inst.recv_cert(&pki, &cert(&pki, Value(v)));
     }
-    assert!(inst.make_certs().is_empty(), "no echoes were received");
+    assert!(
+        made(|items| inst.make_certs(items)).is_empty(),
+        "no echoes were received"
+    );
     assert_eq!(
-        shape(&inst.make_confirm(&pki.signing_key(1))),
+        shape(&made(|items| inst.make_confirm(
+            &pki,
+            &pki.signing_key(1),
+            items
+        ))),
         [('C', 5), ('C', 8)]
     );
-    assert_eq!(shape(&inst.make_spread()), [('C', 5), ('C', 8)]);
+    assert_eq!(
+        shape(&made(|items| inst.make_spread(items))),
+        [('C', 5), ('C', 8)]
+    );
 }

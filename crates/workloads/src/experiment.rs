@@ -254,8 +254,8 @@ impl ExperimentConfig {
     }
 
     /// [`run`](Self::run), returning a [`ConfigError`] instead of
-    /// panicking when `f > t` or `t` exceeds the pipeline's resilience
-    /// bound at `n`.
+    /// panicking when `n = 0`, `f > t`, or `t` exceeds the pipeline's
+    /// resilience bound at `n`.
     pub fn try_run(&self) -> Result<ExperimentOutcome, ConfigError> {
         let family = self.pipeline.driver();
         ConfigError::check(family, self.n, self.t, self.f)?;
@@ -406,7 +406,7 @@ impl ExperimentBuilder {
     }
 
     /// Finalizes the configuration, or returns a [`ConfigError`] if the
-    /// (explicit or derived) parameters violate `f ≤ t` or the
+    /// (explicit or derived) parameters violate `n ≥ 1`, `f ≤ t` or the
     /// pipeline's resilience bound — the contracts
     /// [`ExperimentConfig::try_run`] enforces, surfaced at build time.
     pub fn try_build(self) -> Result<ExperimentConfig, ConfigError> {
@@ -432,6 +432,11 @@ impl ExperimentBuilder {
 /// [`ExperimentBuilder::try_build`] and [`ExperimentConfig::try_run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
+    /// A system with no processes: `n = 0`.
+    NoProcesses {
+        /// The pipeline's family name.
+        family: &'static str,
+    },
     /// More actual faults than the fault bound: `f > t`.
     FaultsAboveBound {
         /// The pipeline's family name.
@@ -456,10 +461,14 @@ pub enum ConfigError {
 }
 
 impl ConfigError {
-    /// `f ≤ t`, then `t ≤ family.max_faults(n)`.
+    /// `n ≥ 1`, then `f ≤ t`, then `t ≤ family.max_faults(n)`.
     fn check(family: &Family, n: usize, t: usize, f: usize) -> Result<(), ConfigError> {
         let max_t = family.max_faults(n);
-        if f > t {
+        if n == 0 {
+            Err(ConfigError::NoProcesses {
+                family: family.name,
+            })
+        } else if f > t {
             Err(ConfigError::FaultsAboveBound {
                 family: family.name,
                 f,
@@ -481,6 +490,9 @@ impl ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::NoProcesses { family } => {
+                write!(out, "{family} needs at least one process (got n = 0)")
+            }
             ConfigError::FaultsAboveBound { family, f, t } => {
                 write!(out, "f = {f} exceeds t = {t} (pipeline {family}); f ≤ t")
             }
@@ -823,6 +835,23 @@ mod tests {
         let built = ExperimentConfig::builder().n(12).t(5).try_build();
         assert_eq!(built.unwrap_err(), err);
         assert!(ExperimentConfig::builder().n(12).t(3).try_build().is_ok());
+    }
+
+    #[test]
+    fn every_pipeline_reports_an_empty_system() {
+        for pipeline in Pipeline::ALL {
+            let err = ConfigError::NoProcesses {
+                family: pipeline.driver().name,
+            };
+            let built = ExperimentConfig::builder()
+                .n(0)
+                .pipeline(pipeline)
+                .try_build();
+            assert_eq!(built.unwrap_err(), err, "{pipeline:?}");
+            let cfg = ExperimentConfig::new(0, 0, 0, 0, pipeline);
+            assert_eq!(cfg.try_run(), Err(err), "{pipeline:?}");
+            assert!(err.to_string().contains("at least one process"));
+        }
     }
 
     #[test]
