@@ -142,10 +142,13 @@ impl BbInstance {
     /// holds a membership credential (Algorithm 6 line 10). Chains
     /// accepted in the final round are never extended (lines 12–13): the
     /// driver simply stops calling this after round `k`.
+    ///
+    /// `cert` is cloned once per extension made, so an instance with
+    /// nothing pending costs no clone.
     pub fn make_extensions(
         &mut self,
         key: &SigningKey,
-        cert: Option<CommitteeCert>,
+        cert: Option<&CommitteeCert>,
     ) -> Vec<MessageChain> {
         let pending = std::mem::take(&mut self.pending_extension);
         if self.cfg.require_certs() && cert.is_none() {
@@ -153,7 +156,7 @@ impl BbInstance {
         }
         pending
             .iter()
-            .map(|chain| chain.extend(self.cfg.session, self.cfg.inst, key, cert.clone()))
+            .map(|chain| chain.extend(self.cfg.session, self.cfg.inst, key, cert.cloned()))
             .collect()
     }
 
@@ -290,7 +293,7 @@ impl Process for ParallelBroadcast {
             }
         } else {
             for (i, instance) in self.instances.iter_mut().enumerate() {
-                for ext in instance.make_extensions(&self.key, self.my_cert.clone()) {
+                for ext in instance.make_extensions(&self.key, self.my_cert.as_ref()) {
                     batch.push((i as u32, ext));
                 }
             }

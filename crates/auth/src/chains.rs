@@ -37,9 +37,26 @@ fn committee_encoding(session: u64, member: u32) -> Encoder {
 /// instance (= starter identifier), the value, and every prior link
 /// signature in order.
 pub fn chain_link_bytes(session: u64, inst: u32, value: Value, prior: &[Signature]) -> Vec<u8> {
-    let mut e = Encoder::new("chain-link");
-    e.u64(session).u32(inst).u64(value.0).seq(prior);
+    let mut e = chain_link_head(session, inst, value);
+    e.seq(prior);
     e.finish()
+}
+
+/// The start of every link's bytes in one chain: everything before the
+/// prior signatures.
+fn chain_link_head(session: u64, inst: u32, value: Value) -> Encoder {
+    let mut e = Encoder::new("chain-link");
+    e.u64(session).u32(inst).u64(value.0);
+    e
+}
+
+/// Appends the prior-signature sequence of [`chain_link_bytes`], read
+/// straight from the links before the one being signed.
+fn encode_prior(e: &mut Encoder, prior: &[ChainLink]) {
+    e.u64(prior.len() as u64);
+    for link in prior {
+        e.nested(&link.sig);
+    }
 }
 
 /// A committee certificate (Definition 1): `t + 1` signatures on
@@ -153,9 +170,11 @@ impl MessageChain {
         key: &SigningKey,
         cert: Option<CommitteeCert>,
     ) -> Self {
-        let prior: Vec<Signature> = self.links.iter().map(|l| l.sig).collect();
-        let sig = key.sign(&chain_link_bytes(session, inst, self.value, &prior));
-        let mut links = self.links.clone();
+        let mut bytes = chain_link_head(session, inst, self.value);
+        encode_prior(&mut bytes, &self.links);
+        let sig = key.sign(bytes.as_ref());
+        let mut links = Vec::with_capacity(self.links.len() + 1);
+        links.extend_from_slice(&self.links);
         links.push(ChainLink { cert, sig });
         MessageChain {
             value: self.value,
@@ -199,10 +218,16 @@ impl MessageChain {
         if self.links[0].sig.signer != inst {
             return false;
         }
-        let mut signers = BTreeSet::new();
-        let mut prior: Vec<Signature> = Vec::with_capacity(self.links.len());
-        for link in &self.links {
-            if !signers.insert(link.sig.signer) {
+        // One encoder for every link's bytes: each rewrites the prior
+        // signatures after the shared head, in the buffer the previous
+        // link grew.
+        let mut bytes = chain_link_head(session, inst, self.value);
+        let head = bytes.as_ref().len();
+        for (i, link) in self.links.iter().enumerate() {
+            if self.links[..i]
+                .iter()
+                .any(|l| l.sig.signer == link.sig.signer)
+            {
                 return false;
             }
             match (&link.cert, require_certs) {
@@ -214,13 +239,10 @@ impl MessageChain {
                 (None, true) => return false,
                 _ => {}
             }
-            if !pki.verify(
-                &chain_link_bytes(session, inst, self.value, &prior),
-                &link.sig,
-            ) {
+            encode_prior(bytes.truncate(head), &self.links[..i]);
+            if !pki.verify(bytes.as_ref(), &link.sig) {
                 return false;
             }
-            prior.push(link.sig);
         }
         true
     }

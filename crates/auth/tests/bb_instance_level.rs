@@ -98,7 +98,7 @@ fn certified_mode_extension_requires_certificate() {
     );
     let mut inst2 = BbInstance::new(cfg(CommitteeMode::Certified));
     inst2.recv_chain(&pki, 1, &chain);
-    let exts = inst2.make_extensions(&pki.signing_key(2), Some(cert_for(&pki, 2)));
+    let exts = inst2.make_extensions(&pki.signing_key(2), Some(&cert_for(&pki, 2)));
     assert_eq!(exts.len(), 1);
     assert!(exts[0].verify(5, 0, 2, true, &pki));
 }

@@ -76,6 +76,15 @@ impl Bytes {
         }
     }
 
+    /// Keeps the first `len` bytes, and the buffer they are in.
+    fn truncate(&mut self, len: usize) {
+        assert!(len <= self.as_slice().len(), "truncating past the end");
+        match self {
+            Bytes::Inline { len: inline, .. } => *inline = len as u8,
+            Bytes::Heap(heap) => heap.truncate(len),
+        }
+    }
+
     fn as_mut_slice(&mut self) -> &mut [u8] {
         match self {
             Bytes::Inline { len, buf } => &mut buf[..usize::from(*len)],
@@ -164,6 +173,18 @@ impl Encoder {
         self
     }
 
+    /// Drops everything after the first `len` bytes and keeps the
+    /// buffer, so that one encoder can build, one after another, several
+    /// encodings that share a prefix without allocating for each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `len` bytes have been encoded.
+    pub fn truncate(&mut self, len: usize) -> &mut Self {
+        self.buf.truncate(len);
+        self
+    }
+
     fn len(&self) -> usize {
         self.as_ref().len()
     }
@@ -239,6 +260,31 @@ mod tests {
         let mut b = Encoder::new("x");
         b.bytes(b"a").bytes(b"bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn truncating_rebuilds_shared_prefixes_exactly() {
+        // A one-item sequence stays inline and an eight-item one moves to
+        // the heap: after truncating to a prefix, writing the rest again
+        // gives the bytes a fresh encoder gives, inline or on the heap.
+        for (first, second) in [(1, 1), (1, 8), (8, 1), (8, 8)] {
+            let mut e = Encoder::new("x");
+            e.u32(7);
+            let head = e.as_ref().len();
+            e.seq(&vec![1u64; first]);
+            e.truncate(head).seq(&vec![2u64; second]);
+            let mut fresh = Encoder::new("x");
+            fresh.u32(7).seq(&vec![2u64; second]);
+            assert_eq!(e.as_ref(), fresh.as_ref(), "{first} then {second} items");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "truncating past the end")]
+    fn truncating_cannot_grow() {
+        let mut e = Encoder::new("x");
+        let len = e.as_ref().len();
+        e.truncate(len + 1);
     }
 
     #[test]

@@ -69,6 +69,12 @@
 //!   [`SealedChecks::verify`]).
 //! * Each round's `make_*` calls push their items into the one list the
 //!   round broadcasts; no instance allocates a list of its own.
+//! * Vote lists are kept sorted by signer. Inboxes are delivered in
+//!   sender order, so an echo or confirm from a signer above the last
+//!   one is appended after one comparison; only a vote arriving out of
+//!   order is placed by binary search. Either way a certificate lists the
+//!   first `q` signers that verified in signer order, whatever order
+//!   they arrived in.
 //!
 //! ## Proof sketch
 //!
@@ -639,6 +645,9 @@ impl Votes {
     ///
     /// A sorted `Vec` sized to the quorum holds these few signatures in
     /// less memory than a `BTreeMap`, whose nodes have room for eleven.
+    /// Inboxes arrive in sender order, so a signer above the last one is
+    /// appended with one comparison; any other is placed by binary
+    /// search.
     fn add(
         &mut self,
         cfg: &GcastConfig,
@@ -650,8 +659,14 @@ impl Votes {
         if self.closed(quorum) {
             return;
         }
-        let Err(at) = self.sigs.binary_search_by_key(&sig.signer, |s| s.signer) else {
-            return;
+        let at = match self.sigs.last() {
+            Some(last) if last.signer >= sig.signer => {
+                match self.sigs.binary_search_by_key(&sig.signer, |s| s.signer) {
+                    Ok(_) => return,
+                    Err(at) => at,
+                }
+            }
+            _ => self.sigs.len(),
         };
         let statement = self.statement(checks.pki(), encoding);
         if checks.verify(statement, sig) {

@@ -7,9 +7,17 @@
 //! honest process simply never routes a mis-tagged message into a live
 //! sub-protocol.
 //!
-//! [`step_sub`] keeps that routing cheap: inner payloads stay behind
-//! their `Rc`, and broadcast wrapping reuses one outer allocation per
-//! distinct inner payload.
+//! [`step_sub`] keeps that routing cheap, with constant work per
+//! envelope and no buffer regrowth:
+//!
+//! * inner payloads stay behind their `Rc`;
+//! * the sub-inbox is allocated once, at the first envelope that passes
+//!   the filter, with room for every envelope left, and not at all when
+//!   none passes;
+//! * the outer outbox is reserved once for all the sub-protocol sent;
+//! * broadcast wrapping makes one outer allocation per distinct inner
+//!   payload, and the common single-payload broadcast wraps without a
+//!   cache allocation.
 
 use crate::envelope::{Envelope, Outbox};
 use crate::process::Process;
@@ -32,26 +40,42 @@ pub fn step_sub<P: Process, M>(
     mut extract: impl FnMut(&M) -> Option<Rc<P::Msg>>,
     mut wrap: impl FnMut(Rc<P::Msg>) -> M,
 ) {
-    let sub_inbox: Vec<Envelope<P::Msg>> = inbox
-        .iter()
-        .filter_map(|env| {
-            extract(&env.payload).map(|payload| Envelope {
-                from: env.from,
-                to: env.to,
-                payload,
-            })
+    let mut lift = |env: &Envelope<M>| {
+        extract(&env.payload).map(|payload| Envelope {
+            from: env.from,
+            to: env.to,
+            payload,
         })
-        .collect();
+    };
+    let mut rest = inbox.iter();
+    let sub_inbox = match rest.by_ref().find_map(&mut lift) {
+        None => Vec::new(),
+        Some(first) => {
+            let mut sub_inbox = Vec::with_capacity(1 + rest.len());
+            sub_inbox.push(first);
+            sub_inbox.extend(rest.filter_map(lift));
+            sub_inbox
+        }
+    };
     let mut sub_out = Outbox::new(out.sender(), out.system_size());
     sub.step(local, &sub_inbox, &mut sub_out);
-    let mut cache: Vec<(*const P::Msg, Rc<M>)> = Vec::new();
-    for env in sub_out.into_envelopes() {
+    let sent = sub_out.into_envelopes();
+    out.reserve(sent.len());
+    // Wrapped payloads by inner address: the first inline, any later
+    // distinct ones in `more`.
+    let mut first: Option<(*const P::Msg, Rc<M>)> = None;
+    let mut more: Vec<(*const P::Msg, Rc<M>)> = Vec::new();
+    for env in sent {
         let key = Rc::as_ptr(&env.payload);
-        let outer = match cache.iter().find(|(k, _)| *k == key) {
+        let outer = match first.iter().chain(&more).find(|(k, _)| *k == key) {
             Some((_, outer)) => Rc::clone(outer),
             None => {
                 let outer = Rc::new(wrap(Rc::clone(&env.payload)));
-                cache.push((key, Rc::clone(&outer)));
+                let wrapped = (key, Rc::clone(&outer));
+                match first {
+                    None => first = Some(wrapped),
+                    Some(_) => more.push(wrapped),
+                }
                 outer
             }
         };

@@ -104,6 +104,12 @@ impl<M> Outbox<M> {
         }));
     }
 
+    /// Reserves room for at least `additional` more envelopes, so that
+    /// pushing that many does not regrow the buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Number of envelopes buffered so far this round.
     pub fn len(&self) -> usize {
         self.buf.len()

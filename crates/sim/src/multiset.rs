@@ -3,11 +3,22 @@
 //! Byzantine processes may send several (conflicting) messages in one
 //! round, so *all* quorum logic must count **distinct senders**, never raw
 //! message multiplicity. These helpers centralise that discipline.
+//!
+//! [`distinct_values_by_sender`] runs once per envelope of every inbox it
+//! reads, and replay floods make those inboxes long, so it does constant
+//! work per envelope: a sender already counted is skipped with one bit
+//! test, without probing the result map. The bitset lives on the stack
+//! for the first 256 identifiers (every system the harness runs, up to
+//! the n = 256 ladder), so a call allocates only for the map it returns.
 
 use crate::envelope::Envelope;
 use crate::id::ProcessId;
 use std::collections::BTreeMap;
 use std::hash::Hash;
+
+/// Sender identifiers [`distinct_values_by_sender`] tracks without a heap
+/// allocation.
+const INLINE_SENDERS: usize = 256;
 
 /// Extracts, per sender, the first value produced by `extract` over that
 /// sender's messages (in inbox order).
@@ -15,7 +26,8 @@ use std::hash::Hash;
 /// "First message wins" is the standard way to neutralise Byzantine
 /// double-sends: an honest process's behaviour depends only on one message
 /// per sender per round. Senders that produced no extractable message are
-/// absent from the map.
+/// absent from the map. The inbox may be in any order; `extract` is
+/// called on a sender's messages only until one of them extracts.
 pub fn distinct_values_by_sender<M, V, F>(
     envelopes: &[Envelope<M>],
     mut extract: F,
@@ -24,15 +36,44 @@ where
     F: FnMut(&M) -> Option<V>,
 {
     let mut map: BTreeMap<ProcessId, V> = BTreeMap::new();
+    let mut counted = Senders::default();
     for env in envelopes {
-        if map.contains_key(&env.from) {
+        let (word, bit) = counted.bit(env.from);
+        if *word & bit != 0 {
             continue;
         }
         if let Some(v) = extract(&env.payload) {
+            *word |= bit;
             map.insert(env.from, v);
         }
     }
     map
+}
+
+/// A set of senders as a bitset indexed by [`ProcessId`]: inline for the
+/// first [`INLINE_SENDERS`] identifiers, spilling to the heap beyond.
+#[derive(Default)]
+struct Senders {
+    inline: [u64; INLINE_SENDERS / 64],
+    spill: Vec<u64>,
+}
+
+impl Senders {
+    /// The word holding `id`'s bit, spilling far enough to hold it, and
+    /// the bit.
+    fn bit(&mut self, id: ProcessId) -> (&mut u64, u64) {
+        let (word, bit) = (id.index() / 64, 1 << (id.index() % 64));
+        let word = match word.checked_sub(self.inline.len()) {
+            None => &mut self.inline[word],
+            Some(spilled) => {
+                if spilled >= self.spill.len() {
+                    self.spill.resize(spilled + 1, 0);
+                }
+                &mut self.spill[spilled]
+            }
+        };
+        (word, bit)
+    }
 }
 
 /// A multiset tally over an ordered value domain.
@@ -137,6 +178,7 @@ where
 mod tests {
     use super::*;
     use crate::id::Value;
+    use proptest::prelude::*;
 
     fn env(from: u32, payload: u32) -> Envelope<u32> {
         Envelope::new(ProcessId(from), ProcessId(0), payload)
@@ -158,6 +200,78 @@ mod tests {
         let map = distinct_values_by_sender(&envs, |m| (*m != 0).then_some(*m));
         assert!(!map.contains_key(&ProcessId(1)));
         assert_eq!(map.len(), 1);
+    }
+
+    /// The map-probing implementation the bitset replaced: the reference
+    /// for "first extractable message per sender wins".
+    fn by_sender_reference<M, V>(
+        envelopes: &[Envelope<M>],
+        mut extract: impl FnMut(&M) -> Option<V>,
+    ) -> BTreeMap<ProcessId, V> {
+        let mut map = BTreeMap::new();
+        for env in envelopes {
+            if map.contains_key(&env.from) {
+                continue;
+            }
+            if let Some(v) = extract(&env.payload) {
+                map.insert(env.from, v);
+            }
+        }
+        map
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// On inboxes in sender order and shuffled, with repeated senders,
+        /// senders whose first messages do not extract (payload 0), and
+        /// identifiers past the inline bitset, the bitset dedupe returns
+        /// the reference map and calls `extract` on the same messages.
+        #[test]
+        fn distinct_values_matches_the_map_reference(
+            sends in proptest::collection::vec((0u32..12, 0u32..4), 0..48),
+            high in prop_oneof![Just(0u32), Just(250u32), Just(1000u32)],
+            shuffle in any::<u64>(),
+        ) {
+            let mut in_order: Vec<Envelope<u32>> = sends
+                .iter()
+                .map(|&(from, payload)| env(from + high, payload))
+                .collect();
+            in_order.sort_by_key(|e| e.from);
+            let mut shuffled = in_order.clone();
+            let mut state = shuffle;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                shuffled.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            for envs in [in_order, shuffled] {
+                let (mut seen, mut seen_reference) = (Vec::new(), Vec::new());
+                let map = distinct_values_by_sender(&envs, |m| {
+                    seen.push(*m);
+                    (*m != 0).then_some(*m)
+                });
+                let reference = by_sender_reference(&envs, |m| {
+                    seen_reference.push(*m);
+                    (*m != 0).then_some(*m)
+                });
+                prop_assert_eq!(map, reference);
+                prop_assert_eq!(seen, seen_reference);
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_values_tracks_senders_past_the_inline_bitset() {
+        let envs = vec![
+            env(255, 1),
+            env(256, 2),
+            env(9000, 3),
+            env(9000, 4),
+            env(256, 5),
+        ];
+        let map = distinct_values_by_sender(&envs, |m| Some(*m));
+        let got: Vec<(u32, u32)> = map.into_iter().map(|(p, v)| (p.0, v)).collect();
+        assert_eq!(got, vec![(255, 1), (256, 2), (9000, 3)]);
     }
 
     #[test]

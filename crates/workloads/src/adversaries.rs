@@ -194,10 +194,9 @@ impl SignedCertEquivocator {
         }
     }
 
-    /// A certificate stuffed with forged acknowledgements: self-signed
-    /// tags re-attributed to honest signers. Must never verify.
-    fn bogus_certificate(&self, value: Value) -> Rc<Certificate> {
-        let key = &self.keys[0];
+    /// A certificate stuffed with forged acknowledgements: `key`'s tags
+    /// re-attributed to honest signers. Must never verify.
+    fn bogus_certificate(&self, key: &SigningKey, value: Value) -> Rc<Certificate> {
         let acks = (0..self.n as u32)
             .map(|claimed| {
                 let body = AckBody { value, happy: true };
@@ -299,8 +298,12 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                         ctx.send(from, to, CommEffSignedMsg::Commit(Rc::clone(&cert)));
                     }
                 }
-                // …and unverifiable forged certificates to the evens.
-                let bogus = self.bogus_certificate(Value(a));
+                // …and unverifiable forged certificates to the evens
+                // (none without a corrupted key to forge with).
+                let Some(forger) = self.keys.first() else {
+                    return;
+                };
+                let bogus = self.bogus_certificate(forger, Value(a));
                 for key in &self.keys {
                     let from = ProcessId(key.id());
                     for to in ProcessId::all(self.n).filter(|p| p.0.is_multiple_of(2)) {

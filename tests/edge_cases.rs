@@ -203,3 +203,31 @@ fn repeated_runs_share_no_state() {
     assert!(outs.windows(2).all(|w| w[0].rounds == w[1].rounds));
     assert!(outs.windows(2).all(|w| w[0].messages == w[1].messages));
 }
+
+#[test]
+fn every_pipeline_runs_every_adversary_kind_without_faults() {
+    // f = 0 leaves a coalition with no corrupted keys: every adversary
+    // must then send nothing rather than reach for a key it lacks.
+    let kinds = [
+        AdversaryKind::Silent,
+        AdversaryKind::Replay,
+        AdversaryKind::Disruptor,
+        AdversaryKind::ClassifyLiar(LiarStyle::AllOnes),
+        AdversaryKind::ClassifyLiar(LiarStyle::AllZeros),
+        AdversaryKind::ClassifyLiar(LiarStyle::Inverted),
+        AdversaryKind::ClassifyLiar(LiarStyle::RandomPerRecipient),
+    ];
+    let (n, t) = (7, 2);
+    for pipeline in Pipeline::ALL {
+        for adversary in kinds {
+            for budget in [0, n * n + 5] {
+                let cfg =
+                    ExperimentConfig::new(n, t, 0, budget, pipeline).with_adversary(adversary);
+                let out = cfg.run();
+                let case = format!("{pipeline:?} {adversary:?} B={budget}");
+                assert!(out.agreement, "{case}");
+                assert!(out.validity_ok, "{case}");
+            }
+        }
+    }
+}
