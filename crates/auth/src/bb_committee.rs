@@ -72,8 +72,9 @@ pub struct BbInstance {
     cfg: BbConfig,
     /// `Xᵢ`: accepted values (at most 2; more are never needed).
     accepted: Vec<Value>,
-    /// Chains accepted in the previous round, pending extension.
-    pending_extension: Vec<MessageChain>,
+    /// Extensions of the chains accepted this round, built as each is
+    /// accepted and waiting to be broadcast.
+    extensions: Vec<MessageChain>,
 }
 
 impl BbInstance {
@@ -82,7 +83,7 @@ impl BbInstance {
         BbInstance {
             cfg,
             accepted: Vec::new(),
-            pending_extension: Vec::new(),
+            extensions: Vec::new(),
         }
     }
 
@@ -115,7 +116,20 @@ impl BbInstance {
 
     /// Ingests a chain received in round `round` (1-based). Only valid
     /// chains of length exactly `round` count (Algorithm 6 lines 5, 11).
-    pub fn recv_chain(&mut self, pki: &Pki, round: usize, chain: &MessageChain) {
+    ///
+    /// An accepted chain is extended at once with `key` and `cert`
+    /// (Algorithm 6 line 10) when this process will relay it: in rounds
+    /// up to `k` (chains accepted in the final round are never extended,
+    /// lines 12–13), and in certified mode only with a membership
+    /// credential. `cert` is cloned once per extension made.
+    pub fn recv_chain(
+        &mut self,
+        pki: &Pki,
+        round: usize,
+        chain: &MessageChain,
+        key: &SigningKey,
+        cert: Option<&CommitteeCert>,
+    ) {
         if self.accepted.len() >= 2 {
             return; // |Xᵢ| < 2 gate (line 8)
         }
@@ -135,29 +149,15 @@ impl BbInstance {
             return;
         }
         self.accepted.push(chain.value);
-        self.pending_extension.push(chain.clone());
+        if round <= self.cfg.k && (cert.is_some() || !self.cfg.require_certs()) {
+            let ext = chain.extend(self.cfg.session, self.cfg.inst, key, cert.cloned());
+            self.extensions.push(ext);
+        }
     }
 
-    /// Produces the extensions to broadcast this round, if this process
-    /// holds a membership credential (Algorithm 6 line 10). Chains
-    /// accepted in the final round are never extended (lines 12–13): the
-    /// driver simply stops calling this after round `k`.
-    ///
-    /// `cert` is cloned once per extension made, so an instance with
-    /// nothing pending costs no clone.
-    pub fn make_extensions(
-        &mut self,
-        key: &SigningKey,
-        cert: Option<&CommitteeCert>,
-    ) -> Vec<MessageChain> {
-        let pending = std::mem::take(&mut self.pending_extension);
-        if self.cfg.require_certs() && cert.is_none() {
-            return Vec::new();
-        }
-        pending
-            .iter()
-            .map(|chain| chain.extend(self.cfg.session, self.cfg.inst, key, cert.cloned()))
-            .collect()
+    /// The extensions built since the last call, in acceptance order.
+    pub fn take_extensions(&mut self) -> Vec<MessageChain> {
+        std::mem::take(&mut self.extensions)
     }
 
     /// Final output (Algorithm 6 lines 14–16): the unique accepted value,
@@ -272,7 +272,8 @@ impl Process for ParallelBroadcast {
             for env in inbox {
                 for (inst, chain) in env.payload.iter() {
                     if let Some(instance) = self.instances.get_mut(*inst as usize) {
-                        instance.recv_chain(&self.pki, round as usize, chain);
+                        let cert = self.my_cert.as_ref();
+                        instance.recv_chain(&self.pki, round as usize, chain, &self.key, cert);
                     }
                 }
             }
@@ -293,7 +294,7 @@ impl Process for ParallelBroadcast {
             }
         } else {
             for (i, instance) in self.instances.iter_mut().enumerate() {
-                for ext in instance.make_extensions(&self.key, self.my_cert.as_ref()) {
+                for ext in instance.take_extensions() {
                     batch.push((i as u32, ext));
                 }
             }

@@ -50,10 +50,10 @@ fn chain_length_must_match_the_round() {
     let mut inst = BbInstance::new(cfg(CommitteeMode::Universal));
     let chain = MessageChain::start(5, 0, Value(7), &pki.signing_key(0), None);
     // A length-1 chain in round 2 is stale and must be ignored.
-    inst.recv_chain(&pki, 2, &chain);
+    inst.recv_chain(&pki, 2, &chain, &pki.signing_key(1), None);
     assert_eq!(inst.finish(), None);
     // In round 1 it is accepted.
-    inst.recv_chain(&pki, 1, &chain);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
     assert_eq!(inst.finish(), Some(Value(7)));
 }
 
@@ -64,11 +64,11 @@ fn third_value_is_never_recorded() {
     let k0 = pki.signing_key(0);
     for v in [1u64, 2, 3] {
         let chain = MessageChain::start(5, 0, Value(v), &k0, None);
-        inst.recv_chain(&pki, 1, &chain);
+        inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
     }
     // |X| = 2 → ⊥; the third chain must not have been buffered either.
     assert_eq!(inst.finish(), None);
-    let exts = inst.make_extensions(&pki.signing_key(1), None);
+    let exts = inst.take_extensions();
     assert_eq!(exts.len(), 2, "only the first two values are extended");
 }
 
@@ -77,13 +77,13 @@ fn extensions_extend_by_exactly_one_link() {
     let pki = pki();
     let mut inst = BbInstance::new(cfg(CommitteeMode::Universal));
     let chain = MessageChain::start(5, 0, Value(4), &pki.signing_key(0), None);
-    inst.recv_chain(&pki, 1, &chain);
-    let exts = inst.make_extensions(&pki.signing_key(2), None);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(2), None);
+    let exts = inst.take_extensions();
     assert_eq!(exts.len(), 1);
     assert_eq!(exts[0].len(), 2);
     assert!(exts[0].verify(5, 0, 2, false, &pki));
     // Extensions are consumed: a second call yields nothing.
-    assert!(inst.make_extensions(&pki.signing_key(2), None).is_empty());
+    assert!(inst.take_extensions().is_empty());
 }
 
 #[test]
@@ -91,14 +91,15 @@ fn certified_mode_extension_requires_certificate() {
     let pki = pki();
     let mut inst = BbInstance::new(cfg(CommitteeMode::Certified));
     let chain = MessageChain::start(5, 0, Value(4), &pki.signing_key(0), Some(cert_for(&pki, 0)));
-    inst.recv_chain(&pki, 1, &chain);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(2), None);
     assert!(
-        inst.make_extensions(&pki.signing_key(2), None).is_empty(),
+        inst.take_extensions().is_empty(),
         "no certificate, no extension (Algorithm 6 line 10)"
     );
     let mut inst2 = BbInstance::new(cfg(CommitteeMode::Certified));
-    inst2.recv_chain(&pki, 1, &chain);
-    let exts = inst2.make_extensions(&pki.signing_key(2), Some(&cert_for(&pki, 2)));
+    let cert = cert_for(&pki, 2);
+    inst2.recv_chain(&pki, 1, &chain, &pki.signing_key(2), Some(&cert));
+    let exts = inst2.take_extensions();
     assert_eq!(exts.len(), 1);
     assert!(exts[0].verify(5, 0, 2, true, &pki));
 }
@@ -108,11 +109,11 @@ fn duplicate_value_chains_are_idempotent() {
     let pki = pki();
     let mut inst = BbInstance::new(cfg(CommitteeMode::Universal));
     let chain = MessageChain::start(5, 0, Value(9), &pki.signing_key(0), None);
-    inst.recv_chain(&pki, 1, &chain);
-    inst.recv_chain(&pki, 1, &chain);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
     assert_eq!(inst.finish(), Some(Value(9)));
     // Only one pending extension despite the duplicate.
-    assert_eq!(inst.make_extensions(&pki.signing_key(1), None).len(), 1);
+    assert_eq!(inst.take_extensions().len(), 1);
 }
 
 #[test]
@@ -121,7 +122,7 @@ fn wrong_instance_chains_rejected() {
     let mut inst = BbInstance::new(cfg(CommitteeMode::Universal));
     // Chain started by p1, delivered into instance 0.
     let chain = MessageChain::start(5, 1, Value(9), &pki.signing_key(1), None);
-    inst.recv_chain(&pki, 1, &chain);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
     assert_eq!(inst.finish(), None);
 }
 
@@ -130,6 +131,6 @@ fn cross_session_chains_rejected() {
     let pki = pki();
     let mut inst = BbInstance::new(cfg(CommitteeMode::Universal));
     let chain = MessageChain::start(6, 0, Value(9), &pki.signing_key(0), None);
-    inst.recv_chain(&pki, 1, &chain);
+    inst.recv_chain(&pki, 1, &chain, &pki.signing_key(1), None);
     assert_eq!(inst.finish(), None, "session tag must bind the chain");
 }

@@ -238,7 +238,7 @@ fn main() {
         })
         .collect();
     let (mean, best) = measure(20, 50, || {
-        distinct_values_by_sender(black_box(&inbox), |v| (v.0 % 3 != 0).then_some(*v))
+        distinct_values_by_sender(black_box(&inbox), |_, v| (v.0 % 3 != 0).then_some(*v))
     });
     table.row([
         "distinct_values_by_sender_replay".to_string(),

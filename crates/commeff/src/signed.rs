@@ -1,81 +1,16 @@
-//! The signed fast path: equivocation-proof certify for the
-//! communication-efficient pipeline.
-//!
-//! The unsigned fast lane ([`crate::CommEff`]) is *conditional*: its
-//! certify step trusts that every honest process observes the same
-//! report and certificate sets, so a Byzantine aggregator that shows a
-//! certificate to one honest half and nothing (or a conflicting one) to
-//! the other splits the fast/fallback decision — see the pinned
-//! `full_equivocation_can_split_the_unsigned_lane_choice` test. This
-//! module removes that conditionality with the [`ba_crypto::Signed`]
-//! envelope, following the signed certify step of Dzulfikar–Gilbert's
-//! *Communication Efficient Byzantine Agreement with Predictions*:
-//!
-//! 1. **Signed traffic, verify-on-receive** — submit, report, and
-//!    acknowledgement bodies are signed; anything whose signature does
-//!    not verify for the envelope sender (forged tags, honest
-//!    signatures replayed from corrupted identities) is dropped as if
-//!    never sent.
-//! 2. **Transferable certificates** — an aggregator certifies by
-//!    broadcasting the *proof* itself: `n − t` signed happy
-//!    acknowledgements of one value ([`Certificate`]). Since honest
-//!    processes sign at most one acknowledgement per execution and two
-//!    `n − t` quorums intersect in an honest process (`3t < n`), valid
-//!    certificates for two different values cannot both exist — a
-//!    Byzantine aggregator can at most *withhold* a certificate, never
-//!    fabricate a conflicting one.
-//! 3. **Certificate echo** — one extra round: every process holding a
-//!    valid certificate re-broadcasts it before anyone decides. A
-//!    certificate delivered to even a single honest process *by the
-//!    certify round* therefore reaches all of them by the decision
-//!    round, so the lane decision is uniform: either every honest
-//!    process decides in the (now 6-round) fast lane, or every honest
-//!    process enters the fallback.
-//!
-//! The price is bandwidth, not rounds: a certificate carries `n − t`
-//! signatures, so the commit/echo rounds cost `O(n³)` signed bytes —
-//! the signed variant trades the unsigned lane's subquadratic
-//! communication *under attack* for an unconditional lane choice. With
-//! accurate predictions and no equivocation the totals still separate
-//! from the `Ω(n²)`-per-round baselines per message count.
-//!
-//! Receivers additionally accept reports only from their own sampled
-//! committee: with accurate predictions a non-member's (necessarily
-//! faulty) signed-but-conflicting reports cannot sour acknowledgements,
-//! so a signature equivocator cannot force the fallback from outside
-//! the committee either.
-//!
-//! *Scope.* What the signatures buy is the **lane choice** for every
-//! certificate first delivered during the certify round — the
-//! conditionality the unsigned variant documents and the split pin
-//! test demonstrates, including the withheld-certificate attack. Two
-//! boundaries remain, both deliberate. First, a genuine certificate a
-//! Byzantine holder *first* injects during the echo round itself
-//! arrives only at the decision step, too late to be re-echoed; exact
-//! last-round agreement is the classic simultaneity bound — closing it
-//! costs `Θ(t)` echo rounds, the fallback's whole budget — and
-//! reaching this window at all requires a committee with no active
-//! honest aggregator (otherwise honest certificates already flooded
-//! the echo round). Second, the *value* a certificate certifies is
-//! backed by `≥ t + 1` honest signed acknowledgements, i.e. by honest
-//! processes that adopted it from their committee-filtered report
-//! view; like every committee-sampled fast path, that view is only as
-//! honest as the committee, so thoroughly garbage predictions (again,
-//! a committee with no active honest aggregator) remain the
-//! fallback's, not the fast lane's, responsibility.
+//! The signed lane, [`Certified`]: signed submit, report and
+//! acknowledgement bodies, transferable certify [`Certificate`]s, and
+//! one certificate-echo round. The crate docs explain what the
+//! signatures buy over [`Plain`] and where that stops.
 
-use crate::FALLBACK_START as UNSIGNED_FALLBACK_START;
+use crate::{quorum_value, CommEffBa, Lane, Plain};
 use ba_core::BitVec;
 use ba_crypto::{Encodable, Encoder, Pki, Signed, SigningKey};
-use ba_early::{PhaseKing, PhaseKingMsg};
-use ba_sim::{plurality_smallest, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
-use std::collections::{BTreeMap, BTreeSet};
+use ba_early::PhaseKingMsg;
+use ba_sim::{distinct_values_by_sender, Envelope, Outbox, ProcessId, Value, WireSize};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// First fallback round: the signed fast lane occupies steps `0..=5`
-/// (one certificate-echo round more than the unsigned lane).
-const FALLBACK_START: u64 = UNSIGNED_FALLBACK_START + 1;
 
 /// Signed body of a step-0 submission. The leading tag byte
 /// domain-separates the fast-lane body kinds, so a signature on one
@@ -146,8 +81,8 @@ impl WireSize for AckBody {
 /// A transferable certify proof: `n − t` distinct-signer signed happy
 /// acknowledgements of one value. Self-certifying — validity depends
 /// only on the signatures it carries, never on who relayed it — which
-/// is what makes the echo round close the unsigned variant's
-/// split-view loophole.
+/// is what makes the echo round close the plain lane's split-view
+/// loophole.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
     /// The certified value.
@@ -184,9 +119,9 @@ impl WireSize for Certificate {
     }
 }
 
-/// Messages of the signed communication-efficient pipeline. Fast-lane
-/// bodies are signed and verified on receive; certificates are
-/// self-certifying, so their variants carry no outer signature.
+/// Messages of the communication-efficient pipeline over [`Certified`].
+/// Fast-lane bodies are signed and verified on receive; certificates
+/// are self-certifying, so their variants carry no outer signature.
 #[derive(Clone, Debug)]
 pub enum CommEffSignedMsg {
     /// Step 0 → committee: the sender's signed input value.
@@ -218,82 +153,188 @@ impl WireSize for CommEffSignedMsg {
     }
 }
 
-/// One process's state machine for the signed communication-efficient
-/// pipeline.
-///
-/// # Examples
-///
-/// ```
-/// use ba_commeff::CommEffSigned;
-/// use ba_core::PredictionMatrix;
-/// use ba_crypto::Pki;
-/// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
-/// use std::collections::BTreeSet;
-/// use std::sync::Arc;
-///
-/// // n = 7, one silent fault (p6), perfect predictions.
-/// let n = 7;
-/// let faulty: BTreeSet<ProcessId> = [ProcessId(6)].into_iter().collect();
-/// let matrix = PredictionMatrix::perfect(n, &faulty);
-/// let pki = Arc::new(Pki::new(n, 1));
-/// let procs: Vec<CommEffSigned> = (0..6u32)
-///     .map(|i| {
-///         let id = ProcessId(i);
-///         let key = pki.signing_key(i);
-///         CommEffSigned::new(id, n, 2, Value(9), matrix.row(id).clone(), Arc::clone(&pki), key)
-///     })
-///     .collect();
-/// let mut runner = Runner::new(n, procs, SilentAdversary);
-/// let report = runner.run(CommEffSigned::rounds(2));
-/// assert_eq!(report.decision(), Some(&Value(9)));
-/// assert_eq!(report.last_decision_round, Some(5), "6-round signed fast lane");
-/// ```
-pub struct CommEffSigned {
-    me: ProcessId,
-    n: usize,
-    t: usize,
-    input: Value,
-    prediction: BitVec,
-    committee: Vec<ProcessId>,
-    degenerate: bool,
+/// The signed lane: one process's view of the PKI, its own signing key,
+/// and the certificate it echoed.
+#[derive(Debug)]
+pub struct Certified {
     pki: Arc<Pki>,
     key: SigningKey,
-    /// Set at step 1 when this process received `n − t` valid
-    /// submissions.
-    active: bool,
-    tentative: Value,
-    /// The first valid certificate observed (held across the echo
-    /// round).
+    /// The first valid certificate observed at the echo step, held for
+    /// the decision step.
     cert: Option<Rc<Certificate>>,
-    fallback: Option<PhaseKing>,
-    out: Option<Value>,
 }
 
-impl std::fmt::Debug for CommEffSigned {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommEffSigned")
-            .field("me", &self.me)
-            .field("committee", &self.committee)
-            .field("active", &self.active)
-            .field("cert", &self.cert.is_some())
-            .field("fallback", &self.fallback.is_some())
-            .field("out", &self.out)
-            .finish_non_exhaustive()
+impl Certified {
+    /// The lane of the process holding `key`.
+    pub fn new(pki: Arc<Pki>, key: SigningKey) -> Self {
+        Certified {
+            pki,
+            key,
+            cert: None,
+        }
+    }
+
+    /// The first valid certificate in the inbox, if any.
+    fn valid_cert(
+        &self,
+        n: usize,
+        t: usize,
+        inbox: &[Envelope<CommEffSignedMsg>],
+    ) -> Option<Rc<Certificate>> {
+        inbox.iter().find_map(|env| match &*env.payload {
+            CommEffSignedMsg::Commit(c) | CommEffSignedMsg::Echo(c)
+                if c.verify(&self.pki, n, t) =>
+            {
+                Some(Rc::clone(c))
+            }
+            _ => None,
+        })
     }
 }
 
-impl CommEffSigned {
-    /// Total round budget: the 6-round signed fast lane plus the full
-    /// phase-king fallback.
-    pub fn rounds(t: usize) -> u64 {
-        FALLBACK_START + PhaseKing::rounds(PhaseKing::phases_for(t))
+/// The communication-efficient pipeline over the signed lane.
+pub type CommEffSigned = CommEffBa<Certified>;
+
+impl Lane for Certified {
+    type Msg = CommEffSignedMsg;
+    /// One certificate-echo round more than [`Plain`].
+    const FALLBACK_START: u64 = Plain::FALLBACK_START + 1;
+
+    fn submit(&self, value: Value) -> CommEffSignedMsg {
+        CommEffSignedMsg::Submit(Signed::new(SubmitBody { value }, &self.key))
     }
 
-    /// Creates the state machine for process `me`.
+    fn open_submit(&self, from: ProcessId, msg: &CommEffSignedMsg) -> Option<Value> {
+        match msg {
+            CommEffSignedMsg::Submit(s) => s.verified_from(&self.pki, from.0).map(|b| b.value),
+            _ => None,
+        }
+    }
+
+    fn report(&self, value: Value) -> CommEffSignedMsg {
+        CommEffSignedMsg::Report(Signed::new(ReportBody { value }, &self.key))
+    }
+
+    /// Counts a verified report only from the receiver's own committee,
+    /// so a signature equivocator outside it cannot sour the
+    /// acknowledgements.
+    fn open_report(
+        &self,
+        from: ProcessId,
+        msg: &CommEffSignedMsg,
+        committee: &[ProcessId],
+    ) -> Option<Value> {
+        match msg {
+            CommEffSignedMsg::Report(s) if committee.binary_search(&from).is_ok() => {
+                s.verified_from(&self.pki, from.0).map(|b| b.value)
+            }
+            _ => None,
+        }
+    }
+
+    fn ack(&self, value: Value, happy: bool) -> CommEffSignedMsg {
+        CommEffSignedMsg::Ack(Signed::new(AckBody { value, happy }, &self.key))
+    }
+
+    /// Assembles a certificate from each sender's first valid happy
+    /// acknowledgement and broadcasts the proof itself. No valid
+    /// certificates for two different values can exist (quorum
+    /// intersection), so there is no retreat: absence of proof is the
+    /// fallback signal.
+    fn certify(
+        &self,
+        n: usize,
+        t: usize,
+        inbox: &[Envelope<CommEffSignedMsg>],
+    ) -> Option<CommEffSignedMsg> {
+        let acks = distinct_values_by_sender(inbox, |from, m| match m {
+            CommEffSignedMsg::Ack(s) => {
+                let happy = s.verified_from(&self.pki, from.0)?.happy;
+                happy.then(|| s.clone())
+            }
+            _ => None,
+        });
+        let value = quorum_value(acks.values().map(|a| a.body().value), n - t)?;
+        let acks = acks.into_values().filter(|a| a.body().value == value);
+        let cert = Certificate {
+            value,
+            acks: acks.collect(),
+        };
+        Some(CommEffSignedMsg::Commit(Rc::new(cert)))
+    }
+
+    /// Certificate echo: any process holding a valid proof
+    /// re-broadcasts it, so one honest recipient suffices to make the
+    /// whole honest population decide.
+    fn echo(
+        &mut self,
+        n: usize,
+        t: usize,
+        inbox: &[Envelope<CommEffSignedMsg>],
+        out: &mut Outbox<CommEffSignedMsg>,
+    ) {
+        if let Some(cert) = self.valid_cert(n, t, inbox) {
+            out.broadcast(CommEffSignedMsg::Echo(Rc::clone(&cert)));
+            self.cert = Some(cert);
+        }
+    }
+
+    /// The uniform lane decision: a valid certificate (held from the
+    /// echo step or echoed to us) decides; no proof anywhere means no
+    /// honest process saw one either, so everyone falls back together.
+    fn decide(
+        &mut self,
+        n: usize,
+        t: usize,
+        inbox: &[Envelope<CommEffSignedMsg>],
+    ) -> Option<Value> {
+        let cert = self.cert.take().or_else(|| self.valid_cert(n, t, inbox));
+        cert.map(|c| c.value)
+    }
+
+    fn phase(msg: &CommEffSignedMsg) -> Option<Rc<PhaseKingMsg>> {
+        match msg {
+            CommEffSignedMsg::Fallback(inner) => Some(Rc::clone(inner)),
+            _ => None,
+        }
+    }
+
+    fn wrap(inner: Rc<PhaseKingMsg>) -> CommEffSignedMsg {
+        CommEffSignedMsg::Fallback(inner)
+    }
+}
+
+impl CommEffBa<Certified> {
+    /// Creates the state machine for process `me` over the signed lane,
+    /// signing with `key`.
     ///
-    /// The committee sampling (and the degenerate-prediction divert)
-    /// is shared with the unsigned variant: see
-    /// [`crate::CommEff::committee_of`].
+    /// # Examples
+    ///
+    /// ```
+    /// use ba_commeff::CommEffSigned;
+    /// use ba_core::PredictionMatrix;
+    /// use ba_crypto::Pki;
+    /// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
+    /// use std::collections::BTreeSet;
+    /// use std::sync::Arc;
+    ///
+    /// // n = 7, one silent fault (p6), perfect predictions.
+    /// let n = 7;
+    /// let faulty: BTreeSet<ProcessId> = [ProcessId(6)].into_iter().collect();
+    /// let matrix = PredictionMatrix::perfect(n, &faulty);
+    /// let pki = Arc::new(Pki::new(n, 1));
+    /// let procs: Vec<CommEffSigned> = (0..6u32)
+    ///     .map(|i| {
+    ///         let id = ProcessId(i);
+    ///         let key = pki.signing_key(i);
+    ///         CommEffSigned::new(id, n, 2, Value(9), matrix.row(id).clone(), Arc::clone(&pki), key)
+    ///     })
+    ///     .collect();
+    /// let mut runner = Runner::new(n, procs, SilentAdversary);
+    /// let report = runner.run(CommEffSigned::rounds(2));
+    /// assert_eq!(report.decision(), Some(&Value(9)));
+    /// assert_eq!(report.last_decision_round, Some(5), "6-round signed fast lane");
+    /// ```
     ///
     /// # Panics
     ///
@@ -307,271 +348,17 @@ impl CommEffSigned {
         pki: Arc<Pki>,
         key: SigningKey,
     ) -> Self {
-        assert!(3 * t < n, "communication-efficient BA needs 3t < n");
-        assert_eq!(prediction.len(), n, "prediction must have n bits");
-        let (committee, degenerate) = match crate::CommEff::committee_of(&prediction) {
-            Some(c) => (c, false),
-            None => (Vec::new(), true),
-        };
-        CommEffSigned {
-            me,
-            n,
-            t,
-            input,
-            prediction,
-            committee,
-            degenerate,
-            pki,
-            key,
-            active: false,
-            tentative: input,
-            cert: None,
-            fallback: None,
-            out: None,
-        }
-    }
-
-    /// This process's sampled committee (empty when degenerate).
-    pub fn committee(&self) -> &[ProcessId] {
-        &self.committee
-    }
-
-    /// The raw prediction string this process acts on (the probe
-    /// surface, as in the unsigned variant).
-    pub fn prediction(&self) -> &BitVec {
-        &self.prediction
-    }
-
-    /// Whether the fallback lane was engaged.
-    pub fn fell_back(&self) -> bool {
-        self.fallback.is_some()
-    }
-
-    /// Whether the prediction was degenerate (no fillable committee).
-    pub fn degenerate(&self) -> bool {
-        self.degenerate
-    }
-
-    /// Collects the first *valid* signed body per sender from the
-    /// inbox: signature verified for the envelope sender, everything
-    /// else dropped as never sent.
-    fn valid_by_sender<B: Encodable + Clone>(
-        &self,
-        inbox: &[Envelope<CommEffSignedMsg>],
-        extract: impl Fn(&CommEffSignedMsg) -> Option<&Signed<B>>,
-    ) -> BTreeMap<ProcessId, B> {
-        let mut per_sender = BTreeMap::new();
-        for env in inbox {
-            if let Some(signed) = extract(&env.payload) {
-                if let Some(body) = signed.verified_from(&self.pki, env.from.0) {
-                    per_sender.entry(env.from).or_insert_with(|| body.clone());
-                }
-            }
-        }
-        per_sender
-    }
-
-    /// The first valid certificate in the inbox, if any.
-    fn valid_cert(&self, inbox: &[Envelope<CommEffSignedMsg>]) -> Option<Rc<Certificate>> {
-        inbox.iter().find_map(|env| match &*env.payload {
-            CommEffSignedMsg::Commit(c) | CommEffSignedMsg::Echo(c)
-                if c.verify(&self.pki, self.n, self.t) =>
-            {
-                Some(Rc::clone(c))
-            }
-            _ => None,
-        })
-    }
-
-    fn step_fallback(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<CommEffSignedMsg>],
-        out: &mut Outbox<CommEffSignedMsg>,
-    ) {
-        let Some(inner) = self.fallback.as_mut() else {
-            return;
-        };
-        step_sub(
-            inner,
-            round - FALLBACK_START,
-            inbox,
-            out,
-            |m| match m {
-                CommEffSignedMsg::Fallback(x) => Some(Rc::clone(x)),
-                _ => None,
-            },
-            CommEffSignedMsg::Fallback,
-        );
-        if let Some(o) = inner.output() {
-            self.out = Some(o.decision.unwrap_or(o.value));
-        }
-    }
-}
-
-impl Process for CommEffSigned {
-    type Msg = CommEffSignedMsg;
-    type Output = Value;
-
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<CommEffSignedMsg>],
-        out: &mut Outbox<CommEffSignedMsg>,
-    ) {
-        if self.out.is_some() && self.fallback.is_none() {
-            return; // fast-lane decision reached; nothing left to send
-        }
-        match round {
-            // Step 0: route the signed input to the sampled committee.
-            0 => {
-                if !self.degenerate {
-                    out.multicast(
-                        self.committee.iter().copied(),
-                        CommEffSignedMsg::Submit(Signed::new(
-                            SubmitBody { value: self.input },
-                            &self.key,
-                        )),
-                    );
-                }
-            }
-            // Step 1: processes trusted by n − t peers aggregate over
-            // the *verified* submissions.
-            1 => {
-                if self.degenerate {
-                    return;
-                }
-                let submits = self.valid_by_sender(inbox, |m| match m {
-                    CommEffSignedMsg::Submit(s) => Some(s),
-                    _ => None,
-                });
-                if submits.len() >= self.n - self.t {
-                    self.active = true;
-                    let v = plurality_smallest(submits.values().map(|b| b.value))
-                        .expect("n − t ≥ 1 submissions");
-                    out.broadcast(CommEffSignedMsg::Report(Signed::new(
-                        ReportBody { value: v },
-                        &self.key,
-                    )));
-                }
-            }
-            // Step 2: adopt the verified report plurality — counting
-            // only reports from this process's own committee, so a
-            // signature equivocator outside it cannot sour the
-            // acknowledgements — and acknowledge happiness.
-            2 => {
-                let committee: BTreeSet<ProcessId> = self.committee.iter().copied().collect();
-                let mut reports = self.valid_by_sender(inbox, |m| match m {
-                    CommEffSignedMsg::Report(s) => Some(s),
-                    _ => None,
-                });
-                reports.retain(|sender, _| committee.contains(sender));
-                let happy = !reports.is_empty()
-                    && reports
-                        .values()
-                        .all(|b| b.value == reports.values().next().expect("non-empty").value);
-                self.tentative =
-                    plurality_smallest(reports.values().map(|b| b.value)).unwrap_or(self.input);
-                if !self.degenerate {
-                    out.multicast(
-                        self.committee.iter().copied(),
-                        CommEffSignedMsg::Ack(Signed::new(
-                            AckBody {
-                                value: self.tentative,
-                                happy,
-                            },
-                            &self.key,
-                        )),
-                    );
-                }
-            }
-            // Step 3: aggregators assemble a certificate — n − t
-            // verified happy acknowledgements of one value — and
-            // broadcast the proof itself. No valid certificates for two
-            // different values can exist (quorum intersection), so
-            // retreat claims are unnecessary: absence of proof is the
-            // fallback signal.
-            3 => {
-                if !self.active {
-                    return;
-                }
-                let mut by_value: BTreeMap<Value, Vec<Signed<AckBody>>> = BTreeMap::new();
-                let mut seen: BTreeSet<ProcessId> = BTreeSet::new();
-                for env in inbox {
-                    let CommEffSignedMsg::Ack(signed) = &*env.payload else {
-                        continue;
-                    };
-                    let Some(body) = signed.verified_from(&self.pki, env.from.0) else {
-                        continue;
-                    };
-                    if body.happy && seen.insert(env.from) {
-                        by_value.entry(body.value).or_default().push(signed.clone());
-                    }
-                }
-                if let Some((value, acks)) = by_value
-                    .into_iter()
-                    .find(|(_, acks)| acks.len() >= self.n - self.t)
-                {
-                    out.broadcast(CommEffSignedMsg::Commit(Rc::new(Certificate {
-                        value,
-                        acks,
-                    })));
-                }
-            }
-            // Step 4: certificate echo — any process holding a valid
-            // proof re-broadcasts it, so one honest recipient suffices
-            // to make the whole honest population decide.
-            4 => {
-                if let Some(cert) = self.valid_cert(inbox) {
-                    out.broadcast(CommEffSignedMsg::Echo(Rc::clone(&cert)));
-                    self.cert = Some(cert);
-                }
-            }
-            // Step 5: the uniform lane decision — a valid certificate
-            // (held from step 4 or echoed to us) decides; no proof
-            // anywhere means no honest process saw one either, so
-            // everyone enters the fallback together.
-            5 => {
-                let cert = self.cert.take().or_else(|| self.valid_cert(inbox));
-                match cert {
-                    Some(c) => self.out = Some(c.value),
-                    None => {
-                        self.fallback = Some(PhaseKing::new(
-                            self.me,
-                            self.n,
-                            self.t,
-                            self.tentative,
-                            PhaseKing::phases_for(self.t),
-                        ));
-                    }
-                }
-            }
-            _ => self.step_fallback(round, inbox, out),
-        }
-    }
-
-    fn output(&self) -> Option<Value> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        match &self.fallback {
-            Some(inner) => inner.halted(),
-            None => self.out.is_some(),
-        }
+        Self::with_lane(Certified::new(pki, key), me, n, t, input, prediction)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{certified, faults, lane_system};
     use ba_core::PredictionMatrix;
-    use ba_sim::{AdversaryCtx, FnAdversary, ReplayAdversary, Runner, SilentAdversary};
-    use std::collections::BTreeSet;
-
-    fn faults(ids: &[u32]) -> BTreeSet<ProcessId> {
-        ids.iter().copied().map(ProcessId).collect()
-    }
+    use ba_sim::{AdversaryCtx, FnAdversary, Runner};
+    use std::collections::BTreeMap;
 
     fn system(
         n: usize,
@@ -581,69 +368,7 @@ mod tests {
         pki: &Arc<Pki>,
         input: impl Fn(usize) -> u64,
     ) -> BTreeMap<ProcessId, CommEffSigned> {
-        ProcessId::all(n)
-            .filter(|id| !faulty.contains(id))
-            .enumerate()
-            .map(|(slot, id)| {
-                (
-                    id,
-                    CommEffSigned::new(
-                        id,
-                        n,
-                        t,
-                        Value(input(slot)),
-                        matrix.row(id).clone(),
-                        Arc::clone(pki),
-                        pki.signing_key(id.0),
-                    ),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fast_lane_decides_in_six_rounds_with_perfect_predictions() {
-        let n = 10;
-        let f = faults(&[3, 7]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(n, system(n, 3, &f, &m, &pki, |_| 6), SilentAdversary);
-        let report = runner.run(CommEffSigned::rounds(3));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(6)));
-        assert_eq!(report.last_decision_round, Some(5), "signed fast lane");
-    }
-
-    #[test]
-    fn fast_lane_agrees_on_split_inputs() {
-        let n = 13;
-        let f = faults(&[1, 6]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(
-            n,
-            system(n, 4, &f, &m, &pki, |slot| 1 + (slot % 2) as u64),
-            SilentAdversary,
-        );
-        let report = runner.run(CommEffSigned::rounds(4));
-        assert!(report.agreement());
-        assert_eq!(report.last_decision_round, Some(5), "still the fast lane");
-    }
-
-    #[test]
-    fn garbage_predictions_divert_into_the_fallback_and_still_agree() {
-        let n = 7;
-        let f = faults(&[0]);
-        let m = PredictionMatrix::all_honest(n);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(n, system(n, 2, &f, &m, &pki, |_| 9), SilentAdversary);
-        let report = runner.run(CommEffSigned::rounds(2));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(9)), "unanimity survives");
-        assert!(
-            report.last_decision_round.expect("decided") > 5,
-            "fallback lane"
-        );
+        lane_system(n, t, faulty, matrix, certified(pki), input)
     }
 
     /// The signed mirror of the unsigned split pin
@@ -782,6 +507,57 @@ mod tests {
     }
 
     #[test]
+    fn certify_counts_a_senders_first_happy_ack() {
+        // The plain lane's unhappy-then-happy fixture, signed: p3 splits
+        // p2's report view, so only p0 and p1 ack happily, and then
+        // sends each aggregator an unhappy ack followed by a happy one. The signed certify step
+        // takes the first valid *happy* ack per sender, so p3's second
+        // ack completes the n − t = 3 quorum and the fast lane decides.
+        let (n, t) = (4, 1);
+        let f = faults(&[3]);
+        let mut m = PredictionMatrix::perfect(n, &f);
+        for row in [0, 1, 2] {
+            m.row_mut(ProcessId(row)).set(2, false);
+            m.row_mut(ProcessId(row)).set(3, true);
+        }
+        let pki = Arc::new(Pki::new(n, 5));
+        let key3 = pki.signing_key(3);
+        let adv =
+            FnAdversary::new(
+                move |ctx: &mut AdversaryCtx<'_, CommEffSignedMsg>| match ctx.round {
+                    1 => {
+                        let report = Signed::new(ReportBody { value: Value(9) }, &key3);
+                        ctx.send(ProcessId(3), ProcessId(2), CommEffSignedMsg::Report(report));
+                    }
+                    2 => {
+                        for to in [ProcessId(0), ProcessId(1)] {
+                            for happy in [false, true] {
+                                let body = AckBody {
+                                    value: Value(5),
+                                    happy,
+                                };
+                                let ack = CommEffSignedMsg::Ack(Signed::new(body, &key3));
+                                ctx.send(ProcessId(3), to, ack);
+                            }
+                        }
+                    }
+                    _ => {}
+                },
+            );
+        let mut runner = Runner::with_ids(n, system(n, t, &f, &m, &pki, |_| 5), adv);
+        let report = runner.run(CommEffSigned::rounds(t));
+        assert!(report.agreement());
+        assert_eq!(report.decision(), Some(&Value(5)));
+        assert_eq!(report.last_decision_round, Some(5), "signed fast lane");
+        for id in ProcessId::all(n).filter(|p| !f.contains(p)) {
+            assert!(
+                !runner.process(id).expect("honest").fell_back(),
+                "{id}: p3's later happy ack must complete the quorum"
+            );
+        }
+    }
+
+    #[test]
     fn forged_and_replayed_signatures_are_inert() {
         // Forged tags claiming honest signers and honest signed bodies
         // replayed from a corrupted identity must all be dropped by
@@ -818,23 +594,6 @@ mod tests {
             Some(5),
             "forgeries and replays cannot divert the fast lane"
         );
-    }
-
-    #[test]
-    fn replayed_traffic_is_inert() {
-        let n = 10;
-        let f = faults(&[3, 7]);
-        let m = PredictionMatrix::perfect(n, &f);
-        let pki = Arc::new(Pki::new(n, 5));
-        let mut runner = Runner::with_ids(
-            n,
-            system(n, 3, &f, &m, &pki, |_| 6),
-            ReplayAdversary::new(1),
-        );
-        let report = runner.run(CommEffSigned::rounds(3));
-        assert!(report.agreement());
-        assert_eq!(report.decision(), Some(&Value(6)));
-        assert_eq!(report.last_decision_round, Some(5), "replay cannot stall");
     }
 
     #[test]
@@ -951,13 +710,5 @@ mod tests {
                 .collect(),
         };
         assert!(!out_of_range.verify(&pki, n, t), "unknown signers rejected");
-    }
-
-    #[test]
-    #[should_panic(expected = "3t < n")]
-    fn rejects_too_many_faults() {
-        let pki = Arc::new(Pki::new(9, 1));
-        let key = pki.signing_key(0);
-        let _ = CommEffSigned::new(ProcessId(0), 9, 3, Value(0), BitVec::ones(9), pki, key);
     }
 }

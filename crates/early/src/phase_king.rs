@@ -322,7 +322,7 @@ impl Process for PhaseKing {
             3 => {
                 // Receive the king's value; adopt it below grade 2.
                 let king = self.king_of(phase);
-                let king_values = distinct_values_by_sender(inbox, |m| match m {
+                let king_values = distinct_values_by_sender(inbox, |_, m| match m {
                     PhaseKingMsg::King { phase: p, value } if *p as usize == phase => Some(*value),
                     _ => None,
                 });

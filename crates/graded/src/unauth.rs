@@ -136,7 +136,7 @@ impl Process for UnauthGraded {
         match round {
             0 => out.broadcast(UnauthGcMsg::Vote(self.input)),
             1 => {
-                let votes = distinct_values_by_sender(inbox, |m| match m {
+                let votes = distinct_values_by_sender(inbox, |_, m| match m {
                     UnauthGcMsg::Vote(v) => Some(*v),
                     _ => None,
                 });
@@ -147,7 +147,7 @@ impl Process for UnauthGraded {
                 }
             }
             2 => {
-                let echoes = distinct_values_by_sender(inbox, |m| match m {
+                let echoes = distinct_values_by_sender(inbox, |_, m| match m {
                     UnauthGcMsg::Echo(v) => Some(*v),
                     _ => None,
                 });

@@ -20,20 +20,21 @@ use std::hash::Hash;
 /// allocation.
 const INLINE_SENDERS: usize = 256;
 
-/// Extracts, per sender, the first value produced by `extract` over that
-/// sender's messages (in inbox order).
+/// Extracts, per sender, the first value produced by `extract(sender,
+/// message)` over that sender's messages (in inbox order).
 ///
 /// "First message wins" is the standard way to neutralise Byzantine
 /// double-sends: an honest process's behaviour depends only on one message
 /// per sender per round. Senders that produced no extractable message are
 /// absent from the map. The inbox may be in any order; `extract` is
-/// called on a sender's messages only until one of them extracts.
+/// called on a sender's messages only until one of them extracts, and it
+/// sees the sender, so a signed message can be checked against it.
 pub fn distinct_values_by_sender<M, V, F>(
     envelopes: &[Envelope<M>],
     mut extract: F,
 ) -> BTreeMap<ProcessId, V>
 where
-    F: FnMut(&M) -> Option<V>,
+    F: FnMut(ProcessId, &M) -> Option<V>,
 {
     let mut map: BTreeMap<ProcessId, V> = BTreeMap::new();
     let mut counted = Senders::default();
@@ -42,7 +43,7 @@ where
         if *word & bit != 0 {
             continue;
         }
-        if let Some(v) = extract(&env.payload) {
+        if let Some(v) = extract(env.from, &env.payload) {
             *word |= bit;
             map.insert(env.from, v);
         }
@@ -189,7 +190,7 @@ mod tests {
         // A Byzantine sender (id 1) equivocates within one round; the first
         // message is the one that counts.
         let envs = vec![env(1, 7), env(1, 8), env(2, 9)];
-        let map = distinct_values_by_sender(&envs, |m| Some(*m));
+        let map = distinct_values_by_sender(&envs, |_, m| Some(*m));
         assert_eq!(map[&ProcessId(1)], 7);
         assert_eq!(map[&ProcessId(2)], 9);
     }
@@ -197,7 +198,7 @@ mod tests {
     #[test]
     fn distinct_values_skips_unextractable_messages() {
         let envs = vec![env(1, 0), env(2, 5)];
-        let map = distinct_values_by_sender(&envs, |m| (*m != 0).then_some(*m));
+        let map = distinct_values_by_sender(&envs, |_, m| (*m != 0).then_some(*m));
         assert!(!map.contains_key(&ProcessId(1)));
         assert_eq!(map.len(), 1);
     }
@@ -246,7 +247,7 @@ mod tests {
             }
             for envs in [in_order, shuffled] {
                 let (mut seen, mut seen_reference) = (Vec::new(), Vec::new());
-                let map = distinct_values_by_sender(&envs, |m| {
+                let map = distinct_values_by_sender(&envs, |_, m| {
                     seen.push(*m);
                     (*m != 0).then_some(*m)
                 });
@@ -269,7 +270,7 @@ mod tests {
             env(9000, 4),
             env(256, 5),
         ];
-        let map = distinct_values_by_sender(&envs, |m| Some(*m));
+        let map = distinct_values_by_sender(&envs, |_, m| Some(*m));
         let got: Vec<(u32, u32)> = map.into_iter().map(|(p, v)| (p.0, v)).collect();
         assert_eq!(got, vec![(255, 1), (256, 2), (9000, 3)]);
     }

@@ -114,7 +114,7 @@ impl CoreSetGraded {
         inbox: &[Envelope<CoreSetGcMsg>],
         want_binding: bool,
     ) -> Tally<Value> {
-        let values = distinct_values_by_sender(inbox, |m| match (m, want_binding) {
+        let values = distinct_values_by_sender(inbox, |_, m| match (m, want_binding) {
             (CoreSetGcMsg::Input(v), false) => Some(*v),
             (CoreSetGcMsg::Binding(v), true) => Some(*v),
             _ => None,

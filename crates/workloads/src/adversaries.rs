@@ -159,12 +159,14 @@ impl<M: Clone, F: Fn(ProcessId, BitVec) -> M> Adversary<M> for Wrapped<F> {
 ///   reports with its own key (one value to even recipients, another to
 ///   odd ones), plus a forged-tag report claiming an honest signer;
 /// * **ack round** — rushing visibility harvests every honest signed
-///   acknowledgement, and each member double-acks both report values;
-/// * **certify round** — if any value actually gathered an `n − t`
-///   happy quorum, the coalition assembles the *genuine* certificate
-///   and delivers it to the odd half only (the withholding split the
-///   echo round must repair); either way it split-casts certificates
-///   stuffed with forged acknowledgements to the even half.
+///   acknowledgement; the coalition sends no acknowledgements;
+/// * **certify round** — for each report value in turn, every member
+///   signs a happy acknowledgement of it, and those join the harvested
+///   ones; the first value whose acknowledgements reach an `n − t`
+///   distinct-signer quorum makes a *genuine* certificate, which the
+///   first member delivers to the odd half only (the withholding split
+///   the echo round must repair). Either way every member split-casts a
+///   certificate stuffed with forged acknowledgements to the even half.
 ///
 /// Verify-on-receive drops the forgeries and replays, quorum
 /// intersection prevents conflicting genuine certificates, and the

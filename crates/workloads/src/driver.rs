@@ -35,6 +35,12 @@
 //! 1-round replay coalition for the baselines and the unsigned committee
 //! pipeline — documented deviations, chosen over panicking so that
 //! sweeps can hold the adversary column fixed across pipelines.
+//!
+//! The two committee pipelines are one state machine,
+//! [`ba_commeff::CommEffBa`], over a plain or a signed
+//! [`ba_commeff::Lane`] ([`CommEff`] and [`CommEffSigned`] name the
+//! two), just as the resilient pair is [`ba_resilient::Resilient`] over
+//! either classification exchange.
 
 use crate::adversaries::{ClassifyLiar, LiarStyle, SignedCertEquivocator};
 use crate::disruptor::{AuthDisruptor, UnauthDisruptor};

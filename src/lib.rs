@@ -26,7 +26,7 @@
 //! | [`ba_unauth`] | Algorithms 3, 4, 5 (§7) |
 //! | [`ba_auth`] | committee certificates, message chains, Algorithms 6, 7 (§8) |
 //! | [`ba_early`] | early-stopping substrates (S4, S5) and prediction-free baselines |
-//! | [`ba_commeff`] | communication-efficient BA with predictions (Dzulfikar–Gilbert follow-up), unsigned + signed-certify variants |
+//! | [`ba_commeff`] | communication-efficient BA with predictions (Dzulfikar–Gilbert follow-up): one state machine over a plain or a signed-certify lane |
 //! | [`ba_resilient`] | gracefully-degrading BA with predictions (Dallot et al. follow-up): one state machine over a plain or a signed classification exchange |
 //! | [`ba_core`] | predictions, Algorithm 2, `π(c)` orderings, the Algorithm 1 wrapper |
 //! | [`ba_workloads`] | generators, adversary gallery, protocol-family table and experiment harness, parallel sweeps, lower bounds |
@@ -53,9 +53,9 @@
 //! | `Auth` (Thm 12, `2t < n`) | yes | `O(min{B/n + 1, f})` | `O(n²)` chain batches |
 //! | `PhaseKing` baseline (`3t < n`) | ignored | `O(f)` | `O(f·n²)` |
 //! | `TruncatedDolevStrong` baseline (`2t < n`) | ignored | `t + 1` | `Ω(n²)` chain batches |
-//! | `CommEff` (Dzulfikar–Gilbert, `3t < n`) | yes | 5 fast / `O(t)` fallback | `Θ(n·f̂)` fast lane |
+//! | `CommEff` (Dzulfikar–Gilbert, `3t < n`), `CommEffBa<Plain>` | yes | 5 fast / `O(t)` fallback | `Θ(n·f̂)` fast lane |
 //! | `Resilient` (Dallot et al., `3t < n`), `Resilient<Plain>` | yes | `O(promoted(B) + 1)`, ≤ `2t + 3` phases | `O((promoted(B) + 1)·n²)` |
-//! | `CommEffSigned` (`3t < n`) | yes | 6 fast / `O(t)` fallback, uniform lane | `O(n³)` certificate echo |
+//! | `CommEffSigned` (`3t < n`), `CommEffBa<Certified>` | yes | 6 fast / `O(t)` fallback, uniform lane | `O(n³)` certificate echo |
 //! | `ResilientSigned` (`3t < n`), `Resilient<Signed>` | yes | `O(promoted(B) + 1)`, ≤ `t + 2` phases | `O(n³)` signed exchange |
 //!
 //! The two lanes of the trade-off space: `CommEff` buys *communication*
@@ -72,10 +72,12 @@
 //! echoed certify certificates), and `ResilientSigned` makes the
 //! honest suspicion views agree (echoed signed classifications,
 //! equivocators convicted by their own signatures), shrinking the
-//! phase budget from `2t + 3` to `t + 2` with no rotation suffix. The
-//! resilient pair is one state machine,
-//! [`Resilient<X>`](ba_resilient::Resilient), over either
-//! [`Exchange`](ba_resilient::Exchange); only the exchange differs.
+//! phase budget from `2t + 3` to `t + 2` with no rotation suffix. Each
+//! pair is one state machine: [`CommEffBa<L>`](ba_commeff::CommEffBa)
+//! over either [`Lane`](ba_commeff::Lane), and
+//! [`Resilient<X>`](ba_resilient::Resilient) over either
+//! [`Exchange`](ba_resilient::Exchange); only the lane or the exchange
+//! differs.
 //! Configurations are built fluently
 //! ([`ExperimentConfig::builder`](ba_workloads::ExperimentConfig::builder),
 //! `with_*` combinators); multi-config comparisons run in parallel via

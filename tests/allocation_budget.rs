@@ -14,7 +14,7 @@
 //!
 //! | experiment | allocations | reallocations | before |
 //! |---|---|---|---|
-//! | auth-wrapper n = 16, t = 7, f = 3, B = 16, silent | 11,044 | 1,428 | 13,309 / 4,593 |
+//! | auth-wrapper n = 16, t = 7, f = 3, B = 16, silent | 10,132 | 1,428 | 13,309 / 4,593 |
 //! | phase king n = 24, t = 7, f = 4, replay | 2,214 | 190 | 2,394 / 1,930 |
 
 use ba_predictions::prelude::*;
@@ -99,7 +99,7 @@ fn small_experiments_stay_within_their_allocation_budget() {
         .build()
         .with_seed(1);
     for (name, cfg, allocs, reallocs) in [
-        ("auth-wrapper", &auth, 11_044, 1_428),
+        ("auth-wrapper", &auth, 10_132, 1_428),
         ("phase king under replay", &king, 2_214, 190),
     ] {
         let (got_allocs, got_reallocs) = counts(cfg);
