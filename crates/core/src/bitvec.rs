@@ -116,28 +116,9 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Hamming distance to another vector of the same length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn hamming(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a ^ b).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates over the bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(|i| self.get(i))
-    }
-
-    /// Indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(|&i| self.get(i))
     }
 }
 
@@ -158,7 +139,6 @@ mod tests {
     fn tail_masking_keeps_count_exact() {
         let o = BitVec::ones(65);
         assert_eq!(o.count_ones(), 65);
-        assert_eq!(o.hamming(&BitVec::zeros(65)), 65);
     }
 
     #[test]
@@ -177,16 +157,6 @@ mod tests {
         let v = BitVec::from_bools(&bits);
         let back: Vec<bool> = v.iter().collect();
         assert_eq!(back, bits);
-        let ones: Vec<usize> = v.iter_ones().collect();
-        assert_eq!(ones, vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn hamming_distance() {
-        let a = BitVec::from_bools(&[true, true, false, false]);
-        let b = BitVec::from_bools(&[true, false, true, false]);
-        assert_eq!(a.hamming(&b), 2);
-        assert_eq!(a.hamming(&a), 0);
     }
 
     #[test]

@@ -126,15 +126,6 @@ impl<V: Ord + Clone + Hash> Tally<V> {
             .map(|(v, _)| v)
     }
 
-    /// All values whose count is at least `threshold`, in increasing order.
-    pub fn all_reaching(&self, threshold: usize) -> Vec<&V> {
-        self.counts
-            .iter()
-            .filter(|(_, &c)| c >= threshold)
-            .map(|(v, _)| v)
-            .collect()
-    }
-
     /// Iterates over `(value, count)` pairs in increasing value order.
     pub fn iter(&self) -> impl Iterator<Item = (&V, usize)> {
         self.counts.iter().map(|(v, &c)| (v, c))
@@ -295,7 +286,6 @@ mod tests {
         let t: Tally<u32> = [3, 3, 3, 1, 1, 8, 8, 8].into_iter().collect();
         assert_eq!(t.first_reaching(3), Some(&3));
         assert_eq!(t.first_reaching(4), None);
-        assert_eq!(t.all_reaching(2), vec![&1, &3, &8]);
     }
 
     #[test]

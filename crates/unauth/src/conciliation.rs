@@ -59,7 +59,6 @@ impl WireSize for ConcMsg {
 #[derive(Clone, Debug)]
 pub struct Conciliation {
     me: ProcessId,
-    k: usize,
     input: Value,
     listen: ListenSet,
     out: Option<Value>,
@@ -75,16 +74,10 @@ impl Conciliation {
         assert!(listen.iter().all(|p| p.index() < n));
         Conciliation {
             me,
-            k,
             input,
             listen,
             out: None,
         }
-    }
-
-    /// The error bound `k` this instance was configured with.
-    pub fn error_bound(&self) -> usize {
-        self.k
     }
 
     /// Computes the conciliation value from the received `(v, L)` claims.

@@ -99,11 +99,6 @@ impl CoreSetGraded {
         }
     }
 
-    /// The listen set in use.
-    pub fn listen_set(&self) -> &ListenSet {
-        &self.listen
-    }
-
     /// The binding `bᵢ` after round 1 (for white-box tests).
     pub fn binding(&self) -> Option<Value> {
         self.binding

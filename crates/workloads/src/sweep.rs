@@ -172,8 +172,8 @@ impl SweepGrid {
     /// `n × B × f` cube, three seeds per cell.
     /// `examples/sweep_grid_json.rs` produces it (CI's `BENCH_ci.json`)
     /// and `examples/bench_trajectory_diff.rs` regenerates it for the
-    /// warn-only baseline diff — both must describe the same grid, so
-    /// it is defined exactly once, here.
+    /// failing baseline diff — both must describe the same grid, so it
+    /// is defined exactly once, here.
     pub fn bench_default() -> Self {
         SweepGrid::new(
             ExperimentConfig::builder()
@@ -431,10 +431,10 @@ mod tests {
 
     #[test]
     fn bench_default_grid_covers_every_pipeline_family() {
-        // The CI bench-json job greps BENCH_ci.json for family names;
-        // the exhaustive guarantee lives here, next to Pipeline::ALL,
-        // where a forgotten variant is a test failure instead of a
-        // silently ungated artifact.
+        // The baseline diff catches a cell that disappears; this test
+        // catches a family that never had one. It lives next to
+        // Pipeline::ALL, where a forgotten variant is a test failure
+        // instead of a silently ungated artifact.
         let configs = SweepGrid::bench_default().configs();
         for pipeline in Pipeline::ALL {
             assert!(

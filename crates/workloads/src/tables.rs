@@ -1,8 +1,8 @@
 //! Markdown table rendering for the bench harnesses, plus the canonical
 //! family comparison table.
 //!
-//! Every experiment harness (E1–E9) prints its results as a GitHub-style
-//! markdown table, ready to paste into a report or an issue.
+//! The `claims` bench (`crates/bench`) prints every experiment (E1–E10)
+//! as a GitHub-style markdown table, ready to paste into a report.
 //! [`driver_table`] renders the one-row-per-family overview (resilience,
 //! prediction use, round/communication shapes) straight from
 //! [`FAMILIES`], so a new protocol family appears in it the moment its

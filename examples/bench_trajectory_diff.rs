@@ -7,21 +7,21 @@
 //! cargo run --release --example bench_trajectory_diff FRESH.json BASELINE.json
 //! ```
 //!
-//! Cells are keyed by `(pipeline, n, f, budget)`; for each key present
-//! in both files the summaries are compared field by field, and added /
-//! removed cells are listed. The watched cells — rounds, message and
-//! byte counts, agreement/validity, `k_A` — are **deterministic**
-//! (seed-exact simulation), so any drift is a real behaviour change
-//! and the diff exits non-zero: this is a failing regression gate, per
-//! the ROADMAP's "grow the diff into a regression gate" item. Wall
-//! time is deliberately not in the grid, so timing noise cannot trip
-//! the gate (it stays warn-only territory, reported by the bench
-//! harnesses instead). A missing baseline file only warns, so ad-hoc
+//! A cell is keyed by its text before `"summary":` (pipeline, n, t, f,
+//! budget); for each key present in both files the summaries are
+//! compared whole, as text, and added / removed cells are listed. Every
+//! summary field — round, message and byte counts, agreement/validity,
+//! `k_A`, the realized budget — is **deterministic** (seed-exact
+//! simulation), so any drift is a real behaviour change and the diff
+//! exits non-zero: this is a failing regression gate. Wall time is
+//! deliberately not in the grid, so timing noise cannot trip the gate.
+//! A missing baseline file only warns, so ad-hoc
 //! checkouts without the committed baseline still run. Refresh the
 //! baseline alongside intended changes with
 //! `cargo run --release --example sweep_grid_json BENCH_baseline.json`.
 
 use ba_predictions::prelude::*;
+use std::collections::BTreeMap;
 
 /// Splits a JSON array of objects into the objects' raw text (depth
 /// scan; no string in the grid JSON contains braces).
@@ -49,33 +49,11 @@ fn split_objects(json: &str) -> Vec<&str> {
     out
 }
 
-/// Extracts the raw value of a top-level `"key":` in `obj` (numbers,
-/// strings, bools, null, or a nested object).
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = &obj[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' if depth > 0 => depth -= 1,
-            ',' | '}' | ']' if depth == 0 => return Some(&rest[..i]),
-            _ => {}
-        }
-    }
-    Some(rest)
-}
-
-fn cell_key(obj: &str) -> String {
-    let get = |k| field(obj, k).unwrap_or("?").trim().to_string();
-    format!(
-        "pipeline={} n={} f={} budget={}",
-        get("pipeline"),
-        get("n"),
-        get("f"),
-        get("budget")
-    )
+/// Splits a cell into its key, the text before `"summary":` (pipeline,
+/// n, t, f, budget), and its summary, which is compared whole.
+fn split_cell(obj: &str) -> (&str, &str) {
+    let (key, summary) = obj.split_once("\"summary\":").unwrap_or((obj, ""));
+    (key.trim_start_matches('{').trim_end_matches(','), summary)
 }
 
 fn grid_json() -> String {
@@ -97,44 +75,27 @@ fn main() {
         return;
     };
 
-    let fresh_cells: Vec<&str> = split_objects(&fresh);
-    let base_cells: Vec<&str> = split_objects(&baseline);
-    let fresh_map: std::collections::BTreeMap<String, &str> =
-        fresh_cells.iter().map(|o| (cell_key(o), *o)).collect();
-    let base_map: std::collections::BTreeMap<String, &str> =
-        base_cells.iter().map(|o| (cell_key(o), *o)).collect();
+    let fresh_map: BTreeMap<&str, &str> =
+        split_objects(&fresh).into_iter().map(split_cell).collect();
+    let base_map: BTreeMap<&str, &str> = split_objects(&baseline)
+        .into_iter()
+        .map(split_cell)
+        .collect();
 
-    let watched = [
-        "rounds_max",
-        "rounds_mean",
-        "messages_mean",
-        "bytes_mean",
-        "k_a_mean",
-        "always_agreed",
-        "always_valid",
-    ];
     let mut drifted = 0usize;
-    for (key, fresh_obj) in &fresh_map {
+    for (key, fresh_summary) in &fresh_map {
         match base_map.get(key) {
             None => {
                 drifted += 1;
                 println!("WARN: new cell (not in baseline): {key}");
             }
-            Some(base_obj) => {
-                let fs = field(fresh_obj, "summary").unwrap_or("");
-                let bs = field(base_obj, "summary").unwrap_or("");
-                let changes: Vec<String> = watched
-                    .iter()
-                    .filter_map(|k| {
-                        let (f, b) = (field(fs, k)?.trim(), field(bs, k)?.trim());
-                        (f != b).then(|| format!("{k}: {b} -> {f}"))
-                    })
-                    .collect();
-                if !changes.is_empty() {
-                    drifted += 1;
-                    println!("WARN: drift at {key}: {}", changes.join(", "));
-                }
+            Some(base_summary) if base_summary != fresh_summary => {
+                drifted += 1;
+                println!(
+                    "WARN: drift at {key}:\n  baseline {base_summary}\n  fresh    {fresh_summary}"
+                );
             }
+            Some(_) => {}
         }
     }
     for key in base_map.keys() {
@@ -150,7 +111,7 @@ fn main() {
         );
     } else {
         println!(
-            "FAIL: trajectory drift in {drifted}/{} cells vs {baseline_path} — the watched cells \
+            "FAIL: trajectory drift in {drifted}/{} cells vs {baseline_path} — the summaries \
              are deterministic, so this is a real behaviour change; refresh the baseline with \
              `cargo run --release --example sweep_grid_json BENCH_baseline.json` if it is intended",
             fresh_map.len()

@@ -11,10 +11,12 @@
 //!
 //! * **Yes, for time**: agreement in `O(min{B/n + 1, f})` rounds, where
 //!   `B` is the total number of wrong prediction bits and `f` the actual
-//!   fault count (Theorems 11 and 12; benches E1/E2), and that bound is
-//!   optimal (Theorem 13; bench E3).
+//!   fault count (Theorems 11 and 12), and that bound is optimal
+//!   (Theorem 13): the `claims` bench's E1/E2 tables, whose every row
+//!   dominates the Theorem 13 bound.
 //! * **No, for messages**: `Ω(n + t²)` messages remain necessary even
-//!   with perfectly accurate predictions (Theorem 14; bench E4).
+//!   with perfectly accurate predictions (Theorem 14; the `claims`
+//!   bench's E4 table).
 //!
 //! ## Crate map
 //!

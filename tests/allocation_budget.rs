@@ -4,9 +4,9 @@
 //! reallocations made on the test's own thread while one auth-wrapper
 //! experiment and one phase-king experiment under replay run. Both are
 //! deterministic per seed, so the counts are too; the bounds below are
-//! the measured counts plus a 10% margin (for toolchain and standard
-//! library drift), so losing the hot paths' no-regrowth discipline fails
-//! this test.
+//! the measured counts plus a 4% margin (for toolchain and standard
+//! library drift), so losing the hot paths' no-regrowth discipline, or
+//! copying each accepted chain again, fails this test.
 //!
 //! Counts measured on this tree, and on the tree before inbox passes,
 //! vote lists, sub-protocol embedding, memo slots and chains stopped
@@ -72,9 +72,9 @@ fn counts(cfg: &ExperimentConfig) -> (u64, u64) {
     (after.0 - before.0, after.1 - before.1)
 }
 
-/// The measured count plus a 10% margin.
+/// The measured count plus a 4% margin.
 fn budget(measured: u64) -> u64 {
-    measured + measured / 10
+    measured + measured / 25
 }
 
 #[test]
