@@ -1012,15 +1012,3 @@ mod tests {
         });
     }
 }
-#[test]
-fn zz_sizes() {
-    eprintln!(
-        "inst {} votes {} stmt {} item {} input {} certified {}",
-        std::mem::size_of::<GcastInstance>(),
-        std::mem::size_of::<Votes>(),
-        std::mem::size_of::<Statement>(),
-        std::mem::size_of::<GcastItem>(),
-        std::mem::size_of::<Input>(),
-        std::mem::size_of::<Certified>()
-    );
-}

@@ -19,10 +19,13 @@ use std::collections::{BTreeSet, VecDeque};
 use std::ops::{Index, Range};
 use std::rc::Rc;
 
-/// One adversary send, kept as one record until delivery: `payload` from
-/// `from` to every identifier in `to`. A broadcast is one record for
-/// recipients `0..n`, a send or replay a one-recipient record. The range
-/// is over `u64` so that a send to `ProcessId(u32::MAX)` has an end.
+/// One adversary send, kept as one record until routing, or, when every
+/// send its sender makes that round is full-range, until each honest
+/// recipient's inbox is built (see [`crate::Runner`]): `payload` from
+/// `from` to every identifier in `to`.
+/// A broadcast is one record for recipients `0..n`, a send or replay a
+/// one-recipient record. The range is over `u64` so that a send to
+/// `ProcessId(u32::MAX)` has an end.
 pub(crate) struct FaultySend<M> {
     pub(crate) from: ProcessId,
     pub(crate) to: Range<u64>,
@@ -105,9 +108,12 @@ impl<'a, M> AdversaryCtx<'a, M> {
 
     /// Re-sends one payload from corrupted `from` to every process, in
     /// recipient order `0..n`: the same deliveries as `n` calls of
-    /// [`replay`](Self::replay), for one sender check. The send stays one
-    /// record until the runner routes it, so it costs O(1) here, and its
-    /// message and byte counts are computed once from the record.
+    /// [`replay`](Self::replay), for one sender check. The send is one
+    /// record, so it costs O(1) here, and its message and byte counts are
+    /// computed once from the record. If every send `from` makes this
+    /// round is full-range, the record outlives routing: the runner
+    /// copies it into each corrupted inbox, and into each honest inbox
+    /// only when it builds that inbox, just before the recipient steps.
     ///
     /// # Panics
     ///
@@ -123,33 +129,29 @@ impl<'a, M> AdversaryCtx<'a, M> {
 }
 
 /// The inboxes of the corrupted processes for one round: a view of the
-/// runner's per-process inboxes, each ordered by sender.
+/// runner's delivery, each inbox complete and ordered by sender.
 ///
 /// Index it like the map it replaces: `get(&id)` is `Some` (possibly
 /// empty) exactly for corrupted `id`, and `inboxes[&id]` panics for an
 /// honest one.
 pub struct FaultyInboxes<'a, M> {
     delivery: &'a Delivery<M>,
-    /// `corrupted[i]` iff `ProcessId(i)` is corrupted.
-    corrupted: &'a [bool],
 }
 
 impl<'a, M> FaultyInboxes<'a, M> {
-    pub(crate) fn new(delivery: &'a Delivery<M>, corrupted: &'a [bool]) -> Self {
-        FaultyInboxes {
-            delivery,
-            corrupted,
-        }
+    pub(crate) fn new(delivery: &'a Delivery<M>) -> Self {
+        FaultyInboxes { delivery }
     }
 
     pub(crate) fn is_corrupted(&self, id: ProcessId) -> bool {
-        self.corrupted.get(id.index()) == Some(&true)
+        self.delivery.is_corrupted(id)
     }
 
     /// The envelopes delivered to `id` this round, ordered by sender, or
     /// `None` if `id` is not corrupted.
     pub fn get(&self, id: &ProcessId) -> Option<&'a [Envelope<M>]> {
-        self.is_corrupted(*id).then(|| self.delivery.inbox(*id))
+        self.is_corrupted(*id)
+            .then(|| self.delivery.faulty_inbox(*id))
     }
 }
 
@@ -301,31 +303,32 @@ mod tests {
     use super::*;
     use crate::envelope::Outbox;
 
-    /// A system of n = 4 with the given ids corrupted and nothing
+    /// The system size of every fixture.
+    const N: usize = 4;
+
+    /// A system of `N` processes with the given ids corrupted and nothing
     /// delivered yet.
     struct Fixture {
         corrupted: BTreeSet<ProcessId>,
-        is_corrupted: Vec<bool>,
         delivery: Delivery<u32>,
     }
 
     impl Fixture {
         fn new(corrupted: &[u32]) -> Self {
-            let n = 4;
+            let corrupted = corrupted.iter().copied().map(ProcessId).collect();
             Fixture {
-                corrupted: corrupted.iter().copied().map(ProcessId).collect(),
-                is_corrupted: (0..n as u32).map(|i| corrupted.contains(&i)).collect(),
-                delivery: Delivery::new(n),
+                delivery: Delivery::new(N, &corrupted),
+                corrupted,
             }
         }
 
         fn ctx<'a>(&'a self, round: u64, honest: &'a [Envelope<u32>]) -> AdversaryCtx<'a, u32> {
             AdversaryCtx {
                 round,
-                n: self.is_corrupted.len(),
+                n: N,
                 corrupted: &self.corrupted,
                 honest_traffic: honest,
-                faulty_inboxes: FaultyInboxes::new(&self.delivery, &self.is_corrupted),
+                faulty_inboxes: FaultyInboxes::new(&self.delivery),
                 outgoing: Vec::new(),
             }
         }

@@ -25,10 +25,12 @@ pub struct RoundTrace {
 /// Sums the remote envelopes of one honest sender's traffic as
 /// `(messages, bytes)`, memoizing sizes per shared payload so a
 /// broadcast's body is measured once rather than once per recipient.
-fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
+/// `sizes` is the caller's scratch buffer, cleared here, so a sending
+/// step allocates nothing once it has grown.
+fn remote_cost<M: WireSize>(envs: &[Envelope<M>], sizes: &mut Vec<(*const M, u64)>) -> (u64, u64) {
     let mut messages = 0;
     let mut bytes = 0;
-    let mut sizes: Vec<(*const M, u64)> = Vec::new();
+    sizes.clear();
     // Broadcasts and multicasts emit runs of envelopes sharing one payload,
     // so most lookups stop at the last payload measured.
     let mut last: (*const M, u64) = (std::ptr::null(), 0);
@@ -54,36 +56,129 @@ fn remote_cost<M: WireSize>(envs: &[Envelope<M>]) -> (u64, u64) {
     (messages, bytes)
 }
 
-/// One round's traffic in delivery order: one inbox per process, each
-/// ordered by sender, with one sender's envelopes in the order they were
-/// sent. Every inbox keeps its capacity from round to round.
+/// One round's traffic, delivered in inbox order: by sender, with one
+/// sender's envelopes in the order they were sent.
+///
+/// Routing writes each envelope into its recipient's bucket, except the
+/// sends of a faulty sender whose every send this round reaches all of
+/// `0..n` (`broadcast`, `replay_broadcast`). Those stay records, sorted
+/// by sender, and reach an honest recipient only when
+/// [`inbox`](Self::inbox) merges them with its bucket, just before it
+/// steps, into one buffer reused across recipients and rounds. A
+/// corrupted recipient's bucket also gets the records at routing, so the
+/// adversary reads complete inboxes. Buckets, records and the buffer keep
+/// their capacity from round to round.
 pub(crate) struct Delivery<M> {
-    inboxes: Vec<Vec<Envelope<M>>>,
+    /// Per recipient: everything routed eagerly, and the records too for
+    /// a corrupted recipient.
+    buckets: Vec<Vec<Envelope<M>>>,
+    /// `is_corrupted[i]` iff `ProcessId(i)` is corrupted.
+    is_corrupted: Vec<bool>,
+    /// The corrupted identifiers, ascending.
+    corrupted: Vec<ProcessId>,
+    /// `eager[i]`: corrupted `ProcessId(i)` made a send this round that
+    /// does not reach exactly `0..n`, so all its sends are routed eagerly.
+    eager: Vec<bool>,
+    /// The full-range faulty sends of the other senders, sorted by sender.
+    records: Vec<FaultySend<M>>,
+    /// The inbox last built by [`inbox`](Self::inbox).
+    built: Vec<Envelope<M>>,
 }
 
 impl<M> Delivery<M> {
-    /// Nothing delivered, in a system of `n` processes.
-    pub(crate) fn new(n: usize) -> Self {
+    /// Nothing delivered, in a system of `n` processes of which
+    /// `corrupted` are faulty.
+    pub(crate) fn new(n: usize, corrupted: &BTreeSet<ProcessId>) -> Self {
+        let mut is_corrupted = vec![false; n];
+        for id in corrupted {
+            is_corrupted[id.index()] = true;
+        }
         Delivery {
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            buckets: (0..n).map(|_| Vec::new()).collect(),
+            is_corrupted,
+            corrupted: corrupted.iter().copied().collect(),
+            eager: vec![false; n],
+            records: Vec::new(),
+            built: Vec::new(),
         }
     }
 
-    /// The envelopes delivered to `id`, ordered by sender.
-    pub(crate) fn inbox(&self, id: ProcessId) -> &[Envelope<M>] {
-        &self.inboxes[id.index()]
+    pub(crate) fn is_corrupted(&self, id: ProcessId) -> bool {
+        self.is_corrupted.get(id.index()) == Some(&true)
+    }
+
+    /// The envelopes delivered to corrupted `id`, ordered by sender.
+    pub(crate) fn faulty_inbox(&self, id: ProcessId) -> &[Envelope<M>] {
+        debug_assert!(self.is_corrupted(id));
+        &self.buckets[id.index()]
+    }
+
+    /// The envelopes delivered to honest `id`, ordered by sender: its
+    /// bucket when no records are pending, else the bucket merged with
+    /// the records in a buffer that the next call overwrites. A buffer
+    /// slot that already holds the same sender and payload only has its
+    /// recipient rewritten, so uniform replay traffic moves no reference
+    /// counts.
+    pub(crate) fn inbox(&mut self, id: ProcessId) -> &[Envelope<M>] {
+        debug_assert!(!self.is_corrupted(id));
+        let bucket = &self.buckets[id.index()];
+        if self.records.is_empty() {
+            return bucket;
+        }
+        let built = &mut self.built;
+        let mut len = 0;
+        let mut put = |from: ProcessId, payload: &Rc<M>| {
+            match built.get_mut(len) {
+                Some(slot) if slot.from == from && Rc::ptr_eq(&slot.payload, payload) => {
+                    slot.to = id;
+                }
+                Some(slot) => {
+                    *slot = Envelope {
+                        from,
+                        to: id,
+                        payload: Rc::clone(payload),
+                    };
+                }
+                None => built.push(Envelope {
+                    from,
+                    to: id,
+                    payload: Rc::clone(payload),
+                }),
+            }
+            len += 1;
+        };
+        // A sender's envelopes are all in the bucket or all in the
+        // records, so the merge never compares equal senders.
+        let mut records = self.records.iter().peekable();
+        for env in bucket {
+            while let Some(send) = records.next_if(|send| send.from < env.from) {
+                put(send.from, &send.payload);
+            }
+            put(env.from, &env.payload);
+        }
+        for send in records {
+            put(send.from, &send.payload);
+        }
+        built.truncate(len);
+        built
     }
 
     /// Replaces the delivered traffic with `honest` and `faulty`, both
     /// drained, walking the senders in id order. `honest` arrives grouped
     /// by sender in id order, because honest processes step in id order;
-    /// `faulty` is stably grouped by sender here. Each envelope is pushed
-    /// straight into its recipient's inbox, so inboxes come out ordered by
-    /// sender with each sender's send order kept. An envelope addressed to
+    /// `faulty` is stably grouped by sender here. An envelope addressed to
     /// an id outside the system is dropped.
     fn route(&mut self, honest: &mut Vec<Envelope<M>>, faulty: &mut Vec<FaultySend<M>>) {
-        for inbox in &mut self.inboxes {
-            inbox.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.records.clear();
+        self.eager.fill(false);
+        let n = self.buckets.len() as u64;
+        for send in faulty.iter() {
+            if send.to != (0..n) {
+                self.eager[send.from.index()] = true;
+            }
         }
         faulty.sort_by_key(|send| send.from);
         let mut faulty = faulty.drain(..).peekable();
@@ -91,8 +186,8 @@ impl<M> Delivery<M> {
             while let Some(send) = faulty.next_if(|send| send.from < env.from) {
                 self.deliver(send);
             }
-            if let Some(inbox) = self.inboxes.get_mut(env.to.index()) {
-                inbox.push(env);
+            if let Some(bucket) = self.buckets.get_mut(env.to.index()) {
+                bucket.push(env);
             }
         }
         for send in faulty {
@@ -100,17 +195,26 @@ impl<M> Delivery<M> {
         }
     }
 
-    /// Writes one faulty send into the inboxes of its recipients below
-    /// `n`, in recipient order.
+    /// Routes one faulty send: into the buckets of its recipients below
+    /// `n`, in recipient order, or, from a sender that keeps its sends as
+    /// records, into the corrupted buckets and the records.
     fn deliver(&mut self, send: FaultySend<M>) {
-        let n = self.inboxes.len() as u64;
-        let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
-        for (to, inbox) in (start..end).zip(&mut self.inboxes[start..end]) {
-            inbox.push(Envelope {
-                from: send.from,
-                to: ProcessId(to as u32),
-                payload: Rc::clone(&send.payload),
-            });
+        let envelope = |to: usize| Envelope {
+            from: send.from,
+            to: ProcessId(to as u32),
+            payload: Rc::clone(&send.payload),
+        };
+        if self.eager[send.from.index()] {
+            let n = self.buckets.len() as u64;
+            let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
+            for (to, bucket) in (start..end).zip(&mut self.buckets[start..end]) {
+                bucket.push(envelope(to));
+            }
+        } else {
+            for &to in &self.corrupted {
+                self.buckets[to.index()].push(envelope(to.index()));
+            }
+            self.records.push(send);
         }
     }
 }
@@ -184,14 +288,16 @@ impl<O: Clone + Eq> RunReport<O> {
 /// Honest processes are stepped in identifier order; the adversary then
 /// acts with full visibility of the round's honest traffic (rushing).
 ///
-/// All round-`r` traffic is delivered at step `r + 1`, into one inbox per
-/// process that keeps its capacity across rounds. Routing walks the
-/// senders in id order and pushes each envelope straight into its
-/// recipient's inbox, so an inbox is ordered by sender, with one sender's
-/// envelopes in the order they were sent. A faulty broadcast or replay
-/// stays one record (sender, recipients, shared payload) until this
-/// walk, and its message and byte counts come from the record. The
-/// adversary reads the corrupted processes' inboxes through
+/// All round-`r` traffic is delivered at step `r + 1`. An inbox is
+/// ordered by sender, with one sender's envelopes in the order they were
+/// sent. A faulty send stays one record (sender, recipients, shared
+/// payload) until routing, and its message and byte counts come from the
+/// record. Routing writes each envelope into its recipient's bucket,
+/// except that a faulty sender whose every send this round goes to all
+/// of `0..n` keeps its sends as records until delivery: each honest
+/// process's inbox is built from its bucket and those records just before
+/// it steps, in one buffer the runner reuses. The adversary reads the
+/// corrupted processes' inboxes, complete at routing, through
 /// [`AdversaryCtx::faulty_inboxes`]. An envelope addressed to an
 /// identifier `≥ n` is counted but delivered to no one.
 pub struct Runner<P: Process, A> {
@@ -199,15 +305,14 @@ pub struct Runner<P: Process, A> {
     honest: BTreeMap<ProcessId, P>,
     adversary: A,
     corrupted: BTreeSet<ProcessId>,
-    /// `is_corrupted[i]` iff `ProcessId(i)` is in `corrupted`: the O(1)
-    /// spoof check behind every adversary send.
-    is_corrupted: Vec<bool>,
     /// Last round's traffic, routed for delivery this round.
     delivery: Delivery<P::Msg>,
     /// This round's honest envelopes and faulty sends, drained into
     /// `delivery`; the buffers are kept to reuse their allocations.
     honest_sent: Vec<Envelope<P::Msg>>,
     faulty_sent: Vec<FaultySend<P::Msg>>,
+    /// Scratch for [`remote_cost`]'s payload sizes.
+    sizes: Vec<(*const P::Msg, u64)>,
     round: u64,
     report: RunReport<P::Output>,
 }
@@ -258,19 +363,15 @@ where
             "honest identifier out of range"
         );
         let honest_count = honest.len();
-        let mut is_corrupted = vec![false; n];
-        for id in &corrupted {
-            is_corrupted[id.index()] = true;
-        }
         Runner {
             n,
             honest,
             adversary,
+            delivery: Delivery::new(n, &corrupted),
             corrupted,
-            is_corrupted,
-            delivery: Delivery::new(n),
             honest_sent: Vec::new(),
             faulty_sent: Vec::new(),
+            sizes: Vec::new(),
             round: 0,
             report: RunReport {
                 honest_count,
@@ -306,7 +407,7 @@ where
             let mut out = Outbox::new(id, self.n);
             proc.step(round, self.delivery.inbox(id), &mut out);
             let envs = out.into_envelopes();
-            let (remote, bytes) = remote_cost(&envs);
+            let (remote, bytes) = remote_cost(&envs, &mut self.sizes);
             trace.honest_messages += remote;
             trace.honest_bytes += bytes;
             *self.report.messages_per_process.entry(id).or_insert(0) += remote;
@@ -324,7 +425,7 @@ where
             n: self.n,
             corrupted: &self.corrupted,
             honest_traffic: &self.honest_sent,
-            faulty_inboxes: FaultyInboxes::new(&self.delivery, &self.is_corrupted),
+            faulty_inboxes: FaultyInboxes::new(&self.delivery),
             outgoing: std::mem::take(&mut self.faulty_sent),
         };
         self.adversary.act(&mut ctx);
@@ -389,6 +490,7 @@ mod tests {
     use super::*;
     use crate::adversary::{FnAdversary, SilentAdversary};
     use crate::id::Value;
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -765,5 +867,231 @@ mod tests {
         // Protocol halts after round 1; no honest messages afterwards.
         assert!(report.rounds.iter().skip(1).all(|t| t.honest_messages == 0));
         assert!(report.rounds_executed <= 3);
+    }
+
+    #[test]
+    fn a_faulty_senders_mixed_sends_arrive_in_send_order_everywhere() {
+        // Honest p0, p2 and p4 send their tags to everyone in round 0.
+        // Faulty p1 mixes full-range and one-recipient sends, one of
+        // them to an id outside the system, so it is routed eagerly;
+        // faulty p3 only broadcasts, so its sends stay records.
+        let n = 5;
+        let honest: BTreeMap<ProcessId, Recorder> = [0, 2, 4]
+            .into_iter()
+            .map(|i| (ProcessId(i), Recorder::new(i, n)))
+            .collect();
+        let seen: Seen = Rc::default();
+        let log = Rc::clone(&seen);
+        let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Value>| match ctx.round {
+            0 => {
+                let (p1, p3) = (ProcessId(1), ProcessId(3));
+                ctx.broadcast(p3, Value(301));
+                ctx.replay_broadcast(p1, Rc::new(Value(101)));
+                ctx.send(p1, ProcessId(4), Value(102));
+                ctx.replay(p1, ProcessId(n as u32 + 2), Rc::new(Value(103)));
+                ctx.replay_broadcast(p3, Rc::new(Value(302)));
+                ctx.broadcast(p1, Value(104));
+                ctx.replay(p1, ProcessId(1), Rc::new(Value(105)));
+                ctx.send(p1, ProcessId(0), Value(106));
+            }
+            1 => {
+                for &id in ctx.corrupted {
+                    let inbox = ctx.faulty_inboxes.get(&id).map(transcript);
+                    log.borrow_mut().push((id, inbox));
+                }
+            }
+            _ => {}
+        });
+        let report = Runner::with_ids(n, honest, adv).run(5);
+        let expected = |to: u32| -> Transcript {
+            let from_p1 = [
+                (101, true),
+                (102, to == 4),
+                (104, true),
+                (105, to == 1),
+                (106, to == 0),
+            ]
+            .into_iter()
+            .filter(|&(_, delivered)| delivered)
+            .map(|(v, _)| (1, v));
+            let honest = |from: u32| tags(from).map(move |v| (from, v.0));
+            honest(0)
+                .chain(from_p1)
+                .chain(honest(2))
+                .chain([(3, 301), (3, 302)])
+                .chain(honest(4))
+                .collect()
+        };
+        assert_eq!(report.outputs.len(), 3);
+        for (id, inbox) in &report.outputs {
+            assert_eq!(*inbox, expected(id.0), "{id}");
+        }
+        let faulty: Vec<(ProcessId, Option<Transcript>)> = [1, 3]
+            .into_iter()
+            .map(|i| (ProcessId(i), Some(expected(i))))
+            .collect();
+        assert_eq!(*seen.borrow(), faulty);
+    }
+
+    /// The eager routing that `Delivery` replaces for full-range faulty
+    /// senders: every envelope written into its recipient's inbox at
+    /// routing, senders walked in id order.
+    struct EagerDelivery<M> {
+        inboxes: Vec<Vec<Envelope<M>>>,
+    }
+
+    impl<M> EagerDelivery<M> {
+        fn new(n: usize) -> Self {
+            EagerDelivery {
+                inboxes: (0..n).map(|_| Vec::new()).collect(),
+            }
+        }
+
+        fn route(&mut self, honest: &mut Vec<Envelope<M>>, faulty: &mut Vec<FaultySend<M>>) {
+            for inbox in &mut self.inboxes {
+                inbox.clear();
+            }
+            faulty.sort_by_key(|send| send.from);
+            let mut faulty = faulty.drain(..).peekable();
+            for env in honest.drain(..) {
+                while let Some(send) = faulty.next_if(|send| send.from < env.from) {
+                    self.deliver(send);
+                }
+                if let Some(inbox) = self.inboxes.get_mut(env.to.index()) {
+                    inbox.push(env);
+                }
+            }
+            for send in faulty {
+                self.deliver(send);
+            }
+        }
+
+        fn deliver(&mut self, send: FaultySend<M>) {
+            let n = self.inboxes.len() as u64;
+            let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
+            for (to, inbox) in (start..end).zip(&mut self.inboxes[start..end]) {
+                inbox.push(Envelope {
+                    from: send.from,
+                    to: ProcessId(to as u32),
+                    payload: Rc::clone(&send.payload),
+                });
+            }
+        }
+    }
+
+    /// An inbox as `(sender, recipient, payload address)` triples.
+    fn addressed(inbox: &[Envelope<u32>]) -> Vec<(u32, u32, *const u32)> {
+        inbox
+            .iter()
+            .map(|e| (e.from.0, e.to.0, Rc::as_ptr(&e.payload)))
+            .collect()
+    }
+
+    /// Rounds of traffic each property case routes through one `Delivery`.
+    const ROUNDS: u64 = 3;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn just_in_time_inboxes_equal_eager_routing(
+            n in 1usize..13,
+            mask in any::<u16>(),
+            honest_ops in proptest::collection::vec((0..ROUNDS, any::<u8>(), any::<u8>(), any::<u32>()), 0..30),
+            faulty_ops in proptest::collection::vec((0..ROUNDS, any::<u8>(), any::<u8>(), any::<u32>()), 0..30),
+            skipped in any::<u16>(),
+        ) {
+            // Corrupted ids are the set bits of `mask`; honest ids whose
+            // bit is set in `skipped` do not step (they have halted).
+            let corrupted: BTreeSet<ProcessId> = ProcessId::all(n)
+                .filter(|id| mask >> id.0 & 1 == 1)
+                .collect();
+            let honest_ids: Vec<ProcessId> = ProcessId::all(n)
+                .filter(|id| !corrupted.contains(id))
+                .collect();
+            let mut delivery = Delivery::new(n, &corrupted);
+            let mut eager = EagerDelivery::new(n);
+            for round in 0..ROUNDS {
+                // Honest traffic, grouped by sender in id order: `kind` 0
+                // sends to `arg mod n`, 1 broadcasts one shared payload.
+                let mut honest: Vec<Envelope<u32>> = Vec::new();
+                if !honest_ids.is_empty() {
+                    let mut ops: Vec<_> = honest_ops
+                        .iter()
+                        .filter(|op| op.0 == round)
+                        .map(|&(_, sel, kind, arg)| {
+                            (honest_ids[usize::from(sel) % honest_ids.len()], kind, arg)
+                        })
+                        .collect();
+                    ops.sort_by_key(|op| op.0);
+                    for (from, kind, arg) in ops {
+                        let payload = Rc::new(arg);
+                        let to: Vec<ProcessId> = if kind % 2 == 0 {
+                            vec![ProcessId(arg % n as u32)]
+                        } else {
+                            ProcessId::all(n).collect()
+                        };
+                        for to in to {
+                            honest.push(Envelope { from, to, payload: Rc::clone(&payload) });
+                        }
+                    }
+                }
+                // Faulty traffic through the adversary's API: `kind` 0
+                // sends, 1 replays, 2 broadcasts, 3 replay-broadcasts.
+                // Replays reuse an honest payload when there is one, and
+                // one-recipient sends reach past `n`.
+                let mut ctx = AdversaryCtx {
+                    round,
+                    n,
+                    corrupted: &corrupted,
+                    honest_traffic: &honest,
+                    faulty_inboxes: FaultyInboxes::new(&delivery),
+                    outgoing: Vec::new(),
+                };
+                if !corrupted.is_empty() {
+                    let faulty: Vec<ProcessId> = corrupted.iter().copied().collect();
+                    for &(_, sel, kind, arg) in faulty_ops.iter().filter(|op| op.0 == round) {
+                        let from = faulty[usize::from(sel) % faulty.len()];
+                        let to = if arg.is_multiple_of(7) {
+                            ProcessId(u32::MAX)
+                        } else {
+                            ProcessId(arg % (n as u32 + 3))
+                        };
+                        let replayed = match honest.get(arg as usize % (honest.len() + 1)) {
+                            Some(env) => Rc::clone(&env.payload),
+                            None => Rc::new(arg),
+                        };
+                        match kind % 4 {
+                            0 => ctx.send(from, to, arg),
+                            1 => ctx.replay(from, to, replayed),
+                            2 => ctx.broadcast(from, arg),
+                            _ => ctx.replay_broadcast(from, replayed),
+                        }
+                    }
+                }
+                let mut faulty = ctx.outgoing;
+                let mut faulty_copy: Vec<FaultySend<u32>> = faulty
+                    .iter()
+                    .map(|send| FaultySend {
+                        from: send.from,
+                        to: send.to.clone(),
+                        payload: Rc::clone(&send.payload),
+                    })
+                    .collect();
+                let mut honest_copy = honest.clone();
+                delivery.route(&mut honest, &mut faulty);
+                eager.route(&mut honest_copy, &mut faulty_copy);
+                prop_assert!(honest.is_empty() && faulty.is_empty());
+                let faulty_inboxes = FaultyInboxes::new(&delivery);
+                for id in &corrupted {
+                    let got = faulty_inboxes.get(id).map(addressed);
+                    prop_assert_eq!(got, Some(addressed(&eager.inboxes[id.index()])), "round {}, {}", round, id);
+                }
+                for &id in honest_ids.iter().filter(|id| skipped >> id.0 & 1 == 0) {
+                    let got = addressed(delivery.inbox(id));
+                    prop_assert_eq!(got, addressed(&eager.inboxes[id.index()]), "round {}, {}", round, id);
+                }
+            }
+        }
     }
 }
