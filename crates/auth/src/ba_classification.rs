@@ -393,7 +393,10 @@ mod tests {
                     // Harvest own certificate from honest votes observed
                     // in round 0? Votes were sent *to* p0 in round 0 and
                     // are in p0's inbox now.
-                    let votes: Vec<Signature> = ctx.faulty_inboxes[&ProcessId(0)]
+                    let votes: Vec<Signature> = ctx
+                        .faulty_inboxes
+                        .get(&ProcessId(0))
+                        .expect("p0 is corrupted")
                         .iter()
                         .filter_map(|env| match &*env.payload {
                             Alg7Msg::CommitteeVote(sig) => Some(*sig),

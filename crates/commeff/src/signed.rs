@@ -468,7 +468,7 @@ mod tests {
                 // Rushing visibility: harvest the signed happy acks.
                 2 => {
                     let mut store = acks_in.lock().expect("poisoned");
-                    for env in ctx.honest_traffic {
+                    for env in ctx.honest_traffic() {
                         if let CommEffSignedMsg::Ack(signed) = &*env.payload {
                             store.push(signed.clone());
                         }
@@ -570,13 +570,8 @@ mod tests {
         let key3 = pki.signing_key(3);
         let adv = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, CommEffSignedMsg>| {
             // Replay every observed honest signed body from p3.
-            let observed: Vec<Rc<CommEffSignedMsg>> = ctx
-                .honest_traffic
-                .iter()
-                .map(|e| Rc::clone(&e.payload))
-                .collect();
-            for payload in observed {
-                ctx.replay_broadcast(ProcessId(3), payload);
+            for env in ctx.honest_traffic() {
+                ctx.replay_broadcast(ProcessId(3), env.payload);
             }
             // Forge a submission claiming an honest signer.
             let body = SubmitBody { value: Value(99) };

@@ -34,9 +34,7 @@
 //! protocol stands in for \[32\] and keeps its `O(f)` round bound.
 
 use ba_graded::{UnauthGcMsg, UnauthGraded};
-use ba_sim::{
-    distinct_values_by_sender, step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize,
-};
+use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -320,15 +318,20 @@ impl Process for PhaseKing {
                 }
             }
             3 => {
-                // Receive the king's value; adopt it below grade 2.
+                // Receive the king's value (its first `King` of this
+                // phase); adopt it below grade 2.
                 let king = self.king_of(phase);
-                let king_values = distinct_values_by_sender(inbox, |_, m| match m {
-                    PhaseKingMsg::King { phase: p, value } if *p as usize == phase => Some(*value),
-                    _ => None,
-                });
                 if self.main_grade < 2 {
-                    if let Some(v) = king_values.get(&king) {
-                        self.value = *v;
+                    let king_value = inbox.iter().filter(|env| env.from == king).find_map(|env| {
+                        match &*env.payload {
+                            PhaseKingMsg::King { phase: p, value } if *p as usize == phase => {
+                                Some(*value)
+                            }
+                            _ => None,
+                        }
+                    });
+                    if let Some(v) = king_value {
+                        self.value = v;
                     }
                 }
                 let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);

@@ -549,7 +549,8 @@ impl<X: Exchange> Adversary<X::Msg> for Disruptor<X> {
             return; // nobody to act
         };
         if ctx.round == 0 {
-            let view = exchange.view_by_sender(self.n, self.t, ctx.honest_traffic);
+            let traffic: Vec<Envelope<X::Msg>> = ctx.honest_traffic().collect();
+            let view = exchange.view_by_sender(self.n, self.t, &traffic);
             self.schedule = view.schedule;
             for (from, exchange) in &self.coalition {
                 ctx.broadcast(*from, exchange.classify(BitVec::ones(self.n)));

@@ -575,13 +575,8 @@ mod tests {
             );
             // Replay honest signed strings from the corrupted identity:
             // the signer no longer matches the envelope sender.
-            let observed: Vec<Rc<ResilientSignedMsg>> = ctx
-                .honest_traffic
-                .iter()
-                .map(|e| Rc::clone(&e.payload))
-                .collect();
-            for payload in observed {
-                ctx.replay_broadcast(ProcessId(7), payload);
+            for env in ctx.honest_traffic() {
+                ctx.replay_broadcast(ProcessId(7), env.payload);
             }
         });
         let mut runner = Runner::with_ids(n, system(n, t, &f, &m, signed(&pki), |_| 6), adv);

@@ -11,37 +11,11 @@
 //! …) live in `ba-workloads`; this module provides the trait plus the
 //! protocol-agnostic strategies used across the test suites.
 
-use crate::envelope::Envelope;
+use crate::envelope::{Cast, Envelope};
 use crate::id::ProcessId;
 use crate::runner::Delivery;
-use crate::wire::WireSize;
 use std::collections::{BTreeSet, VecDeque};
-use std::ops::{Index, Range};
 use std::rc::Rc;
-
-/// One adversary send, kept as one record until routing, or, when every
-/// send its sender makes that round is full-range, until each honest
-/// recipient's inbox is built (see [`crate::Runner`]): `payload` from
-/// `from` to every identifier in `to`.
-/// A broadcast is one record for recipients `0..n`, a send or replay a
-/// one-recipient record. The range is over `u64` so that a send to
-/// `ProcessId(u32::MAX)` has an end.
-pub(crate) struct FaultySend<M> {
-    pub(crate) from: ProcessId,
-    pub(crate) to: Range<u64>,
-    pub(crate) payload: Rc<M>,
-}
-
-impl<M: WireSize> FaultySend<M> {
-    /// `(messages, bytes)`: one message per recipient other than the
-    /// sender, identifiers outside the system included, each charged the
-    /// payload's [`WireSize`].
-    pub(crate) fn remote_cost(&self) -> (u64, u64) {
-        let self_copy = self.to.contains(&u64::from(self.from.0));
-        let messages = self.to.end - self.to.start - u64::from(self_copy);
-        (messages, messages * self.payload.wire_bytes())
-    }
-}
 
 /// Everything the adversary can see and do in one round.
 pub struct AdversaryCtx<'a, M> {
@@ -51,18 +25,29 @@ pub struct AdversaryCtx<'a, M> {
     pub n: usize,
     /// Identifiers controlled by the adversary.
     pub corrupted: &'a BTreeSet<ProcessId>,
-    /// All messages emitted by honest processes *this* round
-    /// (rushing visibility).
-    pub honest_traffic: &'a [Envelope<M>],
     /// Messages delivered to each corrupted process at the start of this
-    /// round (i.e. sent during the previous round), borrowed from the
-    /// runner's inboxes.
+    /// round (i.e. sent during the previous round), read from the
+    /// runner's delivery.
     pub faulty_inboxes: FaultyInboxes<'a, M>,
+    /// This round's honest sends, grouped by sender in id order.
+    pub(crate) honest: &'a [Cast<M>],
     /// This round's faulty sends, in the order they were made.
-    pub(crate) outgoing: Vec<FaultySend<M>>,
+    pub(crate) outgoing: Vec<Cast<M>>,
 }
 
 impl<'a, M> AdversaryCtx<'a, M> {
+    /// All messages emitted by honest processes *this* round (rushing
+    /// visibility), one envelope per recipient: by sender in id order,
+    /// each sender's in send order, a broadcast's recipients ascending.
+    ///
+    /// The runner keeps each send as one record; this expands them
+    /// lazily, cloning one payload reference per envelope. The iterator
+    /// does not borrow the context, so the adversary may send while it
+    /// reads.
+    pub fn honest_traffic(&self) -> impl Iterator<Item = Envelope<M>> + 'a {
+        self.honest.iter().flat_map(Cast::envelopes)
+    }
+
     /// Panics unless `from` is a corrupted identity.
     fn check_sender(&self, from: ProcessId) {
         assert!(
@@ -99,7 +84,7 @@ impl<'a, M> AdversaryCtx<'a, M> {
     pub fn replay(&mut self, from: ProcessId, to: ProcessId, payload: Rc<M>) {
         self.check_sender(from);
         let to = u64::from(to.0);
-        self.outgoing.push(FaultySend {
+        self.outgoing.push(Cast {
             from,
             to: to..to + 1,
             payload,
@@ -109,18 +94,15 @@ impl<'a, M> AdversaryCtx<'a, M> {
     /// Re-sends one payload from corrupted `from` to every process, in
     /// recipient order `0..n`: the same deliveries as `n` calls of
     /// [`replay`](Self::replay), for one sender check. The send is one
-    /// record, so it costs O(1) here, and its message and byte counts are
-    /// computed once from the record. If every send `from` makes this
-    /// round is full-range, the record outlives routing: the runner
-    /// copies it into each corrupted inbox, and into each honest inbox
-    /// only when it builds that inbox, just before the recipient steps.
+    /// record, as an honest broadcast is, so it costs O(1) here and its
+    /// message and byte counts are computed once from the record.
     ///
     /// # Panics
     ///
     /// Panics if `from` is not corrupted.
     pub fn replay_broadcast(&mut self, from: ProcessId, payload: Rc<M>) {
         self.check_sender(from);
-        self.outgoing.push(FaultySend {
+        self.outgoing.push(Cast {
             from,
             to: 0..self.n as u64,
             payload,
@@ -130,16 +112,12 @@ impl<'a, M> AdversaryCtx<'a, M> {
 
 /// The inboxes of the corrupted processes for one round: a view of the
 /// runner's delivery, each inbox complete and ordered by sender.
-///
-/// Index it like the map it replaces: `get(&id)` is `Some` (possibly
-/// empty) exactly for corrupted `id`, and `inboxes[&id]` panics for an
-/// honest one.
 pub struct FaultyInboxes<'a, M> {
-    delivery: &'a Delivery<M>,
+    delivery: &'a mut Delivery<M>,
 }
 
 impl<'a, M> FaultyInboxes<'a, M> {
-    pub(crate) fn new(delivery: &'a Delivery<M>) -> Self {
+    pub(crate) fn new(delivery: &'a mut Delivery<M>) -> Self {
         FaultyInboxes { delivery }
     }
 
@@ -149,18 +127,12 @@ impl<'a, M> FaultyInboxes<'a, M> {
 
     /// The envelopes delivered to `id` this round, ordered by sender, or
     /// `None` if `id` is not corrupted.
-    pub fn get(&self, id: &ProcessId) -> Option<&'a [Envelope<M>]> {
-        self.is_corrupted(*id)
-            .then(|| self.delivery.faulty_inbox(*id))
-    }
-}
-
-impl<M> Index<&ProcessId> for FaultyInboxes<'_, M> {
-    type Output = [Envelope<M>];
-
-    fn index(&self, id: &ProcessId) -> &[Envelope<M>] {
-        self.get(id)
-            .unwrap_or_else(|| panic!("{id} is not a corrupted process"))
+    ///
+    /// The inbox is built on demand, as an honest one is just before its
+    /// process steps, in the buffer the runner reuses; the next call
+    /// overwrites it, so copy out what must outlive it.
+    pub fn get(&mut self, id: &ProcessId) -> Option<&[Envelope<M>]> {
+        self.is_corrupted(*id).then(|| self.delivery.inbox(*id))
     }
 }
 
@@ -278,12 +250,8 @@ impl<M> ReplayAdversary<M> {
 
 impl<M> Adversary<M> for ReplayAdversary<M> {
     fn act(&mut self, ctx: &mut AdversaryCtx<'_, M>) {
-        self.history.push_back(
-            ctx.honest_traffic
-                .iter()
-                .map(|e| Rc::clone(&e.payload))
-                .collect(),
-        );
+        self.history
+            .push_back(ctx.honest_traffic().map(|e| e.payload).collect());
         if self.history.len() <= self.delay {
             return;
         }
@@ -322,13 +290,13 @@ mod tests {
             }
         }
 
-        fn ctx<'a>(&'a self, round: u64, honest: &'a [Envelope<u32>]) -> AdversaryCtx<'a, u32> {
+        fn ctx<'a>(&'a mut self, round: u64, honest: &'a [Cast<u32>]) -> AdversaryCtx<'a, u32> {
             AdversaryCtx {
                 round,
                 n: N,
                 corrupted: &self.corrupted,
-                honest_traffic: honest,
-                faulty_inboxes: FaultyInboxes::new(&self.delivery),
+                faulty_inboxes: FaultyInboxes::new(&mut self.delivery),
+                honest,
                 outgoing: Vec::new(),
             }
         }
@@ -337,21 +305,13 @@ mod tests {
     /// The envelopes `ctx` has sent so far, in send order, taken out of
     /// it: each record expanded over its recipients, in or out of range.
     fn sent(ctx: &mut AdversaryCtx<'_, u32>) -> Vec<Envelope<u32>> {
-        ctx.outgoing
-            .drain(..)
-            .flat_map(|FaultySend { from, to, payload }| {
-                to.map(move |to| Envelope {
-                    from,
-                    to: ProcessId(to as u32),
-                    payload: Rc::clone(&payload),
-                })
-            })
-            .collect()
+        let outgoing = std::mem::take(&mut ctx.outgoing);
+        outgoing.iter().flat_map(Cast::envelopes).collect()
     }
 
     #[test]
     fn adversary_can_send_only_from_corrupted_ids() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.send(ProcessId(3), ProcessId(0), 99);
         assert_eq!(sent(&mut ctx).len(), 1);
@@ -360,7 +320,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "spoof")]
     fn spoofing_honest_sender_panics() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.send(ProcessId(0), ProcessId(1), 1);
     }
@@ -368,14 +328,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "spoof")]
     fn spoofing_an_out_of_range_sender_panics() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.replay(ProcessId(9), ProcessId(1), Rc::new(1));
     }
 
     #[test]
     fn replay_broadcast_shares_one_payload_in_recipient_order() {
-        let fixture = Fixture::new(&[1, 3]);
+        let mut fixture = Fixture::new(&[1, 3]);
         let mut ctx = fixture.ctx(0, &[]);
         let payload = Rc::new(7);
         ctx.replay_broadcast(ProcessId(3), Rc::clone(&payload));
@@ -399,7 +359,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "spoof")]
     fn replay_broadcast_from_an_honest_sender_panics() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.replay_broadcast(ProcessId(0), Rc::new(1));
     }
@@ -407,27 +367,78 @@ mod tests {
     #[test]
     #[should_panic(expected = "spoof")]
     fn replay_broadcast_from_an_out_of_range_sender_panics() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut ctx = fixture.ctx(3, &[]);
         ctx.replay_broadcast(ProcessId(4), Rc::new(1));
     }
 
     #[test]
     fn faulty_inboxes_answer_only_for_corrupted_ids() {
-        let fixture = Fixture::new(&[3]);
-        let ctx = fixture.ctx(3, &[]);
+        let mut fixture = Fixture::new(&[3]);
+        let mut ctx = fixture.ctx(3, &[]);
         assert_eq!(
             ctx.faulty_inboxes.get(&ProcessId(3)).map(<[_]>::len),
             Some(0)
         );
-        assert!(ctx.faulty_inboxes[&ProcessId(3)].is_empty());
         assert!(ctx.faulty_inboxes.get(&ProcessId(0)).is_none());
         assert!(ctx.faulty_inboxes.get(&ProcessId(4)).is_none());
     }
 
     #[test]
+    fn honest_traffic_expands_every_send_as_into_envelopes_does() {
+        // p0 mixes all three send kinds; p2 only broadcasts.
+        let script = |me: u32| {
+            let mut out = Outbox::new(ProcessId(me), N);
+            if me == 0 {
+                out.send(ProcessId(2), 1);
+                out.broadcast(2);
+                out.multicast([ProcessId(3), ProcessId(1)], 3);
+                out.send(ProcessId(0), 4);
+            } else {
+                out.broadcast(5);
+            }
+            out
+        };
+        let triples = |envs: Vec<Envelope<u32>>| -> Vec<(u32, u32, u32)> {
+            envs.iter()
+                .map(|e| (e.from.0, e.to.0, *e.payload))
+                .collect()
+        };
+        let expected = triples(
+            [0, 2]
+                .into_iter()
+                .flat_map(|me| script(me).into_envelopes())
+                .collect(),
+        );
+        assert_eq!(
+            expected,
+            [
+                (0, 2, 1),
+                (0, 0, 2),
+                (0, 1, 2),
+                (0, 2, 2),
+                (0, 3, 2),
+                (0, 3, 3),
+                (0, 1, 3),
+                (0, 0, 4),
+                (2, 0, 5),
+                (2, 1, 5),
+                (2, 2, 5),
+                (2, 3, 5),
+            ]
+        );
+        let honest: Vec<Cast<u32>> = [0, 2]
+            .into_iter()
+            .flat_map(|me| script(me).into_casts())
+            .collect();
+        let mut fixture = Fixture::new(&[3]);
+        let ctx = fixture.ctx(0, &honest);
+        assert_eq!(triples(ctx.honest_traffic().collect()), expected);
+    }
+
+    #[test]
     fn crash_adversary_truncates_mid_broadcast() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let inner = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, u32>| {
             ctx.broadcast(ProcessId(3), 5);
         });
@@ -442,7 +453,7 @@ mod tests {
 
     #[test]
     fn crash_adversary_is_silent_after_crash() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let inner = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, u32>| {
             ctx.broadcast(ProcessId(3), 5);
         });
@@ -454,10 +465,12 @@ mod tests {
 
     #[test]
     fn replay_adversary_resends_old_honest_payloads() {
-        let fixture = Fixture::new(&[3]);
+        let mut fixture = Fixture::new(&[3]);
         let mut replayer: ReplayAdversary<u32> = ReplayAdversary::new(1);
 
-        let honest_r0 = vec![Envelope::new(ProcessId(0), ProcessId(1), 77u32)];
+        let mut out = Outbox::new(ProcessId(0), N);
+        out.send(ProcessId(1), 77u32);
+        let honest_r0 = out.into_casts();
         let mut ctx0 = fixture.ctx(0, &honest_r0);
         replayer.act(&mut ctx0);
         assert!(sent(&mut ctx0).is_empty(), "nothing old to replay yet");
@@ -472,15 +485,17 @@ mod tests {
 
     #[test]
     fn replay_adversary_replays_round_r_minus_delay_and_keeps_only_that_window() {
-        let fixture = Fixture::new(&[2, 3]);
+        let mut fixture = Fixture::new(&[2, 3]);
         // Round r: p0 broadcasts 10r (one shared payload, four envelopes)
         // and p1 sends 10r + 1 to p0.
         let honest = |r: u32| {
-            let mut out = Outbox::new(ProcessId(0), 4);
-            out.broadcast(10 * r);
-            let mut envs = out.into_envelopes();
-            envs.push(Envelope::new(ProcessId(1), ProcessId(0), 10 * r + 1));
-            envs
+            let mut p0 = Outbox::new(ProcessId(0), N);
+            p0.broadcast(10 * r);
+            let mut p1 = Outbox::new(ProcessId(1), N);
+            p1.send(ProcessId(0), 10 * r + 1);
+            let mut sends = p0.into_casts();
+            sends.extend(p1.into_casts());
+            sends
         };
         for delay in [1, 2] {
             let mut replayer: ReplayAdversary<u32> = ReplayAdversary::new(delay);
@@ -499,6 +514,7 @@ mod tests {
                     None => Vec::new(),
                     Some(old) => honest(old)
                         .iter()
+                        .flat_map(Cast::envelopes)
                         .enumerate()
                         .flat_map(|(k, e)| {
                             let payload = *e.payload;

@@ -14,10 +14,8 @@
 //! * the sub-inbox is allocated once, at the first envelope that passes
 //!   the filter, with room for every envelope left, and not at all when
 //!   none passes;
-//! * the outer outbox is reserved once for all the sub-protocol sent;
-//! * broadcast wrapping makes one outer allocation per distinct inner
-//!   payload, and the common single-payload broadcast wraps without a
-//!   cache allocation.
+//! * each sub-protocol send is one record (a broadcast one for all
+//!   recipients), wrapped once and handed on as one record.
 
 use crate::envelope::{Envelope, Outbox};
 use crate::process::Process;
@@ -28,10 +26,10 @@ use std::rc::Rc;
 /// `extract` projects the outer inbox onto the sub-protocol's: it returns
 /// the inner payload of messages addressed to this sub-protocol (its
 /// slot, phase, or lane) and `None` for everything else, which is
-/// discarded. Every envelope `sub` sends is pushed into `out` with its
-/// payload wrapped by `wrap`; envelopes that share an inner payload
-/// (sub-protocol broadcasts) share the outer allocation too. The
-/// sub-protocol sends as `out`'s owner in a system of `out`'s size.
+/// discarded. Every send `sub` makes is recorded in `out` to the same
+/// recipients, its payload wrapped by `wrap` once per send, so a
+/// broadcast's recipients share one outer allocation. The sub-protocol
+/// sends as `out`'s owner in a system of `out`'s size.
 pub fn step_sub<P: Process, M>(
     sub: &mut P,
     local: u64,
@@ -59,31 +57,8 @@ pub fn step_sub<P: Process, M>(
     };
     let mut sub_out = Outbox::new(out.sender(), out.system_size());
     sub.step(local, &sub_inbox, &mut sub_out);
-    let sent = sub_out.into_envelopes();
-    out.reserve(sent.len());
-    // Wrapped payloads by inner address: the first inline, any later
-    // distinct ones in `more`.
-    let mut first: Option<(*const P::Msg, Rc<M>)> = None;
-    let mut more: Vec<(*const P::Msg, Rc<M>)> = Vec::new();
-    for env in sent {
-        let key = Rc::as_ptr(&env.payload);
-        let outer = match first.iter().chain(&more).find(|(k, _)| *k == key) {
-            Some((_, outer)) => Rc::clone(outer),
-            None => {
-                let outer = Rc::new(wrap(Rc::clone(&env.payload)));
-                let wrapped = (key, Rc::clone(&outer));
-                match first {
-                    None => first = Some(wrapped),
-                    Some(_) => more.push(wrapped),
-                }
-                outer
-            }
-        };
-        out.push_envelope(Envelope {
-            from: env.from,
-            to: env.to,
-            payload: outer,
-        });
+    for send in sub_out.into_casts() {
+        out.push(send.to, Rc::new(wrap(send.payload)));
     }
 }
 

@@ -1,6 +1,8 @@
 //! Message envelopes and per-round outboxes.
 
 use crate::id::ProcessId;
+use crate::wire::WireSize;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// A message in flight: `payload` sent from `from` to `to` during a round.
@@ -40,15 +42,52 @@ impl<M> Envelope<M> {
     }
 }
 
+/// One send: `payload` from `from` to every identifier in `to`, kept as
+/// one record until the recipients' inboxes are built (see
+/// [`crate::Runner`]). A broadcast is one record for recipients `0..n`;
+/// a send, a replay and each target of a multicast is a one-recipient
+/// record. The range is over `u64` so that a faulty send to
+/// `ProcessId(u32::MAX)` has an end.
+#[derive(Debug)]
+pub(crate) struct Cast<M> {
+    pub(crate) from: ProcessId,
+    pub(crate) to: Range<u64>,
+    pub(crate) payload: Rc<M>,
+}
+
+impl<M> Cast<M> {
+    /// The envelopes of this send, recipients ascending, identifiers
+    /// outside the system included.
+    pub(crate) fn envelopes(&self) -> impl Iterator<Item = Envelope<M>> + '_ {
+        self.to.clone().map(|to| Envelope {
+            from: self.from,
+            to: ProcessId(to as u32),
+            payload: Rc::clone(&self.payload),
+        })
+    }
+}
+
+impl<M: WireSize> Cast<M> {
+    /// `(messages, bytes)`: one message per recipient other than the
+    /// sender, identifiers outside the system included, each charged the
+    /// payload's [`WireSize`].
+    pub(crate) fn remote_cost(&self) -> (u64, u64) {
+        let self_copy = self.to.contains(&u64::from(self.from.0));
+        let messages = self.to.end - self.to.start - u64::from(self_copy);
+        (messages, messages * self.payload.wire_bytes())
+    }
+}
+
 /// Collects the messages a process sends during one round.
 ///
-/// Obtained inside [`crate::Process::step`]; the runner routes the buffered
-/// envelopes for delivery at the next step.
+/// Obtained inside [`crate::Process::step`]. Each call records one send
+/// (a multicast one per target, all sharing the payload); the runner
+/// delivers them at the next step.
 #[derive(Debug)]
 pub struct Outbox<M> {
     me: ProcessId,
     n: usize,
-    buf: Vec<Envelope<M>>,
+    buf: Vec<Cast<M>>,
 }
 
 impl<M> Outbox<M> {
@@ -63,8 +102,7 @@ impl<M> Outbox<M> {
 
     /// Sends `msg` to a single recipient.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        debug_assert!(to.index() < self.n, "recipient {to} out of range");
-        self.buf.push(Envelope::new(self.me, to, msg));
+        self.push_to(to, Rc::new(msg));
     }
 
     /// Sends `msg` to every process, including the sender itself.
@@ -73,49 +111,37 @@ impl<M> Outbox<M> {
     /// Algorithm 2) assumes self-delivery; message *counting* excludes the
     /// self-copy (see [`crate::RunReport`]).
     pub fn broadcast(&mut self, msg: M) {
-        self.fan_out(ProcessId::all(self.n), msg);
+        self.push(0..self.n as u64, Rc::new(msg));
     }
 
-    /// Sends `msg` to every process in `targets`.
+    /// Sends `msg` to every process in `targets`, in order, all sharing
+    /// one payload.
     pub fn multicast<I>(&mut self, targets: I, msg: M)
     where
         I: IntoIterator<Item = ProcessId>,
     {
-        let n = self.n;
-        let targets = targets.into_iter().inspect(|to| {
-            debug_assert!(to.index() < n, "recipient {to} out of range");
-        });
-        self.fan_out(targets, msg);
+        let payload = Rc::new(msg);
+        for to in targets {
+            self.push_to(to, Rc::clone(&payload));
+        }
     }
 
-    /// Appends one envelope to each recipient in `to`, in order, all
-    /// sharing one payload: the fan-out behind broadcast and multicast.
-    /// It reserves once for the recipients the iterator reports and
-    /// extends, so a broadcast costs `n` reference increments and one
-    /// growth check.
-    fn fan_out(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M) {
-        let (from, payload) = (self.me, Rc::new(msg));
-        let to = to.into_iter();
-        self.buf.reserve(to.size_hint().0);
-        self.buf.extend(to.map(|to| Envelope {
-            from,
+    fn push_to(&mut self, to: ProcessId, payload: Rc<M>) {
+        debug_assert!(to.index() < self.n, "recipient {to} out of range");
+        let to = u64::from(to.0);
+        self.push(to..to + 1, payload);
+    }
+
+    /// Records one send from this outbox's owner.
+    pub(crate) fn push(&mut self, to: Range<u64>, payload: Rc<M>) {
+        self.buf.push(Cast {
+            from: self.me,
             to,
-            payload: Rc::clone(&payload),
-        }));
+            payload,
+        });
     }
 
-    /// Reserves room for at least `additional` more envelopes, so that
-    /// pushing that many does not regrow the buffer.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    /// Number of envelopes buffered so far this round.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no envelope has been buffered this round.
+    /// Whether nothing has been sent this round.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -130,21 +156,14 @@ impl<M> Outbox<M> {
         self.n
     }
 
-    /// Pushes a pre-built envelope (used by protocol-composition helpers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the envelope's sender is not this outbox's owner: honest
-    /// composition layers must not spoof senders any more than the
-    /// adversary may.
-    pub fn push_envelope(&mut self, env: Envelope<M>) {
-        assert_eq!(env.from, self.me, "outbox owner mismatch");
-        debug_assert!(env.to.index() < self.n, "recipient {} out of range", env.to);
-        self.buf.push(env);
+    /// Consumes the outbox, returning one envelope per recipient of each
+    /// send, in send order and, within a broadcast, recipients ascending.
+    pub fn into_envelopes(self) -> Vec<Envelope<M>> {
+        self.buf.iter().flat_map(Cast::envelopes).collect()
     }
 
-    /// Consumes the outbox, returning the buffered envelopes.
-    pub fn into_envelopes(self) -> Vec<Envelope<M>> {
+    /// Consumes the outbox, returning its sends in send order.
+    pub(crate) fn into_casts(self) -> Vec<Cast<M>> {
         self.buf
     }
 }
@@ -192,8 +211,25 @@ mod tests {
 
     #[test]
     fn empty_outbox_reports_empty() {
-        let out: Outbox<u8> = Outbox::new(ProcessId(0), 2);
+        let mut out: Outbox<u8> = Outbox::new(ProcessId(0), 2);
         assert!(out.is_empty());
-        assert_eq!(out.len(), 0);
+        out.multicast([], 1);
+        assert!(out.is_empty());
+        out.send(ProcessId(1), 2);
+        assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn a_broadcast_is_one_record_and_a_multicast_one_per_target() {
+        let mut out: Outbox<u8> = Outbox::new(ProcessId(1), 5);
+        out.broadcast(1);
+        out.multicast([ProcessId(4), ProcessId(0)], 2);
+        out.send(ProcessId(2), 3);
+        let sends: Vec<(Range<u64>, u8)> = out
+            .into_casts()
+            .into_iter()
+            .map(|send| (send.to, *send.payload))
+            .collect();
+        assert_eq!(sends, [(0..5, 1), (4..5, 2), (0..1, 2), (2..3, 3)]);
     }
 }

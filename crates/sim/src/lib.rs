@@ -45,15 +45,18 @@
 //!
 //! ## Routing
 //!
-//! The [`Runner`] keeps one inbox per process and writes each envelope
-//! once, straight into its recipient's inbox, walking the senders in id
-//! order; inboxes keep their capacity from round to round. Honest traffic
-//! arrives as envelopes, because the adversary reads it as a slice
-//! ([`AdversaryCtx::honest_traffic`]). A faulty send is one record of
-//! sender, recipients and shared payload until that walk: a
-//! [`AdversaryCtx::broadcast`] or [`AdversaryCtx::replay_broadcast`]
-//! costs the adversary O(1), and its message and byte counts are read
-//! off the record.
+//! Every send, honest or faulty, is one record of sender, recipients and
+//! shared payload: a broadcast is one record for all `n` recipients, so
+//! an [`Outbox::broadcast`] or an [`AdversaryCtx::replay_broadcast`]
+//! costs O(1), and its message and byte counts are read off the record.
+//! The adversary reads the honest records as envelopes
+//! ([`AdversaryCtx::honest_traffic`]). The [`Runner`] keeps the records
+//! of a sender whose every send in a round reaches all of `0..n`, and
+//! writes any other sender's sends into one bucket per recipient,
+//! walking the senders in id order. Each inbox is built from its bucket
+//! and the kept records when it is read, in one buffer reused across
+//! recipients and rounds; buckets keep their capacity from round to
+//! round.
 //!
 //! ## Example
 //!

@@ -1,7 +1,7 @@
 //! Lockstep execution engine with complexity instrumentation.
 
-use crate::adversary::{Adversary, AdversaryCtx, FaultyInboxes, FaultySend};
-use crate::envelope::{Envelope, Outbox};
+use crate::adversary::{Adversary, AdversaryCtx, FaultyInboxes};
+use crate::envelope::{Cast, Envelope, Outbox};
 use crate::id::ProcessId;
 use crate::process::Process;
 use crate::wire::WireSize;
@@ -22,65 +22,36 @@ pub struct RoundTrace {
     pub faulty_bytes: u64,
 }
 
-/// Sums the remote envelopes of one honest sender's traffic as
-/// `(messages, bytes)`, memoizing sizes per shared payload so a
-/// broadcast's body is measured once rather than once per recipient.
-/// `sizes` is the caller's scratch buffer, cleared here, so a sending
-/// step allocates nothing once it has grown.
-fn remote_cost<M: WireSize>(envs: &[Envelope<M>], sizes: &mut Vec<(*const M, u64)>) -> (u64, u64) {
-    let mut messages = 0;
-    let mut bytes = 0;
-    sizes.clear();
-    // Broadcasts and multicasts emit runs of envelopes sharing one payload,
-    // so most lookups stop at the last payload measured.
-    let mut last: (*const M, u64) = (std::ptr::null(), 0);
-    for env in envs {
-        if env.to == env.from {
-            continue;
-        }
-        messages += 1;
-        let key = Rc::as_ptr(&env.payload);
-        if last.0 != key {
-            let size = match sizes.iter().find(|(k, _)| *k == key) {
-                Some(&(_, s)) => s,
-                None => {
-                    let s = env.payload.wire_bytes();
-                    sizes.push((key, s));
-                    s
-                }
-            };
-            last = (key, size);
-        }
-        bytes += last.1;
-    }
-    (messages, bytes)
+/// Sums [`Cast::remote_cost`] over `sends`.
+fn total_cost<M: WireSize>(sends: &[Cast<M>]) -> (u64, u64) {
+    sends
+        .iter()
+        .map(Cast::remote_cost)
+        .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db))
 }
 
 /// One round's traffic, delivered in inbox order: by sender, with one
 /// sender's envelopes in the order they were sent.
 ///
-/// Routing writes each envelope into its recipient's bucket, except the
-/// sends of a faulty sender whose every send this round reaches all of
-/// `0..n` (`broadcast`, `replay_broadcast`). Those stay records, sorted
-/// by sender, and reach an honest recipient only when
-/// [`inbox`](Self::inbox) merges them with its bucket, just before it
-/// steps, into one buffer reused across recipients and rounds. A
-/// corrupted recipient's bucket also gets the records at routing, so the
-/// adversary reads complete inboxes. Buckets, records and the buffer keep
-/// their capacity from round to round.
+/// Every send, honest or faulty, arrives as one record. A sender whose
+/// every send this round reaches all of `0..n` (broadcasts, replayed
+/// broadcasts) keeps its records, sorted by sender; any other sender's
+/// sends are written into one bucket per recipient. [`inbox`](Self::inbox)
+/// builds a recipient's inbox, honest or corrupted, by merging its bucket
+/// with the records, in one buffer reused across recipients and rounds:
+/// just before an honest process steps, and when the adversary reads a
+/// corrupted inbox. Buckets, records and the buffer keep their capacity
+/// from round to round.
 pub(crate) struct Delivery<M> {
-    /// Per recipient: everything routed eagerly, and the records too for
-    /// a corrupted recipient.
+    /// Per recipient: the envelopes of the senders routed eagerly.
     buckets: Vec<Vec<Envelope<M>>>,
     /// `is_corrupted[i]` iff `ProcessId(i)` is corrupted.
     is_corrupted: Vec<bool>,
-    /// The corrupted identifiers, ascending.
-    corrupted: Vec<ProcessId>,
-    /// `eager[i]`: corrupted `ProcessId(i)` made a send this round that
-    /// does not reach exactly `0..n`, so all its sends are routed eagerly.
+    /// `eager[i]`: `ProcessId(i)` made a send this round that does not
+    /// reach exactly `0..n`, so all its sends are routed into buckets.
     eager: Vec<bool>,
-    /// The full-range faulty sends of the other senders, sorted by sender.
-    records: Vec<FaultySend<M>>,
+    /// The full-range sends of the other senders, sorted by sender.
+    records: Vec<Cast<M>>,
     /// The inbox last built by [`inbox`](Self::inbox).
     built: Vec<Envelope<M>>,
 }
@@ -96,7 +67,6 @@ impl<M> Delivery<M> {
         Delivery {
             buckets: (0..n).map(|_| Vec::new()).collect(),
             is_corrupted,
-            corrupted: corrupted.iter().copied().collect(),
             eager: vec![false; n],
             records: Vec::new(),
             built: Vec::new(),
@@ -107,20 +77,13 @@ impl<M> Delivery<M> {
         self.is_corrupted.get(id.index()) == Some(&true)
     }
 
-    /// The envelopes delivered to corrupted `id`, ordered by sender.
-    pub(crate) fn faulty_inbox(&self, id: ProcessId) -> &[Envelope<M>] {
-        debug_assert!(self.is_corrupted(id));
-        &self.buckets[id.index()]
-    }
-
-    /// The envelopes delivered to honest `id`, ordered by sender: its
-    /// bucket when no records are pending, else the bucket merged with
-    /// the records in a buffer that the next call overwrites. A buffer
-    /// slot that already holds the same sender and payload only has its
-    /// recipient rewritten, so uniform replay traffic moves no reference
-    /// counts.
+    /// The envelopes delivered to `id`, ordered by sender: its bucket
+    /// when no records are pending, else the bucket merged with the
+    /// records in a buffer that the next call overwrites. A buffer slot
+    /// that already holds the same sender and payload only has its
+    /// recipient rewritten, so broadcast traffic moves no reference
+    /// counts from one recipient to the next.
     pub(crate) fn inbox(&mut self, id: ProcessId) -> &[Envelope<M>] {
-        debug_assert!(!self.is_corrupted(id));
         let bucket = &self.buckets[id.index()];
         if self.records.is_empty() {
             return bucket;
@@ -163,58 +126,36 @@ impl<M> Delivery<M> {
         built
     }
 
-    /// Replaces the delivered traffic with `honest` and `faulty`, both
-    /// drained, walking the senders in id order. `honest` arrives grouped
-    /// by sender in id order, because honest processes step in id order;
-    /// `faulty` is stably grouped by sender here. An envelope addressed to
-    /// an id outside the system is dropped.
-    fn route(&mut self, honest: &mut Vec<Envelope<M>>, faulty: &mut Vec<FaultySend<M>>) {
+    /// Replaces the delivered traffic with `sent`, drained: this round's
+    /// sends, honest and faulty, each sender's in send order. They are
+    /// stably sorted by sender here. An envelope addressed to an id
+    /// outside the system is dropped.
+    fn route(&mut self, sent: &mut Vec<Cast<M>>) {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
         self.records.clear();
         self.eager.fill(false);
         let n = self.buckets.len() as u64;
-        for send in faulty.iter() {
+        for send in sent.iter() {
             if send.to != (0..n) {
                 self.eager[send.from.index()] = true;
             }
         }
-        faulty.sort_by_key(|send| send.from);
-        let mut faulty = faulty.drain(..).peekable();
-        for env in honest.drain(..) {
-            while let Some(send) = faulty.next_if(|send| send.from < env.from) {
-                self.deliver(send);
+        sent.sort_by_key(|send| send.from);
+        for send in sent.drain(..) {
+            if !self.eager[send.from.index()] {
+                self.records.push(send);
+                continue;
             }
-            if let Some(bucket) = self.buckets.get_mut(env.to.index()) {
-                bucket.push(env);
-            }
-        }
-        for send in faulty {
-            self.deliver(send);
-        }
-    }
-
-    /// Routes one faulty send: into the buckets of its recipients below
-    /// `n`, in recipient order, or, from a sender that keeps its sends as
-    /// records, into the corrupted buckets and the records.
-    fn deliver(&mut self, send: FaultySend<M>) {
-        let envelope = |to: usize| Envelope {
-            from: send.from,
-            to: ProcessId(to as u32),
-            payload: Rc::clone(&send.payload),
-        };
-        if self.eager[send.from.index()] {
-            let n = self.buckets.len() as u64;
             let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
             for (to, bucket) in (start..end).zip(&mut self.buckets[start..end]) {
-                bucket.push(envelope(to));
+                bucket.push(Envelope {
+                    from: send.from,
+                    to: ProcessId(to as u32),
+                    payload: Rc::clone(&send.payload),
+                });
             }
-        } else {
-            for &to in &self.corrupted {
-                self.buckets[to.index()].push(envelope(to.index()));
-            }
-            self.records.push(send);
         }
     }
 }
@@ -290,14 +231,16 @@ impl<O: Clone + Eq> RunReport<O> {
 ///
 /// All round-`r` traffic is delivered at step `r + 1`. An inbox is
 /// ordered by sender, with one sender's envelopes in the order they were
-/// sent. A faulty send stays one record (sender, recipients, shared
-/// payload) until routing, and its message and byte counts come from the
-/// record. Routing writes each envelope into its recipient's bucket,
-/// except that a faulty sender whose every send this round goes to all
-/// of `0..n` keeps its sends as records until delivery: each honest
-/// process's inbox is built from its bucket and those records just before
-/// it steps, in one buffer the runner reuses. The adversary reads the
-/// corrupted processes' inboxes, complete at routing, through
+/// sent. Every send, honest or faulty, is one record (sender, recipients,
+/// shared payload), so a broadcast is one record for `0..n`, and its
+/// message and byte counts come from the record. The adversary reads the
+/// honest records as envelopes through
+/// [`AdversaryCtx::honest_traffic`]. Routing keeps the records of a
+/// sender whose every send this round reaches all of `0..n`, and writes
+/// any other sender's sends into one bucket per recipient; each inbox is
+/// built from its bucket and the records when it is read, in one buffer
+/// the runner reuses: an honest one just before its process steps, a
+/// corrupted one when the adversary reads it through
 /// [`AdversaryCtx::faulty_inboxes`]. An envelope addressed to an
 /// identifier `≥ n` is counted but delivered to no one.
 pub struct Runner<P: Process, A> {
@@ -307,12 +250,10 @@ pub struct Runner<P: Process, A> {
     corrupted: BTreeSet<ProcessId>,
     /// Last round's traffic, routed for delivery this round.
     delivery: Delivery<P::Msg>,
-    /// This round's honest envelopes and faulty sends, drained into
-    /// `delivery`; the buffers are kept to reuse their allocations.
-    honest_sent: Vec<Envelope<P::Msg>>,
-    faulty_sent: Vec<FaultySend<P::Msg>>,
-    /// Scratch for [`remote_cost`]'s payload sizes.
-    sizes: Vec<(*const P::Msg, u64)>,
+    /// This round's honest sends, then the faulty ones appended, drained
+    /// into `delivery`; both buffers are kept to reuse their allocations.
+    honest_sent: Vec<Cast<P::Msg>>,
+    faulty_sent: Vec<Cast<P::Msg>>,
     round: u64,
     report: RunReport<P::Output>,
 }
@@ -371,7 +312,6 @@ where
             corrupted,
             honest_sent: Vec::new(),
             faulty_sent: Vec::new(),
-            sizes: Vec::new(),
             round: 0,
             report: RunReport {
                 honest_count,
@@ -406,12 +346,12 @@ where
             }
             let mut out = Outbox::new(id, self.n);
             proc.step(round, self.delivery.inbox(id), &mut out);
-            let envs = out.into_envelopes();
-            let (remote, bytes) = remote_cost(&envs, &mut self.sizes);
+            let sent = out.into_casts();
+            let (remote, bytes) = total_cost(&sent);
             trace.honest_messages += remote;
             trace.honest_bytes += bytes;
             *self.report.messages_per_process.entry(id).or_insert(0) += remote;
-            self.honest_sent.extend(envs);
+            self.honest_sent.extend(sent);
 
             if let Some(o) = proc.output() {
                 self.report.outputs.entry(id).or_insert(o);
@@ -424,17 +364,13 @@ where
             round,
             n: self.n,
             corrupted: &self.corrupted,
-            honest_traffic: &self.honest_sent,
-            faulty_inboxes: FaultyInboxes::new(&self.delivery),
+            faulty_inboxes: FaultyInboxes::new(&mut self.delivery),
+            honest: &self.honest_sent,
             outgoing: std::mem::take(&mut self.faulty_sent),
         };
         self.adversary.act(&mut ctx);
         self.faulty_sent = ctx.outgoing;
-        for send in &self.faulty_sent {
-            let (messages, bytes) = send.remote_cost();
-            trace.faulty_messages += messages;
-            trace.faulty_bytes += bytes;
-        }
+        (trace.faulty_messages, trace.faulty_bytes) = total_cost(&self.faulty_sent);
 
         self.report.honest_messages += trace.honest_messages;
         self.report.honest_bytes += trace.honest_bytes;
@@ -443,8 +379,8 @@ where
             self.report.honest_bytes_until_decision = self.report.honest_bytes;
         }
 
-        self.delivery
-            .route(&mut self.honest_sent, &mut self.faulty_sent);
+        self.honest_sent.append(&mut self.faulty_sent);
+        self.delivery.route(&mut self.honest_sent);
 
         self.report.rounds.push(trace);
         self.round += 1;
@@ -598,8 +534,7 @@ mod tests {
         let adv = FnAdversary::new(|ctx: &mut AdversaryCtx<'_, Value>| {
             if ctx.round == 0 {
                 let min = ctx
-                    .honest_traffic
-                    .iter()
+                    .honest_traffic()
                     .map(|e| *e.payload)
                     .min()
                     .expect("rushing adversary must see round-0 honest traffic");
@@ -933,7 +868,7 @@ mod tests {
         assert_eq!(*seen.borrow(), faulty);
     }
 
-    /// The eager routing that `Delivery` replaces for full-range faulty
+    /// The eager routing that `Delivery` replaces for full-range
     /// senders: every envelope written into its recipient's inbox at
     /// routing, senders walked in id order.
     struct EagerDelivery<M> {
@@ -947,34 +882,17 @@ mod tests {
             }
         }
 
-        fn route(&mut self, honest: &mut Vec<Envelope<M>>, faulty: &mut Vec<FaultySend<M>>) {
+        fn route(&mut self, sent: &mut Vec<Cast<M>>) {
             for inbox in &mut self.inboxes {
                 inbox.clear();
             }
-            faulty.sort_by_key(|send| send.from);
-            let mut faulty = faulty.drain(..).peekable();
-            for env in honest.drain(..) {
-                while let Some(send) = faulty.next_if(|send| send.from < env.from) {
-                    self.deliver(send);
+            sent.sort_by_key(|send| send.from);
+            for send in sent.drain(..) {
+                for env in send.envelopes() {
+                    if let Some(inbox) = self.inboxes.get_mut(env.to.index()) {
+                        inbox.push(env);
+                    }
                 }
-                if let Some(inbox) = self.inboxes.get_mut(env.to.index()) {
-                    inbox.push(env);
-                }
-            }
-            for send in faulty {
-                self.deliver(send);
-            }
-        }
-
-        fn deliver(&mut self, send: FaultySend<M>) {
-            let n = self.inboxes.len() as u64;
-            let (start, end) = (send.to.start.min(n) as usize, send.to.end.min(n) as usize);
-            for (to, inbox) in (start..end).zip(&mut self.inboxes[start..end]) {
-                inbox.push(Envelope {
-                    from: send.from,
-                    to: ProcessId(to as u32),
-                    payload: Rc::clone(&send.payload),
-                });
             }
         }
     }
@@ -984,6 +902,18 @@ mod tests {
         inbox
             .iter()
             .map(|e| (e.from.0, e.to.0, Rc::as_ptr(&e.payload)))
+            .collect()
+    }
+
+    /// Copies of `sends`, sharing their payloads.
+    fn copied(sends: &[Cast<u32>]) -> Vec<Cast<u32>> {
+        sends
+            .iter()
+            .map(|send| Cast {
+                from: send.from,
+                to: send.to.clone(),
+                payload: Rc::clone(&send.payload),
+            })
             .collect()
     }
 
@@ -1012,29 +942,34 @@ mod tests {
             let mut delivery = Delivery::new(n, &corrupted);
             let mut eager = EagerDelivery::new(n);
             for round in 0..ROUNDS {
-                // Honest traffic, grouped by sender in id order: `kind` 0
-                // sends to `arg mod n`, 1 broadcasts one shared payload.
-                let mut honest: Vec<Envelope<u32>> = Vec::new();
-                if !honest_ids.is_empty() {
-                    let mut ops: Vec<_> = honest_ops
+                // Honest traffic through each sender's `Outbox`, senders
+                // in id order: `kind` 0 sends to `arg mod n`, 1
+                // broadcasts, 2 multicasts to the ids whose bit is set in
+                // `arg`, highest first. The first honest id also sends,
+                // broadcasts and multicasts every round, so it mixes all
+                // three kinds.
+                let mut honest: Vec<Cast<u32>> = Vec::new();
+                for (i, &from) in honest_ids.iter().enumerate() {
+                    let mut out = Outbox::new(from, n);
+                    if i == 0 {
+                        out.broadcast(round as u32);
+                        out.send(ProcessId(round as u32 % n as u32), 1);
+                        out.multicast((0..n as u32).rev().map(ProcessId), 2);
+                    }
+                    let ops = honest_ops
                         .iter()
-                        .filter(|op| op.0 == round)
-                        .map(|&(_, sel, kind, arg)| {
-                            (honest_ids[usize::from(sel) % honest_ids.len()], kind, arg)
-                        })
-                        .collect();
-                    ops.sort_by_key(|op| op.0);
-                    for (from, kind, arg) in ops {
-                        let payload = Rc::new(arg);
-                        let to: Vec<ProcessId> = if kind % 2 == 0 {
-                            vec![ProcessId(arg % n as u32)]
-                        } else {
-                            ProcessId::all(n).collect()
-                        };
-                        for to in to {
-                            honest.push(Envelope { from, to, payload: Rc::clone(&payload) });
+                        .filter(|op| op.0 == round && usize::from(op.1) % honest_ids.len() == i);
+                    for &(_, _, kind, arg) in ops {
+                        match kind % 3 {
+                            0 => out.send(ProcessId(arg % n as u32), arg),
+                            1 => out.broadcast(arg),
+                            _ => out.multicast(
+                                (0..n as u32).rev().filter(|id| arg >> (id % 32) & 1 == 1).map(ProcessId),
+                                arg,
+                            ),
                         }
                     }
+                    honest.extend(out.into_casts());
                 }
                 // Faulty traffic through the adversary's API: `kind` 0
                 // sends, 1 replays, 2 broadcasts, 3 replay-broadcasts.
@@ -1044,10 +979,11 @@ mod tests {
                     round,
                     n,
                     corrupted: &corrupted,
-                    honest_traffic: &honest,
-                    faulty_inboxes: FaultyInboxes::new(&delivery),
+                    faulty_inboxes: FaultyInboxes::new(&mut delivery),
+                    honest: &honest,
                     outgoing: Vec::new(),
                 };
+                let traffic: Vec<Envelope<u32>> = ctx.honest_traffic().collect();
                 if !corrupted.is_empty() {
                     let faulty: Vec<ProcessId> = corrupted.iter().copied().collect();
                     for &(_, sel, kind, arg) in faulty_ops.iter().filter(|op| op.0 == round) {
@@ -1057,7 +993,7 @@ mod tests {
                         } else {
                             ProcessId(arg % (n as u32 + 3))
                         };
-                        let replayed = match honest.get(arg as usize % (honest.len() + 1)) {
+                        let replayed = match traffic.get(arg as usize % (traffic.len() + 1)) {
                             Some(env) => Rc::clone(&env.payload),
                             None => Rc::new(arg),
                         };
@@ -1070,19 +1006,13 @@ mod tests {
                     }
                 }
                 let mut faulty = ctx.outgoing;
-                let mut faulty_copy: Vec<FaultySend<u32>> = faulty
-                    .iter()
-                    .map(|send| FaultySend {
-                        from: send.from,
-                        to: send.to.clone(),
-                        payload: Rc::clone(&send.payload),
-                    })
-                    .collect();
-                let mut honest_copy = honest.clone();
-                delivery.route(&mut honest, &mut faulty);
-                eager.route(&mut honest_copy, &mut faulty_copy);
-                prop_assert!(honest.is_empty() && faulty.is_empty());
-                let faulty_inboxes = FaultyInboxes::new(&delivery);
+                let mut sent = honest;
+                sent.append(&mut faulty);
+                let mut sent_copy = copied(&sent);
+                delivery.route(&mut sent);
+                eager.route(&mut sent_copy);
+                prop_assert!(sent.is_empty());
+                let mut faulty_inboxes = FaultyInboxes::new(&mut delivery);
                 for id in &corrupted {
                     let got = faulty_inboxes.get(id).map(addressed);
                     prop_assert_eq!(got, Some(addressed(&eager.inboxes[id.index()])), "round {}, {}", round, id);

@@ -244,7 +244,7 @@ proptest! {
         let adversary_log = Rc::clone(&log);
         let adversary = FnAdversary::new(move |ctx: &mut AdversaryCtx<'_, Msg>| {
             for id in ctx.corrupted.iter() {
-                let inbox = transcript(&ctx.faulty_inboxes[id]);
+                let inbox = transcript(ctx.faulty_inboxes.get(id).expect("corrupted"));
                 adversary_log.borrow_mut().insert((ctx.round, id.0), inbox);
             }
             crash.act(ctx);

@@ -244,14 +244,10 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
                 // verify-on-receive.
                 if let Some(key) = self.keys.first() {
                     let from = ProcessId(key.id());
-                    let observed: Vec<Rc<CommEffSignedMsg>> = ctx
-                        .honest_traffic
-                        .iter()
-                        .filter(|e| matches!(&*e.payload, CommEffSignedMsg::Submit(_)))
-                        .map(|e| Rc::clone(&e.payload))
-                        .collect();
-                    for payload in observed {
-                        ctx.replay_broadcast(from, payload);
+                    for env in ctx.honest_traffic() {
+                        if matches!(&*env.payload, CommEffSignedMsg::Submit(_)) {
+                            ctx.replay_broadcast(from, env.payload);
+                        }
                     }
                 }
             }
@@ -283,7 +279,7 @@ impl Adversary<CommEffSignedMsg> for SignedCertEquivocator {
             }
             2 => {
                 // Rushing visibility: harvest the honest signed acks.
-                for env in ctx.honest_traffic {
+                for env in ctx.honest_traffic() {
                     if let CommEffSignedMsg::Ack(signed) = &*env.payload {
                         self.harvested.push(signed.clone());
                     }

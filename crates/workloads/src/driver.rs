@@ -90,7 +90,6 @@ impl SessionSpec<'_> {
             // strictly smaller values (0) selectively to split the
             // minimum-based conciliation (Algorithm 4 line 4).
             InputPattern::Split => Value(1 + (slot % 2) as u64),
-            InputPattern::Distinct => Value(slot as u64 + 100),
         }
     }
 

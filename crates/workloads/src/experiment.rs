@@ -104,8 +104,6 @@ pub enum InputPattern {
     Unanimous(u64),
     /// Alternating binary proposals (agreement under contention).
     Split,
-    /// Identifier-derived distinct values.
-    Distinct,
 }
 
 /// Adversary selection (protocol-deep attacks are exercised in the

@@ -113,21 +113,27 @@ pub fn predictions_with_budget(
         true
     };
 
-    match placement {
-        ErrorPlacement::Uniform => {
-            // Sample (row, col) pairs without repetition until the budget
-            // is spent or every bit is wrong.
+    // Flips the honest rows' bits in `cols`, one (row, column) cell at a
+    // time in a seed-shuffled order, until the budget is spent or every
+    // such bit is wrong.
+    let shuffle_and_flip =
+        |m: &mut PredictionMatrix, cols: &[usize], rng: &mut StdRng, remaining: &mut usize| {
             let mut cells: Vec<(ProcessId, usize)> = honest
                 .iter()
-                .flat_map(|&r| (0..n).map(move |c| (r, c)))
+                .flat_map(|&r| cols.iter().map(move |&c| (r, c)))
                 .collect();
-            cells.shuffle(&mut rng);
+            cells.shuffle(rng);
             for (r, c) in cells {
-                if remaining == 0 {
+                if !flip(m, r, c, remaining) {
                     break;
                 }
-                flip(&mut m, r, c, &mut remaining);
             }
+        };
+
+    match placement {
+        ErrorPlacement::Uniform => {
+            let all: Vec<usize> = (0..n).collect();
+            shuffle_and_flip(&mut m, &all, &mut rng, &mut remaining);
         }
         ErrorPlacement::Concentrated => {
             // Walk targets in a seed-shuffled order; for each, flip the
@@ -146,31 +152,11 @@ pub fn predictions_with_budget(
         }
         ErrorPlacement::MissedFaultsOnly => {
             let cols: Vec<usize> = faulty.iter().map(|p| p.index()).collect();
-            let mut cells: Vec<(ProcessId, usize)> = honest
-                .iter()
-                .flat_map(|&r| cols.iter().map(move |&c| (r, c)))
-                .collect();
-            cells.shuffle(&mut rng);
-            for (r, c) in cells {
-                if remaining == 0 {
-                    break;
-                }
-                flip(&mut m, r, c, &mut remaining);
-            }
+            shuffle_and_flip(&mut m, &cols, &mut rng, &mut remaining);
         }
         ErrorPlacement::FalseAccusationsOnly => {
             let cols: Vec<usize> = honest.iter().map(|p| p.index()).collect();
-            let mut cells: Vec<(ProcessId, usize)> = honest
-                .iter()
-                .flat_map(|&r| cols.iter().map(move |&c| (r, c)))
-                .collect();
-            cells.shuffle(&mut rng);
-            for (r, c) in cells {
-                if remaining == 0 {
-                    break;
-                }
-                flip(&mut m, r, c, &mut remaining);
-            }
+            shuffle_and_flip(&mut m, &cols, &mut rng, &mut remaining);
         }
         ErrorPlacement::TrustedFaults => {
             // Observation 1: flipping a faulty target to "trusted

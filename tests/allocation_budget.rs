@@ -1,25 +1,31 @@
-//! Allocation budget of two small experiments.
+//! Allocation budget of three small experiments.
 //!
 //! A counting global allocator tallies the heap allocations and
 //! reallocations made on the test's own thread while one auth-wrapper
-//! experiment and one phase-king experiment under replay run. Both are
-//! deterministic per seed, so the counts are too; the bounds below are
-//! the measured counts plus a 4% margin (for toolchain and standard
-//! library drift), so losing the hot paths' no-regrowth discipline,
-//! copying each accepted chain again, allocating a payload-size table per
-//! sending step, or writing every replayed envelope into every inbox at
-//! routing fails this test.
+//! experiment (silent, then under its `Disruptor`, the attacked path,
+//! whose adversary reads corrupted inboxes) and one phase-king
+//! experiment under replay run. All are deterministic per seed, so the
+//! counts are too; the bounds below are the measured counts plus a 4%
+//! margin (for toolchain and standard library drift), so losing the hot
+//! paths' no-regrowth discipline, copying each accepted chain again,
+//! allocating a payload-size table per sending step, writing every
+//! replayed envelope into every inbox at routing, or building each inbox
+//! in a fresh buffer fails this test. The `Disruptor` reads only a few
+//! corrupted inboxes a run at this size, so a fresh buffer for those
+//! reads alone stays inside the margin.
 //!
-//! Counts measured on this tree; on the tree before faulty broadcasts
+//! Counts measured on this tree, where honest sends are records too; on
+//! the tree before that change; on the tree before faulty broadcasts
 //! were delivered just in time and the runner kept one payload-size
 //! buffer; and on the tree before inbox passes, vote lists, sub-protocol
 //! embedding, memo slots and chains stopped regrowing buffers
 //! (allocations / reallocations):
 //!
-//! | experiment | allocations | reallocations | before delivery change | before no-regrowth |
-//! |---|---|---|---|---|
-//! | auth-wrapper n = 16, t = 7, f = 3, B = 16, silent | 9,630 | 1,421 | 10,132 / 1,428 | 13,309 / 4,593 |
-//! | phase king n = 24, t = 7, f = 4, replay | 2,037 | 124 | 2,214 / 190 | 2,394 / 1,930 |
+//! | experiment | allocations | reallocations | before honest records | before delivery change | before no-regrowth |
+//! |---|---|---|---|---|---|
+//! | auth-wrapper n = 16, t = 7, f = 3, B = 16, silent | 9,594 | 1,416 | 9,630 / 1,421 | 10,132 / 1,428 | 13,309 / 4,593 |
+//! | the same under `Disruptor` | 11,122 | 1,510 | 11,149 / 1,517 | — | — |
+//! | phase king n = 24, t = 7, f = 4, replay | 1,972 | 81 | 2,037 / 124 | 2,214 / 190 | 2,394 / 1,930 |
 
 use ba_predictions::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,6 +99,10 @@ fn small_experiments_stay_within_their_allocation_budget() {
         .adversary(AdversaryKind::Silent)
         .build()
         .with_seed(1);
+    let disrupted = ExperimentConfig {
+        adversary: AdversaryKind::Disruptor,
+        ..auth.clone()
+    };
     let king = ExperimentConfig::builder()
         .n(24)
         .t(7)
@@ -103,8 +113,9 @@ fn small_experiments_stay_within_their_allocation_budget() {
         .build()
         .with_seed(1);
     for (name, cfg, allocs, reallocs) in [
-        ("auth-wrapper", &auth, 9_630, 1_421),
-        ("phase king under replay", &king, 2_037, 124),
+        ("auth-wrapper", &auth, 9_594, 1_416),
+        ("auth-wrapper under Disruptor", &disrupted, 11_122, 1_510),
+        ("phase king under replay", &king, 1_972, 81),
     ] {
         let (got_allocs, got_reallocs) = counts(cfg);
         eprintln!("{name}: {got_allocs} allocations, {got_reallocs} reallocations");
