@@ -13,9 +13,8 @@
 //! * **Authenticated**: [`TruncatedDs`](crate::TruncatedDs) with budget
 //!   `k` directly (it is self-conditional on `f ≤ k`).
 
-use crate::phase_king::{PhaseKing, PhaseKingMsg};
 use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
-use ba_unauth::{Alg5Msg, UnauthBaWithClassification};
+use ba_unauth::{Alg5Msg, PhaseKing, PhaseKingMsg, UnauthBaWithClassification};
 use std::rc::Rc;
 use std::sync::Arc;
 

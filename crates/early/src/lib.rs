@@ -10,10 +10,12 @@
 //! on — agreement by the deadline whenever the faults fit the budget:
 //!
 //! * [`PhaseKing`] — a 5-round-per-phase validator/king/validator
-//!   protocol, early-stopping in `f + 2` phases (`t < n/3`);
+//!   protocol, early-stopping in `f + 2` phases (`t < n/3`): the king
+//!   rule of `ba_unauth`'s phase engine, re-exported here;
 //! * [`EsUnauth`] — the unauthenticated dispatcher: the paper's own
 //!   Algorithm 5 under a trivial all-honest classification when its size
-//!   condition allows, phase-king otherwise;
+//!   condition allows, phase king otherwise — the same phase engine under
+//!   its other rule;
 //! * [`TruncatedDs`] — `n` parallel universal-committee Dolev–Strong
 //!   broadcasts truncated at `k + 1` rounds plus plurality
 //!   (`t < n/2`, authenticated).
@@ -25,9 +27,8 @@
 #![forbid(unsafe_code)]
 
 pub mod dispatch;
-pub mod phase_king;
 pub mod truncated_ds;
 
+pub use ba_unauth::{PhaseKing, PhaseKingMsg, PhaseKingOutput};
 pub use dispatch::{EsUnauth, EsUnauthMsg};
-pub use phase_king::{PhaseKing, PhaseKingMsg, PhaseKingOutput};
 pub use truncated_ds::TruncatedDs;

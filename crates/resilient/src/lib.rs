@@ -584,12 +584,12 @@ fn disrupt_phase<M: Clone>(
     slot: u64,
     wrap: impl Fn(Rc<PhaseKingMsg>) -> M,
 ) {
-    let gc = |inner: UnauthGcMsg, main: bool| {
+    let gc = |inner: UnauthGcMsg, first: bool| {
         let inner = Rc::new(inner);
-        wrap(Rc::new(if main {
-            PhaseKingMsg::Main { phase: tag, inner }
+        wrap(Rc::new(if first {
+            PhaseKingMsg::First { phase: tag, inner }
         } else {
-            PhaseKingMsg::Detect { phase: tag, inner }
+            PhaseKingMsg::Second { phase: tag, inner }
         }))
     };
     let split_cast = |ctx: &mut AdversaryCtx<'_, M>, msg: M| {
@@ -606,7 +606,10 @@ fn disrupt_phase<M: Clone>(
             if faulty.contains(&king) {
                 for to in ProcessId::all(n) {
                     let value = Value(u64::from(to.0 % 2));
-                    let msg = wrap(Rc::new(PhaseKingMsg::King { phase: tag, value }));
+                    let msg = wrap(Rc::new(PhaseKingMsg::Middle {
+                        phase: tag,
+                        inner: value,
+                    }));
                     ctx.send(king, to, msg);
                 }
             }
@@ -954,9 +957,9 @@ pub(crate) mod tests {
         let classify = ResilientMsg::Classify(Rc::new(BitVec::ones(16)));
         // 1 discriminant + 4 length prefix + 2 packed bytes.
         assert_eq!(classify.wire_bytes(), 7);
-        let king = ResilientMsg::Phase(Rc::new(PhaseKingMsg::King {
+        let king = ResilientMsg::Phase(Rc::new(PhaseKingMsg::Middle {
             phase: 0,
-            value: Value(1),
+            inner: Value(1),
         }));
         // 1 + (1 discriminant + 2 phase + 8 value).
         assert_eq!(king.wire_bytes(), 12);

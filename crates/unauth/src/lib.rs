@@ -1,7 +1,8 @@
-//! # ba-unauth — the paper's unauthenticated protocols (§7)
+//! # ba-unauth — the paper's unauthenticated protocols (§7) and phase king
 //!
 //! Faithful implementations of three algorithms from *Byzantine Agreement
-//! with Predictions*:
+//! with Predictions*, and the phase-king substitute that shares their
+//! phase:
 //!
 //! * [`gc_core_set::CoreSetGraded`] — **Algorithm 3**, graded consensus
 //!   with a core set: quorum thresholds `2k+1` / `k+1` inside per-process
@@ -9,10 +10,16 @@
 //! * [`conciliation::Conciliation`] — **Algorithm 4**, the one-round
 //!   leader-graph conciliation that converges honest proposals when the
 //!   listen sets are honest and share a core;
-//! * [`ba_classification::UnauthBaWithClassification`] — **Algorithm 5**,
-//!   the conditional Byzantine agreement that runs `2k+1` phases of
-//!   (graded consensus, conciliation, graded consensus) over the priority
-//!   blocks of the classification ordering `π(cᵢ)`.
+//! * [`phases::Phases`] — the one 5-round phase engine (graded consensus,
+//!   middle round, graded consensus) with two [`Rule`]s:
+//!   * [`Classified`] makes it
+//!     [`UnauthBaWithClassification`] — **Algorithm 5**, the conditional
+//!     Byzantine agreement that runs `2k+1` phases of (Algorithm 3,
+//!     Algorithm 4, Algorithm 3) over the priority blocks of the
+//!     classification ordering `π(cᵢ)`;
+//!   * [`King`] makes it [`PhaseKing`] — the early-stopping phase-king
+//!     agreement (`t < n/3`) that stands in for Lenzen–Sheikholeslami:
+//!     unauthenticated graded consensus around a king's broadcast.
 //!
 //! The conditional contract (Theorem 5): if `k` upper-bounds the number of
 //! misclassified processes and `(2k+1)(3k+1) ≤ n − t − k`, Algorithm 5
@@ -23,17 +30,21 @@
 //! the outputs — the guess-and-double wrapper in `ba-core` protects
 //! safety in that case.
 //!
-//! Interestingly (§7), none of this requires `t < n/3`.
+//! Interestingly (§7), none of this requires `t < n/3`; phase king does.
 
 #![forbid(unsafe_code)]
 
 pub mod ba_classification;
 pub mod conciliation;
 pub mod gc_core_set;
+pub mod phase_king;
+pub mod phases;
 
-pub use ba_classification::{Alg5Msg, Alg5Output, UnauthBaWithClassification};
+pub use ba_classification::{Alg5Msg, Alg5Output, Classified, UnauthBaWithClassification};
 pub use conciliation::{ConcMsg, Conciliation};
 pub use gc_core_set::{CoreSetGcMsg, CoreSetGraded};
+pub use phase_king::{King, PhaseKing, PhaseKingMsg, PhaseKingOutput};
+pub use phases::{PhaseMsg, PhaseOutput, Phases, Rule};
 
 use ba_sim::ProcessId;
 

@@ -4,24 +4,18 @@
 //! The paper's wrapper needs an early-stopping BA (Theorem 9, citing
 //! Lenzen–Sheikholeslami \[32\]) that, with `f` actual faults, completes in
 //! `O(f)` rounds. This is a simplified protocol with the same structure
-//! \[32\] itself builds on: per phase, a *validator* (graded consensus),
-//! a king, and another validator to detect agreement:
-//!
-//! ```text
-//! phase p (5 rounds), king = p_{p mod n}:
-//!   (v, g)  ← graded-consensus(v)            // 2 rounds
-//!   king broadcasts its value                 // 1 round
-//!   if g < 2 then v ← king's value
-//!   (v, g') ← graded-consensus(v)            // 2 rounds, detect
-//!   if already decided in an earlier phase: return decision
-//!   if g' = 2: decide v
-//! ```
+//! \[32\] itself builds on: the [`King`] rule of the shared
+//! [phase engine](crate::phases). Both graded consensuses of a phase are
+//! [`UnauthGraded`] (the first the *validator*, the second the *detect*
+//! consensus), and in the middle round the phase's king — `p_{p mod n}`,
+//! or `kings[p]` under an explicit schedule — broadcasts its value, which
+//! every process below grade 2 adopts.
 //!
 //! *Safety.* Deciding requires detect-grade 2; grade-2 coherence of the
 //! graded consensus then forces every honest process to carry the decided
 //! value into the next phase, where strong unanimity makes everyone
 //! decide it too. *Liveness.* In the first phase with an honest king,
-//! either some honest process held main-grade 2 — in which case grade-2
+//! either some honest process held validator grade 2 — in which case grade-2
 //! coherence already put the same value (as the argmax) at every honest
 //! process including the king — or nobody did and everyone adopts the
 //! king; either way the phase ends unanimous and the detect consensus
@@ -33,65 +27,25 @@
 //! from \[32\]'s `O(n²)` total, accepted because this much simpler
 //! protocol stands in for \[32\] and keeps its `O(f)` round bound.
 
+use crate::phases::{PhaseMsg, PhaseOutput, Phases, Rule};
 use ba_graded::{UnauthGcMsg, UnauthGraded};
-use ba_sim::{step_sub, Envelope, Outbox, Process, ProcessId, Value, WireSize};
-use std::rc::Rc;
+use ba_sim::{Envelope, Outbox, ProcessId, Value};
 use std::sync::Arc;
 
-/// Messages of the phase-king protocol.
-#[derive(Clone, Debug)]
-pub enum PhaseKingMsg {
-    /// Main graded consensus of a phase.
-    Main {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Inner graded-consensus payload.
-        inner: Rc<UnauthGcMsg>,
-    },
-    /// The king's value broadcast.
-    King {
-        /// Phase number (0-based).
-        phase: u16,
-        /// The king's post-consensus value.
-        value: Value,
-    },
-    /// Detection graded consensus of a phase.
-    Detect {
-        /// Phase number (0-based).
-        phase: u16,
-        /// Inner graded-consensus payload.
-        inner: Rc<UnauthGcMsg>,
-    },
-}
+/// Messages of the phase-king protocol: `Middle` carries the king's value.
+pub type PhaseKingMsg = PhaseMsg<UnauthGcMsg, Value>;
 
-/// A discriminant byte, the phase tag, and the variant's payload.
-impl WireSize for PhaseKingMsg {
-    fn wire_bytes(&self) -> u64 {
-        1 + match self {
-            PhaseKingMsg::Main { phase, inner } | PhaseKingMsg::Detect { phase, inner } => {
-                phase.wire_bytes() + inner.wire_bytes()
-            }
-            PhaseKingMsg::King { phase, value } => phase.wire_bytes() + value.wire_bytes(),
-        }
-    }
-}
-
-/// Result of a phase-king run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PhaseKingOutput {
-    /// The value held when returning.
-    pub value: Value,
-    /// The decision, if the detect consensus ever fired grade 2 (always
-    /// the case when `f + 2 ≤` the configured phase budget).
-    pub decision: Option<Value>,
-}
+/// Result of a phase-king run. The decision is set once the second graded
+/// consensus fires grade 2 (always the case when `f + 2 ≤` the phase
+/// budget).
+pub type PhaseKingOutput = PhaseOutput;
 
 /// One process's state machine for early-stopping phase-king agreement.
 ///
 /// # Examples
 ///
 /// ```
-/// use ba_early::PhaseKing;
+/// use ba_unauth::PhaseKing;
 /// use ba_sim::{ProcessId, Runner, SilentAdversary, Value};
 ///
 /// let n = 4;
@@ -104,30 +58,65 @@ pub struct PhaseKingOutput {
 ///     assert_eq!(o.decision, Some(Value(3)));
 /// }
 /// ```
-pub struct PhaseKing {
-    me: ProcessId,
+pub type PhaseKing = Phases<King>;
+
+/// The phase-king [`Rule`]: unauthenticated graded consensus, and a
+/// middle round in which the phase's king broadcasts its value.
+pub struct King {
     n: usize,
     t: usize,
-    phases: usize,
     /// Explicit king schedule (one entry per phase); `None` falls back
     /// to the classic identity rotation `p_{phase mod n}`.
     kings: Option<Arc<[ProcessId]>>,
-    value: Value,
-    decision: Option<Value>,
-    main: Option<UnauthGraded>,
-    main_grade: u8,
-    detect: Option<UnauthGraded>,
-    out: Option<PhaseKingOutput>,
 }
 
-impl std::fmt::Debug for PhaseKing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PhaseKing")
-            .field("me", &self.me)
-            .field("phases", &self.phases)
-            .field("value", &self.value)
-            .field("decision", &self.decision)
-            .finish_non_exhaustive()
+impl King {
+    fn king_of(&self, phase: usize) -> ProcessId {
+        match &self.kings {
+            Some(kings) => kings[phase],
+            None => ProcessId((phase % self.n) as u32),
+        }
+    }
+}
+
+impl Rule for King {
+    type Gc = UnauthGraded;
+    type Middle = Value;
+
+    fn graded(&self, me: ProcessId, _phase: usize, value: Value) -> UnauthGraded {
+        UnauthGraded::new(me, self.n, self.t, value)
+    }
+
+    fn send_middle(
+        &mut self,
+        me: ProcessId,
+        phase: usize,
+        value: Value,
+        out: &mut Outbox<PhaseKingMsg>,
+    ) {
+        if me == self.king_of(phase) {
+            out.broadcast(PhaseMsg::Middle {
+                phase: phase as u16,
+                inner: value,
+            });
+        }
+    }
+
+    /// The king's first `Middle` of this phase.
+    fn middle_value(
+        &mut self,
+        phase: usize,
+        inbox: &[Envelope<PhaseKingMsg>],
+        _out: &mut Outbox<PhaseKingMsg>,
+    ) -> Option<Value> {
+        let king = self.king_of(phase);
+        inbox
+            .iter()
+            .filter(|env| env.from == king)
+            .find_map(|env| match &*env.payload {
+                PhaseMsg::Middle { phase: p, inner } if *p as usize == phase => Some(*inner),
+                _ => None,
+            })
     }
 }
 
@@ -148,21 +137,7 @@ impl PhaseKing {
     ///
     /// Panics unless `3t < n` and `phases ≥ 1`.
     pub fn new(me: ProcessId, n: usize, t: usize, input: Value, phases: usize) -> Self {
-        assert!(3 * t < n, "phase king needs 3t < n");
-        assert!(phases >= 1);
-        PhaseKing {
-            me,
-            n,
-            t,
-            phases,
-            kings: None,
-            value: input,
-            decision: None,
-            main: None,
-            main_grade: 0,
-            detect: None,
-            out: None,
-        }
+        Self::scheduled(me, n, t, input, phases, None)
     }
 
     /// A full, unconditionally correct run: `t + 2` phases (the
@@ -195,164 +170,20 @@ impl PhaseKing {
             kings.iter().all(|k| (k.0 as usize) < n),
             "king schedule names an identifier outside the system"
         );
-        let mut pk = Self::new(me, n, t, input, kings.len());
-        pk.kings = Some(kings.into());
-        pk
+        Self::scheduled(me, n, t, input, kings.len(), Some(kings.into()))
     }
 
-    fn king_of(&self, phase: usize) -> ProcessId {
-        match &self.kings {
-            Some(kings) => kings[phase],
-            None => ProcessId((phase % self.n) as u32),
-        }
-    }
-
-    fn drive_gc(
-        gc: &mut UnauthGraded,
-        local: u64,
-        phase: u16,
-        is_main: bool,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
-    ) {
-        step_sub(
-            gc,
-            local,
-            inbox,
-            out,
-            |m| match (m, is_main) {
-                (PhaseKingMsg::Main { phase: p, inner }, true) if *p == phase => {
-                    Some(Rc::clone(inner))
-                }
-                (PhaseKingMsg::Detect { phase: p, inner }, false) if *p == phase => {
-                    Some(Rc::clone(inner))
-                }
-                _ => None,
-            },
-            |inner| {
-                if is_main {
-                    PhaseKingMsg::Main { phase, inner }
-                } else {
-                    PhaseKingMsg::Detect { phase, inner }
-                }
-            },
-        );
-    }
-
-    /// Completes a phase's detect consensus; returns `true` if the
-    /// process returned.
-    fn complete_phase(
-        &mut self,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
-        phase: usize,
-    ) -> bool {
-        let mut gc = self.detect.take().expect("detect live at completion");
-        Self::drive_gc(&mut gc, 2, phase as u16, false, inbox, out);
-        let graded = gc.output().expect("graded consensus outputs at step 2");
-        self.value = graded.value;
-        if let Some(decided) = self.decision {
-            self.out = Some(PhaseKingOutput {
-                value: decided,
-                decision: self.decision,
-            });
-            return true;
-        }
-        if graded.grade == 2 {
-            self.decision = Some(graded.value);
-        }
-        false
-    }
-}
-
-impl Process for PhaseKing {
-    type Msg = PhaseKingMsg;
-    type Output = PhaseKingOutput;
-
-    fn step(
-        &mut self,
-        round: u64,
-        inbox: &[Envelope<PhaseKingMsg>],
-        out: &mut Outbox<PhaseKingMsg>,
-    ) {
-        if self.out.is_some() {
-            return;
-        }
-        let phase = (round / 5) as usize;
-        let off = round % 5;
-        if phase > self.phases || (phase == self.phases && off > 0) {
-            return;
-        }
-        match off {
-            0 => {
-                if phase > 0 && self.complete_phase(inbox, out, phase - 1) {
-                    return;
-                }
-                if phase == self.phases {
-                    self.out = Some(PhaseKingOutput {
-                        value: self.value,
-                        decision: self.decision,
-                    });
-                    return;
-                }
-                let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, true, inbox, out);
-                self.main = Some(gc);
-            }
-            1 => {
-                let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 1, phase as u16, true, inbox, out);
-                self.main = Some(gc);
-            }
-            2 => {
-                let mut gc = self.main.take().expect("main live");
-                Self::drive_gc(&mut gc, 2, phase as u16, true, inbox, out);
-                let graded = gc.output().expect("graded consensus outputs at step 2");
-                self.value = graded.value;
-                self.main_grade = graded.grade;
-                if self.me == self.king_of(phase) {
-                    out.broadcast(PhaseKingMsg::King {
-                        phase: phase as u16,
-                        value: self.value,
-                    });
-                }
-            }
-            3 => {
-                // Receive the king's value (its first `King` of this
-                // phase); adopt it below grade 2.
-                let king = self.king_of(phase);
-                if self.main_grade < 2 {
-                    let king_value = inbox.iter().filter(|env| env.from == king).find_map(|env| {
-                        match &*env.payload {
-                            PhaseKingMsg::King { phase: p, value } if *p as usize == phase => {
-                                Some(*value)
-                            }
-                            _ => None,
-                        }
-                    });
-                    if let Some(v) = king_value {
-                        self.value = v;
-                    }
-                }
-                let mut gc = UnauthGraded::new(self.me, self.n, self.t, self.value);
-                Self::drive_gc(&mut gc, 0, phase as u16, false, inbox, out);
-                self.detect = Some(gc);
-            }
-            4 => {
-                let mut gc = self.detect.take().expect("detect live");
-                Self::drive_gc(&mut gc, 1, phase as u16, false, inbox, out);
-                self.detect = Some(gc);
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    fn output(&self) -> Option<PhaseKingOutput> {
-        self.out
-    }
-
-    fn halted(&self) -> bool {
-        self.out.is_some()
+    fn scheduled(
+        me: ProcessId,
+        n: usize,
+        t: usize,
+        input: Value,
+        phases: usize,
+        kings: Option<Arc<[ProcessId]>>,
+    ) -> Self {
+        assert!(3 * t < n, "phase king needs 3t < n");
+        assert!(phases >= 1);
+        Phases::with_rule(me, phases, King { n, t, kings }, input)
     }
 }
 
@@ -360,6 +191,7 @@ impl Process for PhaseKing {
 mod tests {
     use super::*;
     use ba_sim::{AdversaryCtx, FnAdversary, Runner, SilentAdversary};
+    use std::rc::Rc;
 
     fn system(n: usize, t: usize, inputs: &[u64], phases: usize) -> Vec<PhaseKing> {
         inputs
@@ -412,12 +244,12 @@ mod tests {
                             ProcessId(0),
                             ProcessId(to),
                             if ctx.round == 0 {
-                                PhaseKingMsg::Main {
+                                PhaseKingMsg::First {
                                     phase: 0,
                                     inner: Rc::new(UnauthGcMsg::Vote(v)),
                                 }
                             } else {
-                                PhaseKingMsg::Detect {
+                                PhaseKingMsg::Second {
                                     phase: 0,
                                     inner: Rc::new(UnauthGcMsg::Vote(v)),
                                 }
@@ -430,9 +262,9 @@ mod tests {
                         ctx.send(
                             ProcessId(0),
                             ProcessId(to),
-                            PhaseKingMsg::King {
+                            PhaseKingMsg::Middle {
                                 phase: 0,
-                                value: Value(u64::from(to % 2)),
+                                inner: Value(u64::from(to % 2)),
                             },
                         );
                     }
@@ -458,7 +290,7 @@ mod tests {
 
     #[test]
     fn non_king_cannot_impersonate_king() {
-        // A faulty non-king broadcasts King messages; honest processes
+        // A faulty non-king broadcasts king values; honest processes
         // only adopt from the phase's designated king.
         let n = 4;
         let t = 1;
@@ -470,9 +302,9 @@ mod tests {
                 if phase != 3 {
                     ctx.broadcast(
                         ProcessId(3),
-                        PhaseKingMsg::King {
+                        PhaseKingMsg::Middle {
                             phase,
-                            value: Value(999),
+                            inner: Value(999),
                         },
                     );
                 }
@@ -503,16 +335,16 @@ mod tests {
                         .wrapping_add(ctx.round * 31 + j as u64);
                     let v = Value(x % 3);
                     let msg = match x % 4 {
-                        0 => PhaseKingMsg::Main {
+                        0 => PhaseKingMsg::First {
                             phase,
                             inner: Rc::new(UnauthGcMsg::Vote(v)),
                         },
-                        1 => PhaseKingMsg::Main {
+                        1 => PhaseKingMsg::First {
                             phase,
                             inner: Rc::new(UnauthGcMsg::Echo(v)),
                         },
-                        2 => PhaseKingMsg::King { phase, value: v },
-                        _ => PhaseKingMsg::Detect {
+                        2 => PhaseKingMsg::Middle { phase, inner: v },
+                        _ => PhaseKingMsg::Second {
                             phase,
                             inner: Rc::new(UnauthGcMsg::Vote(v)),
                         },
@@ -536,7 +368,7 @@ mod tests {
             let phase = (ctx.round / 5) as u16;
             ctx.broadcast(
                 ProcessId(6),
-                PhaseKingMsg::Main {
+                PhaseKingMsg::First {
                     phase,
                     inner: Rc::new(UnauthGcMsg::Vote(Value(9))),
                 },

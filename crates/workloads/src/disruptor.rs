@@ -76,40 +76,36 @@ impl UnauthDisruptor {
     /// recipients are fed a bottom value through conciliation. Odd and
     /// even halves then disagree for as long as the coalition keeps a
     /// pair inside every phase's listen block.
-    fn alg5_msg(&self, k: usize, local: u64, to: ProcessId, me: ProcessId) -> Option<Alg5Msg> {
+    fn alg5_msg(&self, k: usize, local: u64, to: ProcessId) -> Option<Alg5Msg> {
         let phase = (local / 5) as u16;
         if local >= 5 * (2 * k as u64 + 1) {
             return None;
         }
         let block = 3 * k + 1;
-        let listen: Vec<ProcessId> = (0..block as u32)
-            .map(ProcessId)
-            .chain(std::iter::once(me))
-            .take(block)
-            .collect();
+        let listen: Vec<ProcessId> = (0..block as u32).map(ProcessId).collect();
         let high = Value(2);
         let odd = to.0 % 2 == 1;
         Some(match local % 5 {
-            0 if odd => Alg5Msg::GcA {
+            0 if odd => Alg5Msg::First {
                 phase,
                 inner: Rc::new(CoreSetGcMsg::Input(high)),
             },
-            1 if odd => Alg5Msg::GcA {
+            1 if odd => Alg5Msg::First {
                 phase,
                 inner: Rc::new(CoreSetGcMsg::Binding(high)),
             },
-            2 if !odd => Alg5Msg::Conc {
+            2 if !odd => Alg5Msg::Middle {
                 phase,
                 inner: Rc::new(ConcMsg {
                     value: split_value(to)?,
                     listen,
                 }),
             },
-            3 if odd => Alg5Msg::GcB {
+            3 if odd => Alg5Msg::Second {
                 phase,
                 inner: Rc::new(CoreSetGcMsg::Input(high)),
             },
-            4 if odd => Alg5Msg::GcB {
+            4 if odd => Alg5Msg::Second {
                 phase,
                 inner: Rc::new(CoreSetGcMsg::Binding(high)),
             },
@@ -121,20 +117,20 @@ impl UnauthDisruptor {
         let phase = (local / 5) as u16;
         let v = split_value(to)?;
         Some(match local % 5 {
-            0 => PhaseKingMsg::Main {
+            0 => PhaseKingMsg::First {
                 phase,
                 inner: Rc::new(UnauthGcMsg::Vote(v)),
             },
-            1 => PhaseKingMsg::Main {
+            1 => PhaseKingMsg::First {
                 phase,
                 inner: Rc::new(UnauthGcMsg::Echo(v)),
             },
-            2 => PhaseKingMsg::King { phase, value: v },
-            3 => PhaseKingMsg::Detect {
+            2 => PhaseKingMsg::Middle { phase, inner: v },
+            3 => PhaseKingMsg::Second {
                 phase,
                 inner: Rc::new(UnauthGcMsg::Vote(v)),
             },
-            _ => PhaseKingMsg::Detect {
+            _ => PhaseKingMsg::Second {
                 phase,
                 inner: Rc::new(UnauthGcMsg::Echo(v)),
             },
@@ -169,7 +165,7 @@ impl Adversary<UnauthWrapperMsg> for UnauthDisruptor {
                     }
                     SlotKind::Es { k, .. } => {
                         let inner = if EsUnauth::uses_alg5(self.n, self.t, k) {
-                            self.alg5_msg(k, local, to, from)
+                            self.alg5_msg(k, local, to)
                                 .map(|m| EsUnauthMsg::Alg5(Rc::new(m)))
                         } else {
                             self.king_msg(local, to)
@@ -181,7 +177,7 @@ impl Adversary<UnauthWrapperMsg> for UnauthDisruptor {
                         })
                     }
                     SlotKind::Class { k, .. } => {
-                        self.alg5_msg(k, local, to, from)
+                        self.alg5_msg(k, local, to)
                             .map(|m| UnauthWrapperMsg::Class {
                                 slot: slot.idx,
                                 inner: Rc::new(m),

@@ -25,9 +25,9 @@
 //! | [`ba_sim`] | deterministic synchronous simulator, rushing Byzantine adversary |
 //! | [`ba_crypto`] | SHA-256, HMAC, simulated PKI (substitution S1) |
 //! | [`ba_graded`] | graded consensus: 2-round unauth (S2), certified gradecast + 5-round auth (S3) |
-//! | [`ba_unauth`] | Algorithms 3, 4, 5 (§7) |
+//! | [`ba_unauth`] | Algorithms 3 and 4 (§7), and one 5-round phase engine with two rules: Algorithm 5 (conciliation over `π(c)` blocks) and phase king (a king's broadcast) |
 //! | [`ba_auth`] | committee certificates, message chains, Algorithms 6, 7 (§8) |
-//! | [`ba_early`] | early-stopping substrates (S4, S5) and prediction-free baselines |
+//! | [`ba_early`] | early-stopping substrates (S4, S5) and prediction-free baselines; re-exports phase king from the [`ba_unauth`] engine |
 //! | [`ba_commeff`] | communication-efficient BA with predictions (Dzulfikar–Gilbert follow-up): one state machine over a plain or a signed-certify lane |
 //! | [`ba_resilient`] | gracefully-degrading BA with predictions (Dallot et al. follow-up): one state machine over a plain or a signed classification exchange |
 //! | [`ba_core`] | predictions, Algorithm 2, `π(c)` orderings, the Algorithm 1 wrapper |
